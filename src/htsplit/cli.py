@@ -1,7 +1,8 @@
 """Command-line front end over ``.htsplit`` files.
 
 Exit codes: 0 success, 1 semantic failure (split rejected, counterexample
-found), 2 input error, 3 resource cap or inconclusive verdict.
+found), 2 input error, 3 resource cap, recursion limit or inconclusive
+verdict.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class RunConfig:
     verify: bool = False
     cap: int = 1 << engine.DEFAULT_ATOM_CAP
     output_format: str = "text"
-    jobs: int = 1
     seed: int = 0
     allow_unknown: bool = False
 
@@ -363,8 +363,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "dot-like"), default="text")
         p.add_argument("--cap", type=int, default=1 << engine.DEFAULT_ATOM_CAP,
                        help="search-space cap (number of interpretations)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for interface stability; execution is sequential")
         p.add_argument("--allow-unknown", action="store_true")
         p.add_argument("--seed", type=int, default=0)
 
@@ -427,7 +425,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         verify=getattr(args, "verify", False),
         cap=args.cap,
         output_format=args.format,
-        jobs=args.jobs,
         seed=args.seed,
         allow_unknown=args.allow_unknown,
     )
@@ -460,6 +457,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return INPUT_ERROR
     except engine.ResourceCapExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return INCONCLUSIVE
+    except RecursionError:
+        # the ground evaluators recurse once per nested connective
+        print("inconclusive: formulas nest too deeply for the recursive evaluators", file=sys.stderr)
         return INCONCLUSIVE
 
 

@@ -123,9 +123,6 @@ class DependencyGraph:
                 return text
         return str(v)
 
-    def successors(self, v: Vertex) -> list[Vertex]:
-        return [w for (u, w) in self.edges if u == v]
-
     def witnesses(self, edge: tuple[Vertex, Vertex]) -> tuple[EdgeWitness, ...]:
         for e, ws in self.provenance:
             if e == edge:
@@ -160,6 +157,13 @@ def _predicates_in(statements: Sequence[Statement], signature: Signature) -> set
     return preds
 
 
+def _exists(variables: Sequence, f: Formula) -> Formula:
+    """Existential closure over ``variables``, the first one outermost."""
+    for v in reversed(variables):
+        f = Exists(v, f)
+    return f
+
+
 def _member_vertices(
     partition: Partition,
     signature: Signature,
@@ -175,9 +179,7 @@ def _member_vertices(
     for key in keys:
         for i, member in enumerate(partition.members):
             variables, condition = member.entry(key)
-            closed: Formula = condition
-            for v in reversed(variables):
-                closed = Exists(v, closed)
+            closed = _exists(variables, condition)
             verdict = bounded_sat(list(psi) + [closed], signature, domains, node_cap)
             if verdict.status != "unsat":
                 vertex = (key, i)
@@ -243,9 +245,7 @@ def program_dep_graph(
                             + [member_i.condition(hkey, head_atom.args)]
                             + [member_j.condition(bkey, body_atom.args)]
                         )
-                        closed: Formula = condition
-                        for v in reversed(free_variables(condition)):
-                            closed = Exists(v, closed)
+                        closed = _exists(free_variables(condition), condition)
                         verdict = bounded_sat([closed], signature, domains, node_cap)
                         if verdict.status == "unsat":
                             continue
@@ -322,9 +322,7 @@ def theory_dep_graph(
                                 member_i.condition(hkey, fresh_z),
                             ]
                         )
-                        closed: Formula = condition
-                        for v in reversed(free_variables(condition)):
-                            closed = Exists(v, closed)
+                        closed = _exists(free_variables(condition), condition)
                         verdict = bounded_sat(
                             list(psi_sentences) + [closed], signature, domains, node_cap
                         )
@@ -541,9 +539,7 @@ def is_negative_program(
             if key not in signature.predicates:
                 continue
             condition = conj([body, head_atom, lam.condition(key, head_atom.args)])
-            closed: Formula = condition
-            for v in reversed(free_variables(condition)):
-                closed = Exists(v, closed)
+            closed = _exists(free_variables(condition), condition)
             verdict = bounded_sat([closed], signature, domains, node_cap)
             if verdict.status == "sat":
                 return NegativityResult(
@@ -586,9 +582,7 @@ def is_psi_negative(
             fresh_y = fresh_variables("$y", atom)
             pos_f = ctx.transform(sentence, path, "pos", fresh_y)
             condition = conj([pos_f, lam.condition(key, fresh_y)])
-            closed: Formula = condition
-            for v in reversed(free_variables(condition)):
-                closed = Exists(v, closed)
+            closed = _exists(free_variables(condition), condition)
             verdict = bounded_sat(
                 list(psi_sentences) + [closed], signature, domains, node_cap
             )

@@ -9,8 +9,12 @@ this module provides:
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
   property suite);
-* bit-parallel truth tables over a candidate atom list, used to enumerate
-  models without walking the full interpretation space one by one.
+* bit-parallel truth tables over a candidate atom list, and the prefilter
+  built on them, which keeps only assignments that could be stable models;
+* the exact reduct-based minimality check of one candidate.
+
+Grounding a theory under an intensionality statement, and enumerating its
+stable models with these pieces, is :class:`htsplit.semantics.GroundProblem`.
 
 All folds applied here preserve here-and-there equivalence, not merely
 classical equivalence, so stable-model reasoning on folded formulas is exact.
@@ -18,7 +22,7 @@ classical equivalence, so stable-model reasoning on folded formulas is exact.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -524,7 +528,7 @@ def is_stable_ground(
 
 
 # ---------------------------------------------------------------------------
-# stable-model enumeration over a candidate-restricted space
+# candidate restriction and the stability prefilter
 
 
 def candidate_atoms(gfs: Sequence[GF]) -> list[GroundAtom]:
@@ -537,7 +541,7 @@ def candidate_atoms(gfs: Sequence[GF]) -> list[GroundAtom]:
 def stable_candidate_table(
     space: TableSpace,
     gfs: Sequence[GF],
-    region_gf: Optional[dict[GroundAtom, GF]],
+    region_gf: dict[GroundAtom, GF],
     required_false: Iterable[GroundAtom] = (),
 ) -> int:
     """Necessary conditions for stability, bit-parallel over the space.
@@ -545,60 +549,21 @@ def stable_candidate_table(
     Keeps assignments that satisfy the theory classically, set every
     ``required_false`` atom to false, and give every true atom inside the
     droppable region a strictly positive supporting occurrence.  Every stable
-    model passes this filter; survivors still need the exact check.
+    model passes this filter; survivors still need the exact check.  The
+    formulas in ``gfs`` and ``region_gf`` may mention only atoms of the
+    space (see ``GroundProblem.restrict``).
     """
     good = space.theory_table(gfs)
     for a in required_false:
         good &= space.mask ^ space.atom_table(space.index[a])
         if not good:
             return 0
-    if good and region_gf is not None:
-        allowed = frozenset(space.atoms)
-        support = posin_tables(space, gfs, allowed)
+    if good:
+        support = posin_tables(space, gfs, frozenset(space.atoms))
         for a in space.atoms:
-            rg = restrict_false(region_gf[a], allowed)
-            region_table = space.table(rg)
+            region_table = space.table(region_gf[a])
             bad = space.atom_table(space.index[a]) & region_table & ~support[a]
             good &= space.mask ^ bad
             if not good:
                 break
     return good
-
-
-def stable_models_ground(
-    gamma_em: Sequence[GF],
-    region_of: Callable[[GroundAtom, frozenset[GroundAtom]], bool],
-    region_gf: Optional[dict[GroundAtom, GF]] = None,
-    atom_cap: int = DEFAULT_ATOM_CAP,
-) -> list[frozenset[GroundAtom]]:
-    """All stable models of a ground theory that already includes its
-    excluded-middle sentences.
-
-    ``region_of(atom, true_atoms)`` decides whether the atom may be dropped
-    from the here-world under the candidate interpretation; ``region_gf``
-    optionally gives the same condition as a ground formula per atom so the
-    unsupported-candidate prefilter can run bit-parallel.
-    """
-    atoms = candidate_atoms(gamma_em)
-    if len(atoms) > atom_cap:
-        raise ResourceCapExceeded(
-            f"candidate space has {len(atoms)} atoms, cap is {atom_cap}"
-        )
-    allowed = frozenset(atoms)
-    gfs = [restrict_false(g, allowed) for g in gamma_em]
-    if any(g == FALSE_GF for g in gfs):
-        return []
-    gfs = [g for g in gfs if g != TRUE_GF]
-
-    space = TableSpace(atoms)
-    good = stable_candidate_table(space, gfs, region_gf)
-
-    models = []
-    for k in space.indices(good):
-        true_atoms = space.atoms_at(int(k))
-        removable = frozenset(a for a in true_atoms if region_of(a, true_atoms))
-        stable, _ = is_stable_ground(gfs, true_atoms, removable)
-        if stable:
-            models.append(true_atoms)
-    models.sort(key=lambda m: sorted(m, key=atom_sort_key))
-    return models

@@ -2,9 +2,14 @@
 
 The public checks come in two flavours: direct implementations that follow
 the definitions literally (subset search over here-worlds), and a fast path
-that grounds the theory once and works with reducts and candidate-restricted
-enumeration.  The property suite cross-checks the two on small instances;
-callers pick with the ``method`` argument.
+that works with ground formulas and reducts.  The property suite
+cross-checks the two on small instances; callers pick with the ``method``
+argument.
+
+:class:`GroundProblem` grounds a theory under a statement once, together
+with the statement's region and the candidate atoms.  Enumeration, split
+verification and the one-direction check ask it about many interpretations
+instead of grounding again for each.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal as LiteralType, Mapping, Optional, Sequence
 
 from . import engine
-from .intensionality import IntensionalityStatement, lambda_top
+from .intensionality import IntensionalityStatement
 from .interpretations import (
     Element,
     FiniteInterpretation,
@@ -35,7 +40,6 @@ from .syntax import (
     Formula,
     Implies,
     Or,
-    Signature,
     Statement,
     neg,
     theory_sentences,
@@ -162,7 +166,95 @@ def _stable(
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# grounded problems and enumeration
+
+
+@dataclass(frozen=True)
+class GroundProblem:
+    """A theory under an intensionality statement, grounded once over a
+    structure for pointwise stability checks.
+
+    ``gfs`` holds the ground theory together with the statement's
+    excluded-middle sentences, ``region_gf`` the statement's condition as a
+    ground formula for every atom of the universe (whether the atom may be
+    dropped from the here-world), and ``atoms`` the candidate atoms: those
+    with a strictly positive occurrence, the only ones that can be true in a
+    stable model.  The ground formulas do not depend on the structure's true
+    atoms, so one problem answers for every interpretation over its domains.
+    """
+
+    gfs: list[engine.GF]
+    region_gf: dict[GroundAtom, engine.GF]
+    atoms: frozenset[GroundAtom]
+
+    @classmethod
+    def ground(
+        cls,
+        structure: FiniteInterpretation,
+        theory: Sequence[Statement],
+        lam: IntensionalityStatement,
+    ) -> "GroundProblem":
+        sentences = theory_sentences(theory) + em_theory(lam)
+        gfs = engine.ground_theory(structure, sentences)
+        signature = structure.signature
+        region_gf: dict[GroundAtom, engine.GF] = {}
+        for atom in atom_universe(signature, structure.domain_map()):
+            pred, values = atom
+            arg_sorts = signature.pred_arg_sorts(pred, len(values))
+            names = tuple(DomainName(v, s) for v, s in zip(values, arg_sorts))
+            condition = lam.condition((pred, len(values)), names)
+            region_gf[atom] = engine.ground_formula(structure, condition)
+        return cls(gfs, region_gf, frozenset(engine.candidate_atoms(gfs)))
+
+    def restrict(self, allowed: frozenset[GroundAtom]) -> "GroundProblem":
+        """The same problem with every atom outside ``allowed`` folded to
+        false, for interpretations whose true atoms lie inside ``allowed``."""
+        return GroundProblem(
+            [engine.restrict_false(g, allowed) for g in self.gfs],
+            {a: engine.restrict_false(self.region_gf[a], allowed) for a in allowed},
+            self.atoms,
+        )
+
+    def removable(self, true_atoms: frozenset[GroundAtom]) -> frozenset[GroundAtom]:
+        """The true atoms inside the statement's region."""
+        return frozenset(
+            a for a in true_atoms if engine.eval_gf(self.region_gf[a], true_atoms)
+        )
+
+    def is_stable(self, true_atoms: frozenset[GroundAtom]) -> bool:
+        # a reduct collapsing to false doubles as the classical-model check
+        stable, _ = engine.is_stable_ground(self.gfs, true_atoms, self.removable(true_atoms))
+        return stable
+
+    def stable_models(
+        self, atom_cap: int = engine.DEFAULT_ATOM_CAP
+    ) -> list[frozenset[GroundAtom]]:
+        """The true atoms of every stable model, in a fixed order.
+
+        The search covers the candidate atoms only: the bit-parallel
+        prefilter keeps the classical models that give every true atom in
+        the region a supporting occurrence, and the exact check decides the
+        survivors.  Raises :class:`engine.ResourceCapExceeded` beyond
+        ``atom_cap`` candidate atoms.
+        """
+        atoms = sorted(self.atoms, key=atom_sort_key)
+        if len(atoms) > atom_cap:
+            raise engine.ResourceCapExceeded(
+                f"candidate space has {len(atoms)} atoms, cap is {atom_cap}"
+            )
+        problem = self.restrict(frozenset(atoms))
+        if any(g == engine.FALSE_GF for g in problem.gfs):
+            return []
+
+        space = engine.TableSpace(atoms)
+        good = engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
+        models = []
+        for k in space.indices(good):
+            true_atoms = space.atoms_at(int(k))
+            if problem.is_stable(true_atoms):
+                models.append(true_atoms)
+        models.sort(key=lambda m: sorted(m, key=atom_sort_key))
+        return models
 
 
 def enumerate_lambda_stable_models(
@@ -179,34 +271,9 @@ def enumerate_lambda_stable_models(
     model.  Raises :class:`engine.ResourceCapExceeded` beyond ``atom_cap``
     candidate atoms.
     """
-    signature = lam.signature
-    structure = FiniteInterpretation.make(signature, domains)
-    sentences = theory_sentences(theory) + em_theory(lam)
-    gfs = engine.ground_theory(structure, sentences)
-
-    region_gf: dict[GroundAtom, engine.GF] = {}
-    for atom in atom_universe(signature, structure.domain_map()):
-        pred, values = atom
-        arg_sorts = signature.pred_arg_sorts(pred, len(values))
-        names = tuple(DomainName(v, s) for v, s in zip(values, arg_sorts))
-        condition = lam.condition((pred, len(values)), names)
-        region_gf[atom] = engine.ground_formula(structure, condition)
-
-    def region_of(atom: GroundAtom, true_atoms: frozenset[GroundAtom]) -> bool:
-        return engine.eval_gf(region_gf[atom], true_atoms)
-
-    models = engine.stable_models_ground(gfs, region_of, region_gf, atom_cap=atom_cap)
-    return [structure.with_atoms(m) for m in models]
-
-
-def enumerate_stable_models(
-    theory: Sequence[Statement],
-    signature: Signature,
-    domains: Mapping[str, tuple[Element, ...]],
-    atom_cap: int = engine.DEFAULT_ATOM_CAP,
-) -> list[FiniteInterpretation]:
-    """Stable models with every predicate intensional."""
-    return enumerate_lambda_stable_models(theory, lambda_top(signature), domains, atom_cap)
+    structure = FiniteInterpretation.make(lam.signature, domains)
+    problem = GroundProblem.ground(structure, theory, lam)
+    return [structure.with_atoms(m) for m in problem.stable_models(atom_cap)]
 
 
 # ---------------------------------------------------------------------------

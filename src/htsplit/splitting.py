@@ -28,8 +28,8 @@ from .interpretations import (
     atom_sort_key,
     format_atom,
 )
-from .semantics import em_theory, is_lambda_stable
-from .syntax import DomainName, Rule, Statement, theory_sentences
+from .semantics import GroundProblem, enumerate_lambda_stable_models
+from .syntax import Rule, Statement, theory_sentences
 
 
 @dataclass(frozen=True)
@@ -219,53 +219,6 @@ def check_split_theory(
 # exhaustive verification
 
 
-@dataclass
-class _GroundSide:
-    """One stability problem, grounded once for pointwise rechecking."""
-
-    gfs: list
-    region_gf: dict[GroundAtom, object]
-    atoms: frozenset[GroundAtom]
-
-    def restrict(self, allowed: frozenset[GroundAtom]) -> "_GroundSide":
-        return _GroundSide(
-            [engine.restrict_false(g, allowed) for g in self.gfs],
-            {a: engine.restrict_false(g, allowed) for a, g in self.region_gf.items()},
-            self.atoms,
-        )
-
-    def removable(self, true_atoms: frozenset[GroundAtom]) -> frozenset[GroundAtom]:
-        return frozenset(
-            a for a in true_atoms if engine.eval_gf(self.region_gf[a], true_atoms)
-        )
-
-    def is_stable(self, true_atoms: frozenset[GroundAtom]) -> bool:
-        # a reduct collapsing to false doubles as the classical-model check
-        stable, _ = engine.is_stable_ground(self.gfs, true_atoms, self.removable(true_atoms))
-        return stable
-
-
-def _ground_side(
-    structure: FiniteInterpretation,
-    statements: Sequence[Statement],
-    lam,
-) -> _GroundSide:
-    from .interpretations import atom_universe
-
-    signature = structure.signature
-    sentences = theory_sentences(statements) + em_theory(lam)
-    gfs = engine.ground_theory(structure, sentences)
-    region_gf: dict[GroundAtom, object] = {}
-    for atom in atom_universe(signature, structure.domain_map()):
-        pred, values = atom
-        arg_sorts = signature.pred_arg_sorts(pred, len(values))
-        names = tuple(DomainName(v, s) for v, s in zip(values, arg_sorts))
-        region_gf[atom] = engine.ground_formula(
-            structure, lam.condition((pred, len(values)), names)
-        )
-    return _GroundSide(gfs, region_gf, frozenset(engine.candidate_atoms(gfs)))
-
-
 def verify_split(
     parts: Sequence[Sequence[Statement]],
     partition: Partition,
@@ -287,10 +240,10 @@ def verify_split(
     signature = partition.target.signature
     structure = FiniteInterpretation.make(signature, domains)
     union: list[Statement] = [s for part in parts for s in part]
-    union_side = _ground_side(structure, union, partition.target)
+    union_side = GroundProblem.ground(structure, union, partition.target)
 
     part_sides = [
-        _ground_side(structure, list(part), member)
+        GroundProblem.ground(structure, list(part), member)
         for part, member in zip(parts, partition.members)
     ]
     parts_atoms: frozenset[GroundAtom] = part_sides[0].atoms
@@ -357,16 +310,13 @@ def check_one_direction(
     ``{c | b :- not not b}``, whose union has the stable model {b} even
     though the first part alone cannot support b.
     """
-    from .semantics import enumerate_lambda_stable_models
-
     if scope not in ("union", "parts"):
         raise ValueError(f"unknown scope {scope!r}")
     union: list[Statement] = [s for part in parts for s in part]
-    for model in enumerate_lambda_stable_models(
-        union, partition.target, domains, atom_cap
-    ):
-        for part, member in zip(parts, partition.members):
-            theory = union if scope == "union" else list(part)
-            if not is_lambda_stable(model, theory, member):
-                return False
-    return True
+    models = enumerate_lambda_stable_models(union, partition.target, domains, atom_cap)
+    structure = FiniteInterpretation.make(partition.target.signature, domains)
+    problems = [
+        GroundProblem.ground(structure, union if scope == "union" else list(part), member)
+        for part, member in zip(parts, partition.members)
+    ]
+    return all(p.is_stable(m.true_atoms) for m in models for p in problems)

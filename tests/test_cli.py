@@ -280,7 +280,35 @@ def test_selftest_subcommand(capsys):
     assert "checked 40 random instances" in out
 
 
-def test_jobs_flag_does_not_change_output(capsys):
-    code1, out1, _ = run(capsys, "models", DATA / "four_models.htsplit", "--jobs", "1")
-    code2, out2, _ = run(capsys, "models", DATA / "four_models.htsplit", "--jobs", "8")
-    assert (code1, out1) == (code2, out2)
+# a disjunction over a thousand instances nests deeper than the recursive
+# ground evaluators can follow
+CHAIN = """int range 0..1000.
+pred p(int). pred q(int).
+#part mp { p(X) : #true }.
+#part mq { q(X) : #true }.
+"""
+CHAIN_RULES = ("q(X) :- p(X), X >= 0.", "p(X) | p(X+1) :- X >= 0.")
+
+
+def _assert_one_inconclusive_line(code, err):
+    assert code == 3
+    assert err.startswith("inconclusive: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_graph_past_the_recursion_limit_is_exit_3(capsys, tmp_path):
+    source = tmp_path / "chain.htsplit"
+    source.write_text(CHAIN + "\n".join(CHAIN_RULES) + "\n")
+    code, _out, err = run(capsys, "graph", source, "--partition", "mp,mq")
+    _assert_one_inconclusive_line(code, err)
+
+
+def test_split_past_the_recursion_limit_is_exit_3(capsys, tmp_path):
+    source = tmp_path / "chain.htsplit"
+    groups = "".join(f"#group g{i} {{ {rule} }}.\n" for i, rule in enumerate(CHAIN_RULES))
+    source.write_text(CHAIN + groups)
+    code, _out, err = run(
+        capsys, "split", source, "--parts", "g0,g1", "--partition", "mq,mp"
+    )
+    _assert_one_inconclusive_line(code, err)

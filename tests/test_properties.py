@@ -343,3 +343,78 @@ def test_splitting_invariants_under_interpretation_dependent_partitions():
             assert outcome.status == "verified", parts
             verified += 1
     assert verified >= 5
+
+
+def _member_partition():
+    # members whose regions depend on the interpretation through b
+    from htsplit.intensionality import IntensionalityStatement, Partition
+    from htsplit.syntax import And as An, Atom as A, Equality as Eq, Variable as V
+
+    x1 = V("X1", "s")
+    d1, d2 = DomainName("d1", "s"), DomainName("d2", "s")
+    member1 = IntensionalityStatement.make(
+        SIG, {("u", 1): ((x1,), Eq(x1, d1)), ("a", 0): ((), TOP)}, name="m1"
+    )
+    member2 = IntensionalityStatement.make(
+        SIG, {("u", 1): ((x1,), An(Eq(x1, d2), A("b", ())))}, name="m2"
+    )
+    return Partition.of([member1, member2])
+
+
+def test_one_direction_per_part_matches_the_definitional_check():
+    import random
+
+    from htsplit.semantics import enumerate_lambda_stable_models
+    from htsplit.splitting import check_one_direction
+    from strategies import random_sentence
+
+    partition = _member_partition()
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(80):
+        parts = [
+            [random_sentence(rng, depth=2) for _ in range(rng.randint(0, 2))]
+            for _ in range(2)
+        ]
+        union = [s for part in parts for s in part]
+        expected = all(
+            is_lambda_stable(model, part, member, method="direct-restricted")
+            for model in enumerate_lambda_stable_models(union, partition.target, DOMAINS)
+            for part, member in zip(parts, partition.members)
+        )
+        assert check_one_direction(parts, partition, DOMAINS, scope="parts") == expected, [
+            [format_formula(s) for s in part] for part in parts
+        ]
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_one_direction_grounds_once_per_part_whatever_the_model_count(monkeypatch):
+    from htsplit.semantics import enumerate_lambda_stable_models
+    from htsplit.splitting import check_one_direction
+    from htsplit.syntax import Atom as A, BOT, Implies as I
+
+    partition = _member_partition()
+    a, b = A("a"), A("b")
+    u1, u2 = A("u", (DomainName("d1", "s"),)), A("u", (DomainName("d2", "s"),))
+    # fix the extensional atoms b and u(d2) to false
+    constraints = [I(b, BOT), I(u2, BOT)]
+    one_model = [[a, u1], constraints]
+    four_models = [[Or(a, I(a, BOT)), Or(u1, I(u1, BOT))], constraints]
+    calls = []
+    real_ground_theory = engine.ground_theory
+
+    def counting_ground_theory(structure, sentences):
+        calls.append(1)
+        return real_ground_theory(structure, sentences)
+
+    monkeypatch.setattr(engine, "ground_theory", counting_ground_theory)
+    counts = {}
+    for parts in (one_model, four_models):
+        union = [s for part in parts for s in part]
+        n_models = len(enumerate_lambda_stable_models(union, partition.target, DOMAINS))
+        calls.clear()
+        assert check_one_direction(parts, partition, DOMAINS, scope="parts")
+        counts[n_models] = len(calls)
+    assert sorted(counts) == [1, 4]
+    assert counts[1] == counts[4]
