@@ -29,7 +29,7 @@ from .parser import ParseError, ProblemFile, parse_problem, print_problem
 from .selftest import run_selftest
 from .semantics import check_strong_equivalence, em_theory, enumerate_lambda_stable_models
 from .splitting import SplitReport, check_split_program, check_split_theory, verify_split
-from .syntax import Rule, format_formula, theory_sentences
+from .syntax import Rule, Statement, format_formula, theory_sentences
 
 OK, SEMANTIC_FAILURE, INPUT_ERROR, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -48,8 +48,6 @@ class RunConfig:
     verify: bool = False
     cap: int = 1 << engine.DEFAULT_ATOM_CAP
     output_format: str = "text"
-    seed: int = 0
-    allow_unknown: bool = False
 
     def __post_init__(self) -> None:
         if self.cap <= 0:
@@ -229,19 +227,20 @@ def cmd_transform(config: RunConfig, formula_name: str, selector: str, variant: 
     return OK
 
 
-def _build_graph(problem: ProblemFile, config: RunConfig, partition: Partition):
-    psi = _context(problem, config)
-    use_theory = bool(psi) or not problem.is_program()
-    if use_theory:
-        return theory_dep_graph(problem.theory(), partition, psi, problem.domains())
-    program = [s for s in problem.theory() if isinstance(s, Rule)]
-    return program_dep_graph(program, partition, problem.domains())
+def _is_program(statements: Sequence[Statement], psi: Sequence[Statement]) -> bool:
+    """Whether the program notions apply: no context and only rules."""
+    return not psi and all(isinstance(s, Rule) for s in statements)
 
 
 def cmd_graph(config: RunConfig) -> int:
     problem = _load(config)
     partition = _partition(problem, config)
-    graph = _build_graph(problem, config, partition)
+    psi = _context(problem, config)
+    theory = problem.theory()
+    if _is_program(theory, psi):
+        graph = program_dep_graph(theory, partition, problem.domains())
+    else:
+        graph = theory_dep_graph(theory, partition, psi, problem.domains())
     inconclusive = any(
         w.inconclusive for _e, ws in graph.provenance for w in ws
     )
@@ -259,7 +258,7 @@ def cmd_graph(config: RunConfig) -> int:
         print(f"separable: {'yes' if sep.separable else 'no'}")
         if sep.mixed_cycle:
             print("mixed cycle: " + " -> ".join(graph.label(v) for v in sep.mixed_cycle))
-    if inconclusive and not config.allow_unknown:
+    if inconclusive:
         print("warning: some edges are present only because a search was inconclusive", file=sys.stderr)
         return INCONCLUSIVE
     return OK
@@ -306,10 +305,7 @@ def cmd_split(config: RunConfig) -> int:
     psi = _context(problem, config)
     domains = problem.domains()
 
-    program_mode = not psi and all(
-        isinstance(s, Rule) for part in parts for s in part
-    )
-    if program_mode:
+    if _is_program([s for part in parts for s in part], psi):
         report = check_split_program(
             parts, partition, domains, part_names=list(config.part_names)
         )
@@ -331,8 +327,8 @@ def cmd_split(config: RunConfig) -> int:
     return OK
 
 
-def cmd_selftest(config: RunConfig, count: int) -> int:
-    report = run_selftest(seed=config.seed, count=count)
+def cmd_selftest(config: RunConfig, count: int, seed: int) -> int:
+    report = run_selftest(seed=seed, count=count)
     _emit(
         config,
         [report.summary()],
@@ -363,8 +359,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "dot-like"), default="text")
         p.add_argument("--cap", type=int, default=1 << engine.DEFAULT_ATOM_CAP,
                        help="search-space cap (number of interpretations)")
-        p.add_argument("--allow-unknown", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("parse", help="parse and reprint the file canonically")
     common(p)
@@ -407,6 +401,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="randomized library self-checks")
     common(p, with_file=False)
     p.add_argument("--count", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -425,8 +420,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         verify=getattr(args, "verify", False),
         cap=args.cap,
         output_format=args.format,
-        seed=args.seed,
-        allow_unknown=args.allow_unknown,
     )
 
 
@@ -449,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand == "split":
             return cmd_split(config)
         if args.subcommand == "selftest":
-            return cmd_selftest(config, args.count)
+            return cmd_selftest(config, args.count, args.seed)
         raise AssertionError(f"unhandled subcommand {args.subcommand}")
     except (OSError, ParseError, KeyError, ValueError, PolarityError) as exc:
         message = exc.args[0] if exc.args else str(exc)

@@ -4,8 +4,9 @@ negativity, and approximator checks."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import engine
 from .intensionality import IntensionalityStatement, Partition, partition_problems
@@ -28,13 +29,15 @@ from .occurrences import (
 from .syntax import (
     Atom,
     DomainName,
-    Exists,
     Formula,
     OccurrencePath,
+    PredKey,
     Rule,
     Signature,
     Statement,
+    Term,
     conj,
+    exists_over,
     format_formula,
     format_rule,
     free_variables,
@@ -117,17 +120,19 @@ class DependencyGraph:
     provenance: tuple[tuple[tuple[Vertex, Vertex], tuple[EdgeWitness, ...]], ...] = ()
     labels: tuple[tuple[Vertex, str], ...] = ()
 
+    @cached_property
+    def _label_of(self) -> dict[Vertex, str]:
+        return dict(self.labels)
+
+    @cached_property
+    def _witnesses_of(self) -> dict[tuple[Vertex, Vertex], tuple[EdgeWitness, ...]]:
+        return dict(self.provenance)
+
     def label(self, v: Vertex) -> str:
-        for vertex, text in self.labels:
-            if vertex == v:
-                return text
-        return str(v)
+        return self._label_of.get(v, str(v))
 
     def witnesses(self, edge: tuple[Vertex, Vertex]) -> tuple[EdgeWitness, ...]:
-        for e, ws in self.provenance:
-            if e == edge:
-                return ws
-        return ()
+        return self._witnesses_of.get(edge, ())
 
 
 def _make_graph(
@@ -147,21 +152,61 @@ def _make_graph(
     )
 
 
+def _key(atom: Atom) -> PredKey:
+    return (atom.pred, len(atom.args))
+
+
+@dataclass(frozen=True)
+class _Occurrence:
+    """An atom occurrence as the condition loops read it: where it sits,
+    its predicate, the formula under which it holds, and its arguments."""
+
+    path: OccurrencePath
+    key: PredKey
+    formula: Formula
+    args: tuple[Term, ...]
+
+
+# Per rule: its text, its head occurrences and its body occurrences.
+_RuleOccurrences = tuple[str, list[_Occurrence], list[_Occurrence]]
+
+
+def _program_rule(rule: Rule, signature: Signature) -> _RuleOccurrences:
+    """A rule's head atoms, each under itself, and nonnegated body atoms,
+    each under the whole body, of declared predicates.  Paths are positions
+    in ``rule.head`` and ``rule.body``."""
+
+    def declared(f: Formula) -> bool:
+        return isinstance(f, Atom) and _key(f) in signature.predicates
+
+    body = rule_body_formula(rule)
+    heads = [_Occurrence((k,), _key(h), h, h.args) for k, h in enumerate(rule.head) if declared(h)]
+    bodies = [
+        _Occurrence((k,), _key(lit.atom), body, lit.atom.args)
+        for k, lit in enumerate(rule.body)
+        if lit.negations == 0 and declared(lit.atom)
+    ]
+    return format_rule(rule), heads, bodies
+
+
+def _transformed(
+    ctx: TransformContext, f: Formula, variant: str, prefix: str
+) -> Iterator[_Occurrence]:
+    """The occurrences in f that the transform applies to, each under its
+    transform over fresh argument variables."""
+    for path, atom, pol in atom_occurrences_with_polarity(f):
+        if pol.admits(variant):
+            fresh = fresh_variables(prefix, atom)
+            yield _Occurrence(path, _key(atom), ctx.transform(f, path, variant, fresh), fresh)
+
+
 def _predicates_in(statements: Sequence[Statement], signature: Signature) -> set:
     preds = set()
     for sentence in theory_sentences(statements):
         for _path, atom, _pol in atom_occurrences_with_polarity(sentence):
-            key = (atom.pred, len(atom.args))
-            if key in signature.predicates:
-                preds.add(key)
+            if _key(atom) in signature.predicates:
+                preds.add(_key(atom))
     return preds
-
-
-def _exists(variables: Sequence, f: Formula) -> Formula:
-    """Existential closure over ``variables``, the first one outermost."""
-    for v in reversed(variables):
-        f = Exists(v, f)
-    return f
 
 
 def _member_vertices(
@@ -179,7 +224,7 @@ def _member_vertices(
     for key in keys:
         for i, member in enumerate(partition.members):
             variables, condition = member.entry(key)
-            closed = _exists(variables, condition)
+            closed = exists_over(variables, condition)
             verdict = bounded_sat(list(psi) + [closed], signature, domains, node_cap)
             if verdict.status != "unsat":
                 vertex = (key, i)
@@ -188,10 +233,69 @@ def _member_vertices(
     return vertices, labels
 
 
-def _check_partition(partition: Partition, domains: Domains) -> None:
-    problems = partition_problems(partition, domains)
+def _dependency_graph(
+    kind: str,
+    rules: Iterable[_RuleOccurrences],
+    partition: Partition,
+    psi_sentences: Sequence[Formula],
+    domains: Domains,
+    predicates: Optional[set],
+    node_cap: int,
+    check_partition: bool,
+) -> DependencyGraph:
+    """The edge loop of the program and theory graphs.
+
+    An edge runs from (head predicate, i) to (body predicate, j) whenever
+    the context plus the existential closure of the body occurrence's
+    formula, the head occurrence's formula and both member conditions on the
+    occurrences' arguments is satisfiable; inconclusive searches keep the
+    edge.  ``predicates`` limits the vertices (None: every declared one).
+    """
+    signature = partition.members[0].signature
+    problems = partition_problems(partition, domains) if check_partition else []
     if problems:
         raise ValueError("invalid partition: " + "; ".join(problems))
+    vertices, labels = _member_vertices(
+        partition, signature, domains, psi_sentences, predicates, node_cap
+    )
+    vertex_set = set(vertices)
+    edge_map: dict[tuple[Vertex, Vertex], list[EdgeWitness]] = {}
+
+    for rule_text, heads, bodies in rules:
+        for head in heads:
+            for body in bodies:
+                for i, member_i in enumerate(partition.members):
+                    if (head.key, i) not in vertex_set:
+                        continue
+                    for j, member_j in enumerate(partition.members):
+                        if (body.key, j) not in vertex_set:
+                            continue
+                        condition = conj(
+                            [
+                                body.formula,
+                                head.formula,
+                                member_j.condition(body.key, body.args),
+                                member_i.condition(head.key, head.args),
+                            ]
+                        )
+                        closed = exists_over(free_variables(condition), condition)
+                        verdict = bounded_sat(
+                            list(psi_sentences) + [closed], signature, domains, node_cap
+                        )
+                        if verdict.status == "unsat":
+                            continue
+                        edge = ((head.key, i), (body.key, j))
+                        edge_map.setdefault(edge, []).append(
+                            EdgeWitness(
+                                rule_text,
+                                head.path,
+                                body.path,
+                                verdict.witness,
+                                inconclusive=not verdict.decisive,
+                                condition=closed,
+                            )
+                        )
+    return _make_graph(kind, vertices, edge_map, labels)
 
 
 def program_dep_graph(
@@ -206,61 +310,14 @@ def program_dep_graph(
     An edge runs from a head atom's pair to the pair of a nonnegated body
     atom whenever the joint condition (body, head atom, both member
     conditions) is satisfiable; inconclusive searches keep the edge.
+    Occurrence paths are positions in the rule's head and body.
     """
     signature = partition.members[0].signature
-    if check_partition:
-        _check_partition(partition, domains)
+    rules = (_program_rule(rule, signature) for rule in program)
     occurring = _predicates_in(list(program), signature)
-    vertices, labels = _member_vertices(
-        partition, signature, domains, (), occurring, node_cap
+    return _dependency_graph(
+        "program", rules, partition, (), domains, occurring, node_cap, check_partition
     )
-    vertex_set = set(vertices)
-    edge_map: dict[tuple[Vertex, Vertex], list[EdgeWitness]] = {}
-
-    for rule in program:
-        body = rule_body_formula(rule)
-        head_atoms = [
-            h for h in rule.head
-            if isinstance(h, Atom) and (h.pred, len(h.args)) in signature.predicates
-        ]
-        body_atoms = [
-            lit.atom
-            for lit in rule.body
-            if lit.negations == 0
-            and isinstance(lit.atom, Atom)
-            and (lit.atom.pred, len(lit.atom.args)) in signature.predicates
-        ]
-        for h_idx, head_atom in enumerate(head_atoms):
-            hkey = (head_atom.pred, len(head_atom.args))
-            for b_idx, body_atom in enumerate(body_atoms):
-                bkey = (body_atom.pred, len(body_atom.args))
-                for i, member_i in enumerate(partition.members):
-                    if ((hkey, i)) not in vertex_set:
-                        continue
-                    for j, member_j in enumerate(partition.members):
-                        if ((bkey, j)) not in vertex_set:
-                            continue
-                        condition = conj(
-                            [body, head_atom]
-                            + [member_i.condition(hkey, head_atom.args)]
-                            + [member_j.condition(bkey, body_atom.args)]
-                        )
-                        closed = _exists(free_variables(condition), condition)
-                        verdict = bounded_sat([closed], signature, domains, node_cap)
-                        if verdict.status == "unsat":
-                            continue
-                        edge = ((hkey, i), (bkey, j))
-                        edge_map.setdefault(edge, []).append(
-                            EdgeWitness(
-                                format_rule(rule),
-                                (h_idx,),
-                                (b_idx,),
-                                verdict.witness,
-                                inconclusive=not verdict.decisive,
-                                condition=closed,
-                            )
-                        )
-    return _make_graph("program", vertices, edge_map, labels)
 
 
 def theory_dep_graph(
@@ -278,68 +335,19 @@ def theory_dep_graph(
     conditions over fresh argument tuples, under the context.
     """
     signature = partition.members[0].signature
-    if check_partition:
-        _check_partition(partition, domains)
     psi_sentences = theory_sentences(psi)
-    vertices, labels = _member_vertices(
-        partition, signature, domains, psi_sentences, None, node_cap
-    )
-    vertex_set = set(vertices)
-    ctx = TransformContext(signature, domains, psi_sentences, node_cap)
-    edge_map: dict[tuple[Vertex, Vertex], list[EdgeWitness]] = {}
 
-    for occ_rule in rules_of(theory_sentences(theory)):
-        head, body = occ_rule.consequent, occ_rule.antecedent
-        head_occs = [
-            (path, atom)
-            for path, atom, pol in atom_occurrences_with_polarity(head)
-            if pol.strictly_positive
-        ]
-        body_occs = [
-            (path, atom)
-            for path, atom, pol in atom_occurrences_with_polarity(body)
-            if pol.positive and pol.nonnegated
-        ]
-        for h_path, head_atom in head_occs:
-            hkey = (head_atom.pred, len(head_atom.args))
-            fresh_z = fresh_variables("$z", head_atom)
-            pos_h = ctx.transform(head, h_path, "pos", fresh_z)
-            for b_path, body_atom in body_occs:
-                bkey = (body_atom.pred, len(body_atom.args))
-                fresh_y = fresh_variables("$y", body_atom)
-                pnn_b = ctx.transform(body, b_path, "pnn", fresh_y)
-                for i, member_i in enumerate(partition.members):
-                    if (hkey, i) not in vertex_set:
-                        continue
-                    for j, member_j in enumerate(partition.members):
-                        if (bkey, j) not in vertex_set:
-                            continue
-                        condition = conj(
-                            [
-                                pnn_b,
-                                pos_h,
-                                member_j.condition(bkey, fresh_y),
-                                member_i.condition(hkey, fresh_z),
-                            ]
-                        )
-                        closed = _exists(free_variables(condition), condition)
-                        verdict = bounded_sat(
-                            list(psi_sentences) + [closed], signature, domains, node_cap
-                        )
-                        if verdict.status == "unsat":
-                            continue
-                        edge = ((hkey, i), (bkey, j))
-                        edge_map.setdefault(edge, []).append(
-                            EdgeWitness(
-                                format_formula(occ_rule.sentence),
-                                h_path,
-                                b_path,
-                                verdict.witness,
-                                inconclusive=not verdict.decisive,
-                                condition=closed,
-                            )
-                        )
-    return _make_graph("theory", vertices, edge_map, labels)
+    def rules() -> Iterator[_RuleOccurrences]:
+        ctx = TransformContext(signature, domains, psi_sentences, node_cap)
+        for occ_rule in rules_of(theory_sentences(theory)):
+            heads = list(_transformed(ctx, occ_rule.consequent, "pos", "$z"))
+            if heads:
+                bodies = list(_transformed(ctx, occ_rule.antecedent, "pnn", "$y"))
+                yield format_formula(occ_rule.sentence), heads, bodies
+
+    return _dependency_graph(
+        "theory", rules(), partition, psi_sentences, domains, None, node_cap, check_partition
+    )
 
 
 def grounded_dep_graph(
@@ -520,6 +528,34 @@ class NegativityResult:
         return self.holds
 
 
+def _negativity(
+    occurrences: Iterable[tuple[str, _Occurrence]],
+    lam: IntensionalityStatement,
+    psi_sentences: Sequence[Formula],
+    domains: Domains,
+    node_cap: int,
+) -> NegativityResult:
+    """The negativity loop of programs and theories: for every (rule text,
+    occurrence) pair, the context plus the existential closure of the
+    occurrence's formula and the statement's condition on its arguments
+    must be unsatisfiable."""
+    outcome = "pass"
+    for rule_text, occ in occurrences:
+        condition = conj([occ.formula, lam.condition(occ.key, occ.args)])
+        closed = exists_over(free_variables(condition), condition)
+        verdict = bounded_sat(
+            list(psi_sentences) + [closed], lam.signature, domains, node_cap
+        )
+        if verdict.status == "sat":
+            return NegativityResult(
+                "fail",
+                EdgeWitness(rule_text, occ.path, (), verdict.witness, condition=closed),
+            )
+        if verdict.status == "unknown":
+            outcome = "unknown"
+    return NegativityResult(outcome)
+
+
 def is_negative_program(
     program: Sequence[Rule],
     lam: IntensionalityStatement,
@@ -528,29 +564,15 @@ def is_negative_program(
 ) -> NegativityResult:
     """No rule can derive an atom inside the statement's region: for every
     head atom, body plus head atom plus its condition is unsatisfiable."""
-    signature = lam.signature
-    outcome = "pass"
-    for rule in program:
-        body = rule_body_formula(rule)
-        for h_idx, head_atom in enumerate(rule.head):
-            if not isinstance(head_atom, Atom):
-                continue
-            key = (head_atom.pred, len(head_atom.args))
-            if key not in signature.predicates:
-                continue
-            condition = conj([body, head_atom, lam.condition(key, head_atom.args)])
-            closed = _exists(free_variables(condition), condition)
-            verdict = bounded_sat([closed], signature, domains, node_cap)
-            if verdict.status == "sat":
-                return NegativityResult(
-                    "fail",
-                    EdgeWitness(
-                        format_rule(rule), (h_idx,), (), verdict.witness, condition=closed
-                    ),
-                )
-            if verdict.status == "unknown":
-                outcome = "unknown"
-    return NegativityResult(outcome)
+
+    def occurrences() -> Iterator[tuple[str, _Occurrence]]:
+        for rule in program:
+            text, heads, _bodies = _program_rule(rule, lam.signature)
+            body = rule_body_formula(rule)
+            for h in heads:
+                yield text, replace(h, formula=conj([body, h.formula]))
+
+    return _negativity(occurrences(), lam, (), domains, node_cap)
 
 
 def is_psi_negative(
@@ -570,36 +592,16 @@ def is_psi_negative(
     condition, since there every strictly positive occurrence is a head atom
     with the body folded in by the transform.
     """
-    signature = lam.signature
     psi_sentences = theory_sentences(psi)
-    ctx = TransformContext(signature, domains, psi_sentences, node_cap)
-    outcome = "pass"
-    for sentence in theory_sentences(theory):
-        for path, atom, pol in atom_occurrences_with_polarity(sentence):
-            if not pol.strictly_positive:
-                continue
-            key = (atom.pred, len(atom.args))
-            fresh_y = fresh_variables("$y", atom)
-            pos_f = ctx.transform(sentence, path, "pos", fresh_y)
-            condition = conj([pos_f, lam.condition(key, fresh_y)])
-            closed = _exists(free_variables(condition), condition)
-            verdict = bounded_sat(
-                list(psi_sentences) + [closed], signature, domains, node_cap
-            )
-            if verdict.status == "sat":
-                return NegativityResult(
-                    "fail",
-                    EdgeWitness(
-                        format_formula(sentence),
-                        path,
-                        (),
-                        verdict.witness,
-                        condition=closed,
-                    ),
-                )
-            if verdict.status == "unknown":
-                outcome = "unknown"
-    return NegativityResult(outcome)
+
+    def occurrences() -> Iterator[tuple[str, _Occurrence]]:
+        ctx = TransformContext(lam.signature, domains, psi_sentences, node_cap)
+        for sentence in theory_sentences(theory):
+            text = format_formula(sentence)
+            for occ in _transformed(ctx, sentence, "pos", "$y"):
+                yield text, occ
+
+    return _negativity(occurrences(), lam, psi_sentences, domains, node_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .syntax import (
     Term,
     Variable,
     fold_constants,
+    forall_over,
     free_variables,
     iff,
     neg,
@@ -193,12 +194,6 @@ def _structure(
     return FiniteInterpretation.make(signature, domains)
 
 
-def _closure(variables: Sequence[Variable], f: Formula) -> Formula:
-    for v in reversed(variables):
-        f = Forall(v, f)
-    return f
-
-
 def _valid_on(structure: FiniteInterpretation, sentence: Formula) -> bool:
     """Validity over the declared domains, by refuting the negation."""
     counter = engine.ground_formula(structure, neg(sentence))
@@ -218,7 +213,7 @@ def equivalent(
     for key in lam1.signature.predicates:
         variables, f1 = lam1.entry(key)
         f2 = lam2.condition(key, variables)
-        if not _valid_on(structure, _closure(variables, iff(f1, f2))):
+        if not _valid_on(structure, forall_over(variables, iff(f1, f2))):
             return False
     return True
 
@@ -227,14 +222,14 @@ def is_purely_intensional(
     lam: IntensionalityStatement, key: PredKey, domains: Mapping[str, tuple[Element, ...]]
 ) -> bool:
     variables, f = lam.entry(key)
-    return _valid_on(_structure(lam.signature, domains), _closure(variables, f))
+    return _valid_on(_structure(lam.signature, domains), forall_over(variables, f))
 
 
 def is_purely_extensional(
     lam: IntensionalityStatement, key: PredKey, domains: Mapping[str, tuple[Element, ...]]
 ) -> bool:
     variables, f = lam.entry(key)
-    return _valid_on(_structure(lam.signature, domains), _closure(variables, neg(f)))
+    return _valid_on(_structure(lam.signature, domains), forall_over(variables, neg(f)))
 
 
 def disjoint(

@@ -33,6 +33,7 @@ from .syntax import (
     Variable,
     _substitute_by_name,
     children,
+    exists_over,
     fold_constants,
     free_variables,
     subformula_at,
@@ -66,6 +67,14 @@ class Polarity:
     @property
     def nonnegated(self) -> bool:
         return not self.negated
+
+    def admits(self, variant: str) -> bool:
+        """Whether the ``pos``, ``pnn`` or ``nnn`` transform applies here."""
+        return {
+            "pos": self.strictly_positive,
+            "pnn": self.positive and self.nonnegated,
+            "nnn": self.negative and self.nonnegated,
+        }[variant]
 
 
 def classify(f: Formula, occ: OccurrencePath) -> Polarity:
@@ -138,9 +147,7 @@ class TransformContext:
         hit = self._sat_cache.get(f)
         if hit is not None:
             return hit
-        closed = f
-        for v in reversed(free_variables(f)):
-            closed = Exists(v, closed)
+        closed = exists_over(free_variables(f), f)
         gf = engine.ground_formula(self.structure, closed)
         status, _ = engine.find_model(self.psi_gfs + [gf], node_cap=self.node_cap)
         result = status != "unsat"
@@ -157,12 +164,7 @@ class TransformContext:
         target = subformula_at(f, occ)
         if not isinstance(target, Atom) or target.pred in COMPARISON_PREDICATES:
             raise PolarityError("the distinguished occurrence must be a predicate atom")
-        ok = {
-            "pos": pol.strictly_positive,
-            "pnn": pol.positive and pol.nonnegated,
-            "nnn": pol.negative and pol.nonnegated,
-        }[variant]
-        if not ok:
+        if not pol.admits(variant):
             raise PolarityError(
                 f"occurrence at {occ} is not eligible for the {variant} transform"
             )

@@ -61,6 +61,7 @@ from .syntax import (
     Variable,
     format_formula,
     format_rule,
+    forall_over,
     free_variables,
     iff,
     neg,
@@ -169,9 +170,6 @@ class ProblemFile:
         for _name, statements in self.groups:
             out.extend(statements)
         return out
-
-    def is_program(self) -> bool:
-        return all(isinstance(s, Rule) for s in self.theory())
 
     def group(self, name: str) -> list[Statement]:
         for n, statements in self.groups:
@@ -724,8 +722,7 @@ class _Parser:
         resolved = self._rebuild(raw, {}, lookup)
         self._validate_sorts(resolved)
         if close:
-            for v in reversed(free_variables(resolved)):
-                resolved = Forall(v, resolved)
+            resolved = forall_over(free_variables(resolved), resolved)
         return resolved
 
     def _collect(

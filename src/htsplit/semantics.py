@@ -36,11 +36,11 @@ from .interpretations import (
 from .syntax import (
     Atom,
     DomainName,
-    Forall,
     Formula,
     Implies,
     Or,
     Statement,
+    forall_over,
     neg,
     theory_sentences,
 )
@@ -74,14 +74,8 @@ def em_theory(lam: IntensionalityStatement) -> list[Formula]:
         variables, condition = lam.entry(key)
         atom = Atom(key[0], variables)
         matrix = Implies(neg(condition), Or(atom, neg(atom)))
-        out.append(_forall(variables, matrix))
+        out.append(forall_over(variables, matrix))
     return out
-
-
-def _forall(variables: Sequence, f: Formula) -> Formula:
-    for v in reversed(variables):
-        f = Forall(v, f)
-    return f
 
 
 def em_atoms(
@@ -139,9 +133,8 @@ def _stable(
     method: Method,
 ) -> bool:
     if method == "reduct":
+        # a reduct collapsing to false doubles as the classical-model check
         gfs = engine.ground_theory(interp, sentences)
-        if any(not engine.eval_gf(g, interp.true_atoms) for g in gfs):
-            return False
         stable, _ = engine.is_stable_ground(gfs, interp.true_atoms, removable)
         return stable
     if not satisfies_all(interp, sentences):

@@ -4,8 +4,8 @@ approximating context."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from . import engine
 from .depgraph import (
@@ -21,7 +21,7 @@ from .depgraph import (
     program_dep_graph,
     theory_dep_graph,
 )
-from .intensionality import Partition, partition_problems
+from .intensionality import IntensionalityStatement, Partition, partition_problems
 from .interpretations import (
     FiniteInterpretation,
     GroundAtom,
@@ -65,9 +65,9 @@ class SplitReport:
     graph: DependencyGraph
     separability: SeparabilityResult
     negativity: tuple[NegativityCell, ...]
-    approximator_verdict: str  # "pass" | "fail" | "unknown" | "not-applicable"
-    approximator: Optional[ApproximatorResult]
-    verification: VerificationResult
+    approximator_verdict: str = "not-applicable"  # or "pass" | "fail" | "unknown"
+    approximator: Optional[ApproximatorResult] = None
+    verification: VerificationResult = VerificationResult("not-run")
 
     @property
     def hypotheses_pass(self) -> bool:
@@ -119,8 +119,34 @@ class SplitReport:
         }
 
 
-def _part_name(i: int, given: Optional[Sequence[str]]) -> str:
-    return given[i] if given and i < len(given) else f"part{i + 1}"
+def _split_report(
+    kind: str,
+    parts: Sequence[Sequence[Statement]],
+    partition: Partition,
+    domains: Domains,
+    part_names: Optional[Sequence[str]],
+    graph_of: Callable[[list[Statement]], DependencyGraph],
+    negative: Callable[[list[Statement], IntensionalityStatement], NegativityResult],
+) -> SplitReport:
+    """The hypotheses both splitting results share: separability of the
+    graph of the union, and negativity of each part on every other member."""
+    if len(parts) != len(partition.members):
+        raise ValueError(f"one {kind} part per partition member is required")
+    issues = tuple(partition_problems(partition, domains))
+    graph = graph_of([s for part in parts for s in part])
+    cells = [
+        NegativityCell(
+            i,
+            part_names[i] if part_names and i < len(part_names) else f"part{i + 1}",
+            j,
+            partition.member_name(j),
+            negative(list(part), member),
+        )
+        for i, part in enumerate(parts)
+        for j, member in enumerate(partition.members)
+        if i != j
+    ]
+    return SplitReport(kind, not issues, issues, graph, is_separable(graph), tuple(cells))
 
 
 def check_split_program(
@@ -133,35 +159,16 @@ def check_split_program(
     """Both hypotheses of the program splitting result: separability of the
     dependency graph of the union, and pairwise negativity of each part on
     every other member.  Does not enumerate models."""
-    if len(parts) != len(partition.members):
-        raise ValueError("one program part per partition member is required")
-    issues = tuple(partition_problems(partition, domains))
-    union: list[Rule] = [r for part in parts for r in part]
-    graph = program_dep_graph(
-        union, partition, domains, node_cap=node_cap, check_partition=False
-    )
-    separability = is_separable(graph)
-    cells = []
-    for i, part in enumerate(parts):
-        for j, member in enumerate(partition.members):
-            if i == j:
-                continue
-            result = is_negative_program(list(part), member, domains, node_cap)
-            cells.append(
-                NegativityCell(
-                    i, _part_name(i, part_names), j, partition.member_name(j), result
-                )
-            )
-    return SplitReport(
+    return _split_report(
         "program",
-        not issues,
-        issues,
-        graph,
-        separability,
-        tuple(cells),
-        "not-applicable",
-        None,
-        VerificationResult("not-run"),
+        parts,
+        partition,
+        domains,
+        part_names,
+        lambda union: program_dep_graph(
+            union, partition, domains, node_cap=node_cap, check_partition=False
+        ),
+        lambda part, member: is_negative_program(part, member, domains, node_cap),
     )
 
 
@@ -177,41 +184,24 @@ def check_split_theory(
     """The theory-level hypotheses: the context approximates the union,
     the partition is separable on the context-aware graph, and every part is
     context-negative on every other member."""
-    if len(parts) != len(partition.members):
-        raise ValueError("one theory part per partition member is required")
-    issues = tuple(partition_problems(partition, domains))
-    union: list[Statement] = [s for part in parts for s in part]
-    graph = theory_dep_graph(
-        union, partition, psi, domains, node_cap=node_cap, check_partition=False
+    report = _split_report(
+        "theory",
+        parts,
+        partition,
+        domains,
+        part_names,
+        lambda union: theory_dep_graph(
+            union, partition, psi, domains, node_cap=node_cap, check_partition=False
+        ),
+        lambda part, member: is_psi_negative(part, member, psi, domains, node_cap),
     )
-    separability = is_separable(graph)
-    cells = []
-    for i, part in enumerate(parts):
-        for j, member in enumerate(partition.members):
-            if i == j:
-                continue
-            result = is_psi_negative(list(part), member, psi, domains, node_cap)
-            cells.append(
-                NegativityCell(
-                    i, _part_name(i, part_names), j, partition.member_name(j), result
-                )
-            )
+    union: list[Statement] = [s for part in parts for s in part]
     try:
         approx = is_approximator(psi, union, partition.target, domains, atom_cap)
-        approx_verdict = "pass" if approx.holds else "fail"
     except engine.ResourceCapExceeded:
-        approx = None
-        approx_verdict = "unknown"
-    return SplitReport(
-        "theory",
-        not issues,
-        issues,
-        graph,
-        separability,
-        tuple(cells),
-        approx_verdict,
-        approx,
-        VerificationResult("not-run"),
+        return replace(report, approximator_verdict="unknown")
+    return replace(
+        report, approximator_verdict="pass" if approx.holds else "fail", approximator=approx
     )
 
 

@@ -329,6 +329,20 @@ def free_variables(f: Formula) -> tuple[Variable, ...]:
     return tuple(out)
 
 
+def forall_over(variables: Sequence[Variable], f: Formula) -> Formula:
+    """Universal quantification over ``variables``, the first one outermost."""
+    for v in reversed(variables):
+        f = Forall(v, f)
+    return f
+
+
+def exists_over(variables: Sequence[Variable], f: Formula) -> Formula:
+    """Existential quantification over ``variables``, the first one outermost."""
+    for v in reversed(variables):
+        f = Exists(v, f)
+    return f
+
+
 def substitute_term(t: Term, binding: Mapping[str, Term]) -> Term:
     if isinstance(t, Variable):
         return binding.get(t.name, t)
@@ -456,9 +470,7 @@ def rule_to_sentence(r: Rule) -> Formula:
         matrix: Formula = Implies(rule_body_formula(r), head)
     else:
         matrix = head
-    for v in reversed(free_variables(matrix)):
-        matrix = Forall(v, matrix)
-    return matrix
+    return forall_over(free_variables(matrix), matrix)
 
 
 Statement = Union[Rule, Formula]

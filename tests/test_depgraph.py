@@ -142,6 +142,28 @@ def test_two_rule_loop_is_a_cycle():
     assert labels[0] == labels[-1] and len(set(labels)) == 2
 
 
+def test_program_witness_paths_are_positions_in_the_rule():
+    from htsplit.parser import parse_problem
+
+    problem = parse_problem(
+        """
+        sort e.
+        domain e = {a}.
+        pred p(e). pred q(e). pred r(e). pred s(e).
+        p(X) :- not r(X), s(X).
+        #part m1 { p(X) : #true }.
+        #part m2 { q(X) : #true ; r(X) : #true ; s(X) : #true }.
+        """
+    )
+    partition = Partition.of([problem.part("m1"), problem.part("m2")])
+    graph = program_dep_graph(problem.theory(), partition, problem.domains())
+    assert _edges(graph) == {("p@m1", "s@m2")}
+    (witness,) = graph.witnesses(graph.edges[0])
+    # s(X) is literal 1 of the body, after the negated r(X)
+    assert witness.head_occurrence == (0,)
+    assert witness.body_occurrence == (1,)
+
+
 # ---------------------------------------------------------------------------
 # the theory graph on the meta-encoding
 

@@ -26,12 +26,18 @@ from htsplit.parser import parse_problem
 from htsplit.semantics import em_theory, is_lambda_stable, is_stable
 from htsplit.syntax import (
     And,
+    Atom,
     DomainName,
     TOP,
     Implies,
+    Literal,
     Or,
+    Rule,
+    Signature,
+    Variable,
     fold_constants,
     format_formula,
+    format_rule,
     free_variables,
     substitute,
 )
@@ -418,3 +424,62 @@ def test_one_direction_grounds_once_per_part_whatever_the_model_count(monkeypatc
         counts[n_models] = len(calls)
     assert sorted(counts) == [1, 4]
     assert counts[1] == counts[4]
+
+
+_PROGRAM_SIG = Signature.make(sorts=["s"], predicates={(n, 1): ("s",) for n in "pqr"})
+_PROGRAM_TERMS = (Variable("X", "s"), DomainName("d1", "s"), DomainName("d2", "s"))
+
+
+@st.composite
+def _disjunctive_programs(draw):
+    """One to three rules over unary p, q, r; body literals carry zero, one
+    or two negations, and an empty head needs a body."""
+    atoms = st.builds(
+        lambda pred, term: Atom(pred, (term,)),
+        st.sampled_from("pqr"),
+        st.sampled_from(_PROGRAM_TERMS),
+    )
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = draw(st.lists(atoms, max_size=2))
+        body = draw(
+            st.lists(
+                st.builds(Literal, atoms, st.integers(0, 2)),
+                min_size=0 if head else 1,
+                max_size=3,
+            )
+        )
+        rules.append(Rule(tuple(head), tuple(body)))
+    return rules
+
+
+@given(_disjunctive_programs())
+@SETTINGS
+def test_program_notions_are_the_theory_notions_without_context(program):
+    from htsplit.depgraph import (
+        is_negative_program,
+        is_psi_negative,
+        program_dep_graph,
+        theory_dep_graph,
+    )
+    from htsplit.intensionality import IntensionalityStatement, Partition
+    from htsplit.syntax import Equality
+
+    x1 = Variable("X1", "s")
+    d1, d2 = DomainName("d1", "s"), DomainName("d2", "s")
+    m1 = IntensionalityStatement.make(
+        _PROGRAM_SIG, {("p", 1): ((x1,), Equality(x1, d1)), ("q", 1): ((x1,), TOP)}, name="m1"
+    )
+    m2 = IntensionalityStatement.make(
+        _PROGRAM_SIG, {("p", 1): ((x1,), Equality(x1, d2)), ("r", 1): ((x1,), TOP)}, name="m2"
+    )
+    partition = Partition.of([m1, m2])
+    text = [format_rule(r) for r in program]
+    by_program = program_dep_graph(program, partition, DOMAINS)
+    by_theory = theory_dep_graph(program, partition, [], DOMAINS)
+    assert set(by_program.edges) == set(by_theory.edges), text
+    for member in partition.members:
+        assert (
+            is_negative_program(program, member, DOMAINS).verdict
+            == is_psi_negative(program, member, [], DOMAINS).verdict
+        ), text
