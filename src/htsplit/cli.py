@@ -11,7 +11,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import engine
@@ -295,8 +295,6 @@ def _report_lines(report: SplitReport, graph_labels) -> list[str]:
 
 
 def cmd_split(config: RunConfig) -> int:
-    from dataclasses import replace
-
     problem = _load(config)
     partition = _partition(problem, config)
     if len(config.part_names) != len(config.partition_names):

@@ -4,14 +4,16 @@ Sentences are compiled to ground formulas (nested tuples) with builtin
 comparisons and arithmetic folded away at grounding time.  On top of that
 this module provides:
 
-* classical and three-valued evaluation, and backtracking model search;
+* classical and three-valued evaluation, and backtracking model search
+  (:func:`find_model`, the module's only search);
 * the one-world reduct of a ground formula with respect to an interpretation,
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
   property suite);
 * bit-parallel truth tables over a candidate atom list, and the prefilter
   built on them, which keeps only assignments that could be stable models;
-* the exact reduct-based minimality check of one candidate.
+* the exact minimality check of one candidate, a :func:`find_model` query:
+  does the reduct have a model that drops some removable true atom?
 
 Grounding a theory under an intensionality statement, and enumerating its
 stable models with these pieces, is :class:`htsplit.semantics.GroundProblem`.
@@ -22,9 +24,8 @@ classical equivalence, so stable-model reasoning on folded formulas is exact.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .interpretations import (
     FiniteInterpretation,
@@ -357,6 +358,9 @@ def find_model(
 # ---------------------------------------------------------------------------
 # bit-parallel truth tables
 
+# a table's zero bytes hold no set bits, so only the others are unpacked
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
 
 class TableSpace:
     """Truth tables over all assignments to a fixed atom list.
@@ -407,14 +411,18 @@ class TableSpace:
                 break
         return out
 
-    def indices(self, table: int) -> np.ndarray:
+    def indices(self, table: int) -> list[int]:
         """Positions of the set bits, ascending."""
-        if table == 0:
-            return np.empty(0, dtype=np.int64)
-        nbytes = (self.width + 7) // 8
-        raw = np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")
-        return np.nonzero(bits)[0].astype(np.int64)
+        raw = table.to_bytes((self.width + 7) // 8, "little")
+        out = []
+        for m in _NONZERO_BYTE.finditer(raw):
+            i = m.start()
+            byte, base = raw[i], 8 * i
+            while byte:
+                low = byte & -byte
+                out.append(base + low.bit_length() - 1)
+                byte ^= low
+        return out
 
     def lowest_index(self, table: int) -> int:
         return (table & -table).bit_length() - 1
@@ -496,35 +504,17 @@ def is_stable_ground(
     if not variables:
         return (True, None)
 
-    assign: dict[GroundAtom, bool] = {a: True for a in mentioned if a not in removable}
-    nodes = 0
-
-    def dfs(i: int, dropped: bool) -> Optional[frozenset[GroundAtom]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > MAX_STABLE_NODES:
-            raise ResourceCapExceeded("stability countermodel search exceeded its node cap")
-        for r in reducts:
-            if eval3_gf(r, assign) is False:
-                return None
-        if i == len(variables):
-            if not dropped:
-                return None
-            here = frozenset(a for a, v in assign.items() if v)
-            return here | (true_atoms - mentioned - removable)
-        a = variables[i]
-        for value in (False, True):
-            assign[a] = value
-            found = dfs(i + 1, dropped or not value)
-            if found is not None:
-                return found
-            del assign[a]
-        return None
-
-    counter = dfs(0, False)
-    if counter is None:
+    # a proper here-world: a model of the reduct that drops a removable atom
+    drop = FALSE_GF
+    for a in variables:
+        drop = gor(drop, gimp(("atom", a), FALSE_GF))
+    forced = {a: True for a in mentioned if a not in removable}
+    status, here = find_model(reducts + [drop], MAX_STABLE_NODES, forced)
+    if status == "unknown":
+        raise ResourceCapExceeded("stability countermodel search exceeded its node cap")
+    if status == "unsat":
         return (True, None)
-    return (False, counter)
+    return (False, here | (true_atoms - mentioned))
 
 
 # ---------------------------------------------------------------------------

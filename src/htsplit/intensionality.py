@@ -188,12 +188,6 @@ def join_all(statements: Sequence[IntensionalityStatement]) -> IntensionalitySta
 # bounded validity checks
 
 
-def _structure(
-    signature: Signature, domains: Mapping[str, tuple[Element, ...]]
-) -> FiniteInterpretation:
-    return FiniteInterpretation.make(signature, domains)
-
-
 def _valid_on(structure: FiniteInterpretation, sentence: Formula) -> bool:
     """Validity over the declared domains, by refuting the negation."""
     counter = engine.ground_formula(structure, neg(sentence))
@@ -209,7 +203,7 @@ def equivalent(
     domains: Mapping[str, tuple[Element, ...]],
 ) -> bool:
     """Pointwise equivalence of two statements over the declared domains."""
-    structure = _structure(lam1.signature, domains)
+    structure = FiniteInterpretation.make(lam1.signature, domains)
     for key in lam1.signature.predicates:
         variables, f1 = lam1.entry(key)
         f2 = lam2.condition(key, variables)
@@ -222,14 +216,16 @@ def is_purely_intensional(
     lam: IntensionalityStatement, key: PredKey, domains: Mapping[str, tuple[Element, ...]]
 ) -> bool:
     variables, f = lam.entry(key)
-    return _valid_on(_structure(lam.signature, domains), forall_over(variables, f))
+    structure = FiniteInterpretation.make(lam.signature, domains)
+    return _valid_on(structure, forall_over(variables, f))
 
 
 def is_purely_extensional(
     lam: IntensionalityStatement, key: PredKey, domains: Mapping[str, tuple[Element, ...]]
 ) -> bool:
     variables, f = lam.entry(key)
-    return _valid_on(_structure(lam.signature, domains), forall_over(variables, neg(f)))
+    structure = FiniteInterpretation.make(lam.signature, domains)
+    return _valid_on(structure, forall_over(variables, neg(f)))
 
 
 def disjoint(

@@ -243,7 +243,7 @@ class GroundProblem:
         good = engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
         models = []
         for k in space.indices(good):
-            true_atoms = space.atoms_at(int(k))
+            true_atoms = space.atoms_at(k)
             if problem.is_stable(true_atoms):
                 models.append(true_atoms)
         models.sort(key=lambda m: sorted(m, key=atom_sort_key))
@@ -316,7 +316,7 @@ def check_strong_equivalence(
         return StrongEquivalenceResult(False, counter, domains_key)
 
     for k in space.indices(t1 & t2):
-        true_atoms = space.atoms_at(int(k))
+        true_atoms = space.atoms_at(k)
         r1 = [engine.reduct(g, true_atoms) for g in gfs1]
         r2 = [engine.reduct(g, true_atoms) for g in gfs2]
         mentioned: set[GroundAtom] = set()

@@ -271,7 +271,7 @@ def verify_split(
         return all(side.is_stable(true_atoms) for side in part_sides)
 
     for k in space.indices(table_a | table_b):
-        true_atoms = space.atoms_at(int(k))
+        true_atoms = space.atoms_at(k)
         a = union_side.is_stable(true_atoms)
         b = in_side_b(true_atoms)
         if a and not b:

@@ -5,6 +5,7 @@ import json
 import pathlib
 
 
+from htsplit import engine
 from htsplit.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -39,6 +40,12 @@ def test_models_cap_exceeded_is_exit_3(capsys):
     code, _out, err = run(capsys, "models", DATA / "blocks_split.htsplit", "--cap", "16")
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_models_past_the_stability_node_cap_is_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_STABLE_NODES", 1)
+    code, _out, err = run(capsys, "models", DATA / "four_models.htsplit")
+    _assert_one_inconclusive_line(code, err)
 
 
 def test_parse_error_is_exit_2(capsys, tmp_path):

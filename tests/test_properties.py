@@ -1,6 +1,8 @@
 """Property tests: semantic invariants on random formulas and the
 equivalence of the fast ground engine with the direct definitions."""
 
+import itertools
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -10,6 +12,7 @@ from htsplit.interpretations import (
     HTInterpretation,
     atoms_of,
     ht_satisfies,
+    ht_satisfies_all,
     satisfies,
 )
 from htsplit.occurrences import (
@@ -23,7 +26,7 @@ from htsplit.occurrences import (
     pos_formula,
 )
 from htsplit.parser import parse_problem
-from htsplit.semantics import em_theory, is_lambda_stable, is_stable
+from htsplit.semantics import em_atoms, em_theory, is_a_stable, is_lambda_stable, is_stable
 from htsplit.syntax import (
     And,
     Atom,
@@ -40,9 +43,10 @@ from htsplit.syntax import (
     format_rule,
     free_variables,
     substitute,
+    theory_sentences,
 )
 
-from strategies import DOMAINS, SIG, ht_pairs, interpretations, sentences
+from strategies import DOMAINS, SIG, UNIVERSE, ht_pairs, interpretations, sentences
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -119,15 +123,41 @@ def test_ground_engine_matches_the_direct_recursions(pair, sentence):
         assert not ht_satisfies(ht, sentence)
 
 
-@given(st.lists(sentences(depth=2), max_size=3), interpretations())
+def _subsets(atoms):
+    return [
+        frozenset(c) for r in range(len(atoms) + 1) for c in itertools.combinations(atoms, r)
+    ]
+
+
+@given(
+    st.lists(sentences(depth=2), max_size=3),
+    interpretations(),
+    st.sets(st.sampled_from(UNIVERSE)),
+)
 @SETTINGS
-def test_stability_methods_agree(theory, interp):
+def test_stability_methods_agree(theory, interp, kept):
     top = lambda_top(SIG)
     results = {
         method: is_lambda_stable(interp, theory, top, method=method)
         for method in ("reduct", "direct-restricted", "direct-full")
     }
     assert len(set(results.values())) == 1
+
+    # atoms outside ``kept`` stay in every here-world; a random interpretation
+    # is rarely a model, so every interpretation over the universe is checked
+    for true_atoms in _subsets(UNIVERSE):
+        there = interp.with_atoms(true_atoms)
+        stable = is_a_stable(there, theory, kept, method="reduct")
+        assert stable == is_a_stable(there, theory, kept, method="direct-restricted")
+        removable = frozenset(kept) & true_atoms
+        extended = theory_sentences(theory) + em_atoms(there, removable)
+        gfs = engine.ground_theory(there, extended)
+        verdict, here = engine.is_stable_ground(gfs, true_atoms, removable)
+        assert verdict == stable
+        if here is not None:
+            assert here < true_atoms
+            assert true_atoms - removable <= here
+            assert ht_satisfies_all(HTInterpretation(here, there), extended)
 
 
 @given(st.lists(sentences(depth=2), max_size=3), interpretations())
