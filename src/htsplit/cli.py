@@ -27,7 +27,7 @@ from .interpretations import (
 from .occurrences import PolarityError, TransformContext, atom_occurrences_with_polarity, fresh_variables
 from .parser import ParseError, ProblemFile, parse_problem, print_problem
 from .selftest import run_selftest
-from .semantics import check_strong_equivalence, em_theory, enumerate_lambda_stable_models
+from .semantics import GroundProblem, check_strong_equivalence, enumerate_lambda_stable_models
 from .splitting import SplitReport, check_split_program, check_split_theory, verify_split
 from .syntax import Rule, Statement, format_formula, theory_sentences
 
@@ -128,8 +128,7 @@ def cmd_ht_models(config: RunConfig) -> int:
             f"ht-model space over {len(universe)} atoms exceeds the cap"
         )
     structure = FiniteInterpretation.make(problem.signature, domains)
-    sentences = theory_sentences(problem.theory()) + em_theory(lam)
-    gfs = engine.ground_theory(structure, sentences)
+    gfs = GroundProblem.ground(structure, problem.theory(), lam).gfs
     lines = []
     pairs = []
     for bits in itertools.product((False, True), repeat=len(universe)):
@@ -450,8 +449,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return INCONCLUSIVE
     except RecursionError:
-        # the ground evaluators recurse once per nested connective
-        print("inconclusive: formulas nest too deeply for the recursive evaluators", file=sys.stderr)
+        # the parser and the grounder recurse once per nested connective
+        print("inconclusive: formulas nest too deeply for the recursive parser and grounder", file=sys.stderr)
         return INCONCLUSIVE
 
 

@@ -11,8 +11,8 @@ from .interpretations import (
     Element,
     FiniteInterpretation,
     GroundAtom,
+    _quantifier_instances,
     eval_term,
-    has_undefined_ground_term,
     satisfies,
 )
 from .syntax import (
@@ -21,7 +21,6 @@ from .syntax import (
     BOT,
     Bottom,
     COMPARISON_PREDICATES,
-    DomainName,
     Equality,
     Exists,
     Forall,
@@ -31,7 +30,6 @@ from .syntax import (
     Or,
     Signature,
     Variable,
-    _substitute_by_name,
     children,
     exists_over,
     fold_constants,
@@ -267,10 +265,6 @@ def fresh_variables(prefix: str, atom: Atom) -> tuple[Variable, ...]:
 # grounded atom sets
 
 
-def _guarded(interp: FiniteInterpretation, f: Formula) -> bool:
-    return satisfies(interp, f)
-
-
 def _atom_value(interp: FiniteInterpretation, atom: Atom) -> Optional[GroundAtom]:
     if atom.pred in COMPARISON_PREDICATES:
         return None
@@ -283,16 +277,9 @@ def _atom_value(interp: FiniteInterpretation, atom: Atom) -> Optional[GroundAtom
     return (atom.pred, tuple(values))
 
 
-def _instances(interp: FiniteInterpretation, f):
-    for d in interp.domain(f.var.sort):
-        inst = _substitute_by_name(f.body, {f.var.name: DomainName(d, f.var.sort)})
-        if not has_undefined_ground_term(interp, inst):
-            yield inst
-
-
 def pos_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
     """Strictly positive atoms of a satisfied ground sentence; empty otherwise."""
-    if not _guarded(interp, f):
+    if not satisfies(interp, f):
         return frozenset()
     if isinstance(f, Atom):
         v = _atom_value(interp, f)
@@ -306,14 +293,14 @@ def pos_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]
             return pos_atoms(interp, f.rhs)
         return frozenset()
     out: frozenset[GroundAtom] = frozenset()
-    for inst in _instances(interp, f):
+    for inst in _quantifier_instances(interp, f):
         out |= pos_atoms(interp, inst)
     return out
 
 
 def pnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
     """Positive nonnegated atoms of a satisfied ground sentence."""
-    if not _guarded(interp, f):
+    if not satisfies(interp, f):
         return frozenset()
     if isinstance(f, Atom):
         v = _atom_value(interp, f)
@@ -327,14 +314,14 @@ def pnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]
             return nnn_atoms(interp, f.lhs) | pnn_atoms(interp, f.rhs)
         return frozenset()
     out: frozenset[GroundAtom] = frozenset()
-    for inst in _instances(interp, f):
+    for inst in _quantifier_instances(interp, f):
         out |= pnn_atoms(interp, inst)
     return out
 
 
 def nnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
     """Negative nonnegated atoms of a satisfied ground sentence."""
-    if not _guarded(interp, f):
+    if not satisfies(interp, f):
         return frozenset()
     if isinstance(f, (Atom, Equality, Bottom)):
         return frozenset()
@@ -345,6 +332,6 @@ def nnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]
             return pnn_atoms(interp, f.lhs) | nnn_atoms(interp, f.rhs)
         return frozenset()
     out: frozenset[GroundAtom] = frozenset()
-    for inst in _instances(interp, f):
+    for inst in _quantifier_instances(interp, f):
         out |= nnn_atoms(interp, inst)
     return out

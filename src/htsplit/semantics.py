@@ -68,7 +68,14 @@ def atoms_of_lambda(
 
 def em_theory(lam: IntensionalityStatement) -> list[Formula]:
     """One sentence per predicate symbol: where the intensionality condition
-    fails, the predicate obeys excluded middle."""
+    fails, the predicate obeys excluded middle.
+
+    This is the formula-level statement.  Grounding it drops every instance
+    whose condition holds an undefined term, so an atom whose condition
+    leaves the integer range gets no excluded middle, although the condition
+    reads false there and the atom lies outside the region.  The library
+    therefore takes excluded middle from :func:`ground_region` instead.
+    """
     out = []
     for key in sorted(lam.signature.predicates):
         variables, condition = lam.entry(key)
@@ -76,6 +83,38 @@ def em_theory(lam: IntensionalityStatement) -> list[Formula]:
         matrix = Implies(neg(condition), Or(atom, neg(atom)))
         out.append(forall_over(variables, matrix))
     return out
+
+
+def ground_region(
+    structure: FiniteInterpretation, lam: IntensionalityStatement
+) -> tuple[dict[GroundAtom, engine.GF], list[engine.GF]]:
+    """The statement's region and its excluded-middle sentences, ground.
+
+    The condition is grounded once per atom of the universe; an undefined
+    term in it makes it false, so the atom is outside the region.  Each
+    predicate gets one conjunction of ``¬region → (a ∨ ¬a)`` over its atoms,
+    nested per argument in the order of :func:`em_theory`'s quantifiers.
+    """
+    signature = lam.signature
+    region_gf: dict[GroundAtom, engine.GF] = {}
+    em_gfs: list[engine.GF] = []
+    for key in sorted(signature.predicates):
+        pred, arity = key
+        arg_sorts = signature.pred_arg_sorts(pred, arity)
+
+        def conjunction(values: tuple[Element, ...]) -> engine.GF:
+            if len(values) < arity:
+                domain = structure.domain(arg_sorts[len(values)])
+                return engine.gand_all([conjunction(values + (d,)) for d in domain])
+            names = tuple(DomainName(v, s) for v, s in zip(values, arg_sorts))
+            region = engine.ground_formula(structure, lam.condition(key, names))
+            region_gf[(pred, values)] = region
+            a = ("atom", (pred, values))
+            excluded_middle = engine.gor(a, engine.gimp(a, engine.FALSE_GF))
+            return engine.gimp(engine.gimp(region, engine.FALSE_GF), excluded_middle)
+
+        em_gfs.append(conjunction(()))
+    return region_gf, em_gfs
 
 
 def em_atoms(
@@ -110,8 +149,9 @@ def is_lambda_stable(
     lam: IntensionalityStatement,
     method: Method = "reduct",
 ) -> bool:
-    sentences = theory_sentences(theory) + em_theory(lam)
-    return _stable(interp, sentences, removable=atoms_of_lambda(interp, lam), method=method)
+    """Stability under the statement: the droppable atoms are the true atoms
+    whose condition holds, and every other atom obeys excluded middle."""
+    return is_a_stable(interp, theory, atoms_of_lambda(interp, lam), method)
 
 
 def is_a_stable(
@@ -170,10 +210,11 @@ class GroundProblem:
     ``gfs`` holds the ground theory together with the statement's
     excluded-middle sentences, ``region_gf`` the statement's condition as a
     ground formula for every atom of the universe (whether the atom may be
-    dropped from the here-world), and ``atoms`` the candidate atoms: those
-    with a strictly positive occurrence, the only ones that can be true in a
-    stable model.  The ground formulas do not depend on the structure's true
-    atoms, so one problem answers for every interpretation over its domains.
+    dropped from the here-world), both from :func:`ground_region`, and
+    ``atoms`` the candidate atoms: the atoms of the universe with a strictly
+    positive occurrence, the only ones that can be true in a stable model.
+    The ground formulas do not depend on the structure's true atoms, so one
+    problem answers for every interpretation over its domains.
     """
 
     gfs: list[engine.GF]
@@ -187,17 +228,12 @@ class GroundProblem:
         theory: Sequence[Statement],
         lam: IntensionalityStatement,
     ) -> "GroundProblem":
-        sentences = theory_sentences(theory) + em_theory(lam)
-        gfs = engine.ground_theory(structure, sentences)
-        signature = structure.signature
-        region_gf: dict[GroundAtom, engine.GF] = {}
-        for atom in atom_universe(signature, structure.domain_map()):
-            pred, values = atom
-            arg_sorts = signature.pred_arg_sorts(pred, len(values))
-            names = tuple(DomainName(v, s) for v, s in zip(values, arg_sorts))
-            condition = lam.condition((pred, len(values)), names)
-            region_gf[atom] = engine.ground_formula(structure, condition)
-        return cls(gfs, region_gf, frozenset(engine.candidate_atoms(gfs)))
+        region_gf, em_gfs = ground_region(structure, lam)
+        gfs = engine.ground_theory(structure, theory_sentences(theory)) + em_gfs
+        # a literal outside its sort's domain names an atom outside the
+        # universe, false in every interpretation over the domains
+        atoms = frozenset(engine.candidate_atoms(gfs)).intersection(region_gf)
+        return cls(gfs, region_gf, atoms)
 
     def restrict(self, allowed: frozenset[GroundAtom]) -> "GroundProblem":
         """The same problem with every atom outside ``allowed`` folded to
@@ -299,9 +335,9 @@ def check_strong_equivalence(
         raise engine.ResourceCapExceeded(
             f"strong-equivalence space has {len(universe)} atoms, cap is {atom_cap}"
         )
-    em = em_theory(lam)
-    gfs1 = engine.ground_theory(structure, theory_sentences(theory1) + em)
-    gfs2 = engine.ground_theory(structure, theory_sentences(theory2) + em)
+    _region, em_gfs = ground_region(structure, lam)
+    gfs1 = engine.ground_theory(structure, theory_sentences(theory1)) + em_gfs
+    gfs2 = engine.ground_theory(structure, theory_sentences(theory2)) + em_gfs
 
     space = engine.TableSpace(universe)
     t1 = space.theory_table(gfs1)

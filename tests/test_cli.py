@@ -281,20 +281,84 @@ def test_ht_models_on_a_tiny_file(capsys, tmp_path):
     }
 
 
+# p(2)'s condition X+1 > 2 has an out-of-range term, so it reads false: p(2)
+# is outside the region and, under excluded middle, a free input
+RANGE_EDGE_MODELS = [
+    "{}",
+    "{p(0)}",
+    "{p(0), p(1)}",
+    "{p(0), p(1), p(2), r}",
+    "{p(0), p(2), r}",
+    "{p(1)}",
+    "{p(1), p(2), r}",
+    "{p(2), r}",
+]
+
+
+def test_models_on_the_range_edge_lists_all_eight(capsys):
+    code, out, _ = run(capsys, "models", DATA / "range_edge.htsplit")
+    assert code == 0
+    assert out.splitlines() == RANGE_EDGE_MODELS
+    code, out, _ = run(capsys, "models", DATA / "range_edge.htsplit", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["models"] == [
+        line.strip("{}").split(", ") if line != "{}" else [] for line in RANGE_EDGE_MODELS
+    ]
+
+
+def test_ht_models_on_the_range_edge_keep_the_input_atom(capsys):
+    code, out, _ = run(capsys, "ht-models", DATA / "range_edge.htsplit", "--format", "json")
+    assert code == 0
+    pairs = json.loads(out)["ht_models"]
+    assert any("p(2)" in pair["there"] for pair in pairs)
+    for pair in pairs:
+        if "p(2)" in pair["there"]:
+            assert "p(2)" in pair["here"], pair
+
+
 def test_selftest_subcommand(capsys):
     code, out, _ = run(capsys, "selftest", "--count", "40", "--seed", "3")
     assert code == 0
     assert "checked 40 random instances" in out
 
 
-# a disjunction over a thousand instances nests deeper than the recursive
-# ground evaluators can follow
+# a disjunction over a thousand instances: quantifier instances ground to
+# balanced trees and the model search is a loop, so neither is held back by
+# the interpreter's recursion limit
 CHAIN = """int range 0..1000.
 pred p(int). pred q(int).
 #part mp { p(X) : #true }.
 #part mq { q(X) : #true }.
 """
 CHAIN_RULES = ("q(X) :- p(X), X >= 0.", "p(X) | p(X+1) :- X >= 0.")
+
+
+def test_graph_on_a_thousand_integer_chain_is_decisive(capsys, tmp_path):
+    source = tmp_path / "chain.htsplit"
+    source.write_text(CHAIN + "\n".join(CHAIN_RULES) + "\n")
+    code, out, err = run(capsys, "graph", source, "--partition", "mp,mq")
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("edge ")] == [
+        "edge q@mq -> p@mp"
+    ]
+
+
+def test_split_on_a_thousand_integer_chain_passes(capsys, tmp_path):
+    source = tmp_path / "chain.htsplit"
+    groups = "".join(f"#group g{i} {{ {rule} }}.\n" for i, rule in enumerate(CHAIN_RULES))
+    source.write_text(CHAIN + groups)
+    code, out, err = run(
+        capsys, "split", source, "--parts", "g0,g1", "--partition", "mq,mp"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "partition valid: yes",
+        "separable: yes",
+        "negativity: g0 on mp: pass",
+        "negativity: g1 on mq: pass",
+        "approximator: not-applicable",
+        "verification: not-run",
+    ]
 
 
 def _assert_one_inconclusive_line(code, err):
@@ -304,18 +368,9 @@ def _assert_one_inconclusive_line(code, err):
     assert "Traceback" not in err
 
 
-def test_graph_past_the_recursion_limit_is_exit_3(capsys, tmp_path):
-    source = tmp_path / "chain.htsplit"
-    source.write_text(CHAIN + "\n".join(CHAIN_RULES) + "\n")
-    code, _out, err = run(capsys, "graph", source, "--partition", "mp,mq")
-    _assert_one_inconclusive_line(code, err)
-
-
-def test_split_past_the_recursion_limit_is_exit_3(capsys, tmp_path):
-    source = tmp_path / "chain.htsplit"
-    groups = "".join(f"#group g{i} {{ {rule} }}.\n" for i, rule in enumerate(CHAIN_RULES))
-    source.write_text(CHAIN + groups)
-    code, _out, err = run(
-        capsys, "split", source, "--parts", "g0,g1", "--partition", "mq,mp"
-    )
+def test_a_sentence_nested_past_the_recursion_limit_is_exit_3(capsys, tmp_path):
+    # the parser recurses once per parenthesis
+    source = tmp_path / "deep.htsplit"
+    source.write_text("pred p.\n" + "(" * 3000 + "p" + ")" * 3000 + ".\n")
+    code, _out, err = run(capsys, "models", source)
     _assert_one_inconclusive_line(code, err)

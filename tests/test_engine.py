@@ -1,5 +1,6 @@
-"""Ground engine pieces: truth-table bit listing, the stability node cap, and
-the import footprint of the package."""
+"""Ground engine pieces: truth-table bit listing, the stability node cap, a
+model search deeper than the recursion limit, and the import footprint of
+the package."""
 
 import os
 import pathlib
@@ -11,7 +12,9 @@ import pytest
 
 import htsplit
 from htsplit import engine
+from htsplit.depgraph import bounded_sat
 from htsplit.interpretations import FiniteInterpretation
+from htsplit.parser import parse_problem
 from htsplit.semantics import is_lambda_stable
 
 
@@ -39,6 +42,20 @@ def test_stability_node_cap_is_read_at_call_time(monkeypatch, four_models_proble
     monkeypatch.setattr(engine, "MAX_STABLE_NODES", 1)
     with pytest.raises(engine.ResourceCapExceeded):
         is_lambda_stable(interp, problem.theory(), lam)
+
+
+def test_bounded_sat_decides_a_chain_wider_than_the_recursion_limit():
+    # 1201 instances per rule: the search decides more atoms than the
+    # interpreter's default recursion limit of 1000 frames
+    problem = parse_problem(
+        "int range 0..1200. pred p(int).\n"
+        "p(X) | p(X+1) :- X >= 0.\n:- p(X), p(X+1).\n"
+    )
+    verdict = bounded_sat(problem.theory(), problem.signature, problem.domains())
+    assert verdict.status == "sat"
+    true_atoms = verdict.witness.true_atoms
+    assert all(("p", (x,)) in true_atoms or ("p", (x + 1,)) in true_atoms for x in range(1200))
+    assert not any(("p", (x,)) in true_atoms and ("p", (x + 1,)) in true_atoms for x in range(1200))
 
 
 def test_importing_the_package_loads_no_numpy():

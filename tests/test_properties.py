@@ -347,6 +347,40 @@ def test_enumeration_matches_brute_force_under_interpretation_dependent_regions(
         assert fast == brute, [format_formula(s) for s in theory]
 
 
+def test_enumeration_matches_brute_force_where_the_condition_leaves_the_range():
+    # every condition on q holds the successor X+1, undefined at X = 2, so it
+    # reads false there: q(2) is outside the region and obeys excluded middle
+    import random
+
+    from htsplit.intensionality import IntensionalityStatement
+    from htsplit.interpretations import all_interpretations
+    from htsplit.semantics import enumerate_lambda_stable_models
+    from htsplit.syntax import INT_SORT, Equality as Eq, Func, int_name
+
+    sig = Signature.make(predicates={("q", 1): (INT_SORT,)}, has_int=True)
+    domains = {INT_SORT: (0, 1, 2)}
+    x1 = Variable("X1", INT_SORT)
+    succ = Func("+", (x1, int_name(1)), INT_SORT)
+    conditions = [
+        Atom(">", (succ, int_name(1))),  # q(1) only
+        Atom(">", (succ, int_name(0))),  # q(0) and q(1)
+        Eq(succ, int_name(1)),  # q(0) only
+    ]
+
+    rng = random.Random(17)
+    for _ in range(150):
+        condition = rng.choice(conditions)
+        lam = IntensionalityStatement.make(sig, {("q", 1): ((x1,), condition)})
+        theory = [_random_int_sentence(rng, depth=3) for _ in range(rng.randint(1, 2))]
+        fast = {m.true_atoms for m in enumerate_lambda_stable_models(theory, lam, domains)}
+        brute = {
+            i.true_atoms
+            for i in all_interpretations(sig, domains)
+            if is_lambda_stable(i, theory, lam, method="direct-full")
+        }
+        assert fast == brute, (format_formula(condition), [format_formula(s) for s in theory])
+
+
 def test_splitting_invariants_under_interpretation_dependent_partitions():
     import random
 

@@ -306,6 +306,31 @@ def test_grounding_correspondence_between_lambda_and_atom_set_stability(pair_set
         assert is_a_stable(i, [rule], kept) == expected
 
 
+def test_stability_paths_agree_where_the_condition_leaves_the_range():
+    # p(2)'s condition X+1 > 2 reads false (2+1 is undefined), so p(2) is
+    # outside the region: the region and excluded middle must say so alike
+    from conftest import load
+
+    from htsplit.semantics import GroundProblem
+
+    problem = load("range_edge.htsplit")
+    lam, theory, domains = problem.default_lambda, problem.theory(), problem.domains()
+    structure = FiniteInterpretation.make(problem.signature, domains)
+    ground = GroundProblem.ground(structure, theory, lam)
+    stable = set()
+    for i in all_interpretations(problem.signature, domains):
+        verdicts = {
+            is_lambda_stable(i, theory, lam, method=m)
+            for m in ("reduct", "direct-restricted", "direct-full")
+        }
+        verdicts.add(ground.is_stable(i.true_atoms))
+        assert len(verdicts) == 1, i
+        if verdicts.pop():
+            stable.add(i.true_atoms)
+    assert frozenset({("p", (2,)), ("r", ())}) in stable
+    assert len(stable) == 8
+
+
 def test_is_stable_is_the_top_statement_case():
     p, q = Atom("p", ()), Atom("q", ())
     theory = [Rule((p,), (Literal(q, 1),))]
@@ -347,6 +372,17 @@ def test_enumeration_matches_brute_force_on_negation():
         if is_lambda_stable(i, theory, lambda_top(PROP_SIG), method="direct-full")
     }
     assert brute == {frozenset({("p", ())})}
+
+
+def test_a_literal_outside_the_range_names_a_false_atom():
+    # q(3) is outside the universe over 0..2, so the fact is false in every
+    # interpretation, and the enumerator must not treat q(3) as a candidate
+    sig = Signature.make(predicates={("q", 1): (INT_SORT,)}, has_int=True)
+    fact = Atom("q", (DomainName(3, INT_SORT),))
+    domains = {INT_SORT: (0, 1, 2)}
+    assert enumerate_lambda_stable_models([fact], lambda_top(sig), domains) == []
+    models = enumerate_lambda_stable_models([Or(fact, neg(fact))], lambda_top(sig), domains)
+    assert [m.true_atoms for m in models] == [frozenset()]
 
 
 def test_enumeration_resource_guard():
