@@ -40,6 +40,9 @@ def main() -> None:
     for sentence in theory_sentences(problem.theory()):
         print("   ", format_formula(sentence))
 
+    # em_theory is the formula-level statement; the library grounds excluded
+    # middle from the statement's ground region (semantics.ground_region),
+    # which agrees with it here because the condition holds no arithmetic
     print("\nIts excluded-middle companion, active only where the statement")
     print("says p is an input (second argument different from 2):")
     for sentence in em_theory(lam):

@@ -111,18 +111,15 @@ def gor_all(parts: Sequence[GF]) -> GF:
 def _balanced(op, parts: Sequence[GF], unit: GF) -> GF:
     # pairing neighbours level by level keeps the leaf order and bounds the
     # depth by log2 of the part count, so the recursive evaluators below
-    # follow wide quantifier instances without deep recursion; the last
-    # eight parts or fewer are folded from the left, which is cheaper to
-    # build and leaves small domains with the plain left fold
-    while len(parts) > 8:
+    # follow wide quantifier instances without deep recursion
+    if not parts:
+        return unit
+    while len(parts) > 1:
         paired = list(map(op, parts[0::2], parts[1::2]))
         if len(parts) % 2:
             paired.append(parts[-1])
         parts = paired
-    out = unit
-    for p in parts:
-        out = op(out, p)
-    return out
+    return parts[0]
 
 
 def ground_formula(structure: FiniteInterpretation, f: Formula) -> GF:

@@ -44,3 +44,17 @@ def meta_problem():
 @pytest.fixture(scope="session")
 def transforms_problem():
     return load("transforms.htsplit")
+
+
+def formula_level_lambda_stable(interp, theory, lam, method="direct-full"):
+    """Stability under ``lam`` read off the formula-level statement: the
+    theory plus ``em_theory(lam)``, with only the true atoms whose condition
+    holds droppable.  It shares no excluded-middle code with
+    ``is_lambda_stable``, and agrees with it wherever no condition holds a
+    term that leaves the integer range (where it differs is pinned in
+    ``test_semantics``)."""
+    from htsplit.semantics import _stable, atoms_of_lambda, em_theory
+    from htsplit.syntax import theory_sentences
+
+    sentences = theory_sentences(theory) + em_theory(lam)
+    return _stable(interp, sentences, removable=atoms_of_lambda(interp, lam), method=method)

@@ -298,12 +298,43 @@ def test_truncated_blocks_interpretation_is_stable(blocks_interp):
 
 
 def test_grounding_correspondence_between_lambda_and_atom_set_stability(pair_setup):
+    # the condition X2 = 2 holds no arithmetic, so the formula-level
+    # statement (em_theory) is the oracle for both stability paths
+    from conftest import formula_level_lambda_stable
+
     sig, lam, rule, domains = pair_setup
     for i in all_interpretations(sig, domains):
-        expected = is_lambda_stable(i, [rule], lam, method="direct-full")
+        expected = formula_level_lambda_stable(i, [rule], lam)
         kept = atoms_of_lambda(i, lam)
+        assert is_lambda_stable(i, [rule], lam) == expected
         assert is_a_stable(i, [rule], kept, method="direct-full") == expected
         assert is_a_stable(i, [rule], kept) == expected
+
+
+def test_em_theory_differs_from_the_ground_region_where_the_condition_leaves_the_range():
+    # at p(2) the condition X+1 > 2 holds the undefined term 2+1: grounding
+    # em_theory drops that instance, so p(2) gets no excluded middle, while
+    # ground_region reads the condition false, so p(2) is outside the region
+    # and gets excluded middle
+    from conftest import formula_level_lambda_stable, load
+
+    from htsplit import engine
+    from htsplit.semantics import ground_region
+
+    problem = load("range_edge.htsplit")
+    lam, theory = problem.default_lambda, problem.theory()
+    structure = FiniteInterpretation.make(problem.signature, problem.domains())
+    region_gf, em_gfs = ground_region(structure, lam)
+    p0, p1, p2, r = ("p", (0,)), ("p", (1,)), ("p", (2,)), ("r", ())
+    assert {a: g for a, g in region_gf.items() if g != engine.FALSE_GF} == {r: engine.TRUE_GF}
+    assert set().union(*map(engine.gf_atoms, em_gfs)) == {p0, p1, p2}
+    formula_level = engine.ground_theory(structure, em_theory(lam))
+    assert set().union(*map(engine.gf_atoms, formula_level)) == {p0, p1}
+    # so the two readings part exactly where p(2) is true and r rests on it
+    for i in all_interpretations(problem.signature, problem.domains()):
+        library = is_lambda_stable(i, theory, lam, method="direct-full")
+        formula = formula_level_lambda_stable(i, theory, lam)
+        assert (library != formula) == (i.true_atoms >= {p2, r}), i.true_atoms
 
 
 def test_stability_paths_agree_where_the_condition_leaves_the_range():
