@@ -1,8 +1,11 @@
 """Ground-level machinery shared by the semantic checkers.
 
-Sentences are compiled to ground formulas (nested tuples) with builtin
-comparisons and arithmetic folded away at grounding time.  On top of that
-this module provides:
+Sentences are grounded into ground formulas (nested tuples), with builtin
+comparisons and arithmetic folded away.  Each sentence is compiled once into
+closures over an environment of variable slots: a quantifier sets its slot
+to each domain element and grounds its body, whose terms read their values
+from the slots, so no instance is built by substitution.  An atom outside
+the atom universe grounds to false.  On top of that this module provides:
 
 * classical and three-valued evaluation, and backtracking model search
   (:func:`find_model`, the module's only search, a loop over an explicit
@@ -26,16 +29,16 @@ classical equivalence, so stable-model reasoning on folded formulas is exact.
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .interpretations import (
     _COMPARE,
+    Element,
     FiniteInterpretation,
     GroundAtom,
     atom_sort_key,
-    eval_term,
-    has_undefined_ground_term,
 )
 from .syntax import (
     And,
@@ -47,9 +50,13 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    Func,
     Implies,
     Or,
-    _substitute_by_name,
+    Term,
+    Variable,
+    term_is_ground,
+    term_variables,
 )
 
 GF = tuple
@@ -122,47 +129,336 @@ def _balanced(op, parts: Sequence[GF], unit: GF) -> GF:
     return parts[0]
 
 
+# ---------------------------------------------------------------------------
+# grounding: each sentence is compiled once into closures over an
+# environment of variable slots, one slot per binder depth, and the closures
+# build the ground formula without substituting into any quantifier instance
+
+Env = list
+Compiled = Union[GF, Callable[[Env], GF]]  # a GF when no slot is read
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# a check standing for a closed term that is undefined: it drops every
+# instance of the quantifier it is attached to
+_UNDEFINED = lambda env: None  # noqa: E731
+# stands for an operand not known at compile time, to see whether the folds
+# of gand/gor/gimp decide a connective from its other operand alone
+_HOLE: GF = ("hole",)
+
+
 def ground_formula(structure: FiniteInterpretation, f: Formula) -> GF:
     """Compile a sentence to a folded ground formula.
 
     Quantifier instances containing an undefined ground term are dropped,
-    matching the satisfaction relation in :mod:`htsplit.interpretations`.
+    matching the satisfaction relation in :mod:`htsplit.interpretations`,
+    and an atom outside the structure's atom universe is false.
     """
-    if isinstance(f, Atom):
-        values = []
-        for t in f.args:
-            v = eval_term(structure, t)
-            if v is None:
-                return FALSE_GF
-            values.append(v)
-        if f.pred in COMPARISON_PREDICATES:
-            return TRUE_GF if _COMPARE[f.pred](*values) else FALSE_GF
-        return ("atom", (f.pred, tuple(values)))
-    if isinstance(f, Equality):
-        lhs = eval_term(structure, f.lhs)
-        rhs = eval_term(structure, f.rhs)
-        return TRUE_GF if lhs is not None and rhs is not None and lhs == rhs else FALSE_GF
-    if isinstance(f, Bottom):
-        return FALSE_GF
-    if isinstance(f, And):
-        return gand(ground_formula(structure, f.lhs), ground_formula(structure, f.rhs))
-    if isinstance(f, Or):
-        return gor(ground_formula(structure, f.lhs), ground_formula(structure, f.rhs))
-    if isinstance(f, Implies):
-        return gimp(ground_formula(structure, f.lhs), ground_formula(structure, f.rhs))
-    if isinstance(f, (Forall, Exists)):
-        parts = []
-        for d in structure.domain(f.var.sort):
-            inst = _substitute_by_name(f.body, {f.var.name: DomainName(d, f.var.sort)})
-            if has_undefined_ground_term(structure, inst):
-                continue
-            parts.append(ground_formula(structure, inst))
-        return gand_all(parts) if isinstance(f, Forall) else gor_all(parts)
-    raise TypeError(f"not a formula: {f!r}")
+    return _Compiler(structure).ground(f)
 
 
 def ground_theory(structure: FiniteInterpretation, sentences: Iterable[Formula]) -> list[GF]:
-    return [ground_formula(structure, f) for f in sentences]
+    compiler = _Compiler(structure)  # one per theory: the sentences share its set-up
+    return [compiler.ground(f) for f in sentences]
+
+
+def compile_formula(
+    structure: FiniteInterpretation, f: Formula, variables: Sequence[Variable] = ()
+) -> Callable[[Sequence[Element]], GF]:
+    """Compile a formula whose free variables are among ``variables`` once;
+    the result maps their values, in order, to the ground formula of the
+    instance.  Raises ``ValueError`` naming any other free variable."""
+    compiler = _Compiler(structure)
+    scope = {v.name: (slot, None, compiler.domain_set(v.sort)) for slot, v in enumerate(variables)}
+    body = compiler.formula(f, scope, len(variables), None)
+    if type(body) is tuple:
+        return lambda values: body
+    padding = [None] * (compiler.size - len(variables)) + compiler.constant_slots()
+    return lambda values: body(list(values) + padding)
+
+
+class _Compiler:
+    """Compiles sentences over one structure: one sentence, or the
+    sentences of one theory, which share the domain sets and constants.
+
+    A scope maps each variable name to its binder: its slot, the check list
+    of the quantifier that binds it (None for a slot given to
+    :func:`compile_formula`), and the set of values it takes.  Constants
+    take the slots at the end of the environment, counted from the end, so
+    that an atomic formula reads every plain argument from a slot.
+
+    A term that can be undefined is checked by the quantifier whose
+    instances first make it ground: the innermost binder among its
+    variables, or the outermost enclosing quantifier when no quantifier
+    binds it.  A failed check drops the instance, which is what substituting
+    the instance and looking for an undefined ground term in it would
+    decide.
+    """
+
+    __slots__ = ("structure", "predicates", "size", "_domain_sets", "_constants")
+
+    def __init__(self, structure: FiniteInterpretation):
+        self.structure = structure
+        self.predicates = structure.signature.predicates
+        self.size = 0
+        self._domain_sets: dict[str, frozenset] = {}
+        self._constants: dict[tuple[type, Element], int] = {}
+
+    def ground(self, f: Formula) -> GF:
+        """The ground formula of a sentence."""
+        body = self.formula(f, {}, 0, None)
+        if type(body) is tuple:
+            return body
+        return body([None] * self.size + self.constant_slots())
+
+    def domain_set(self, sort: str) -> frozenset:
+        out = self._domain_sets.get(sort)
+        if out is None:
+            out = self._domain_sets[sort] = frozenset(self.structure.domain(sort))
+        return out
+
+    def constant_slot(self, value: Element) -> int:
+        return -1 - self._constants.setdefault((type(value), value), len(self._constants))
+
+    def constant_slots(self) -> Env:
+        """The end of every environment: the constants' slots."""
+        return [value for _type, value in reversed(self._constants)]
+
+    # terms: a getter from the environment to a value (None when undefined),
+    # whether it can be undefined, and the values it can take (None: unknown)
+
+    def term(self, t: Term, scope: dict) -> tuple[Callable[[Env], Any], bool, Optional[frozenset]]:
+        if isinstance(t, Variable):
+            if t.name not in scope:
+                raise ValueError(f"cannot evaluate non-ground term, free variable {t.name}")
+            slot, _checks, values = scope[t.name]
+            return operator.itemgetter(slot), False, values
+        if isinstance(t, DomainName):
+            return operator.itemgetter(self.constant_slot(t.value)), False, frozenset((t.value,))
+        if isinstance(t, Func):
+            args = [self.term(a, scope)[0] for a in t.args]
+            if t.name in _ARITHMETIC:
+                domain = self.domain_set(t.sort)
+                return self._arithmetic(_ARITHMETIC[t.name], args, domain), True, domain
+            return self._table(t.name, args), True, None
+        raise TypeError(f"not a term: {t!r}")
+
+    @staticmethod
+    def _arithmetic(op, args, domain: frozenset) -> Callable[[Env], Any]:
+        get_a, get_b = args
+
+        def value(env):
+            a = get_a(env)
+            b = get_b(env)
+            if a is None or b is None:
+                return None
+            v = op(a, b)
+            return v if v in domain else None
+
+        return value
+
+    def _table(self, name: str, args) -> Callable[[Env], Any]:
+        table: dict = {}
+        for (fname, fargs), fvalue in self.structure.function_tables:
+            if fname == name:
+                table.setdefault(fargs, fvalue)
+
+        def value(env):
+            values = tuple([g(env) for g in args])
+            if None in values:
+                return None
+            try:
+                return table[values]
+            except KeyError:
+                raise ValueError(f"no table for function {name}") from None
+
+        return value
+
+    def _check(self, t: Term, get, scope: dict, outer: Optional[list]) -> None:
+        """Attach a term that can be undefined to the quantifier that checks it."""
+        binders = [scope[v.name] for v in term_variables(t)]
+        deepest = max(binders, key=lambda b: b[0])[1] if binders else None
+        owner = deepest if deepest is not None else outer
+        if owner is None:
+            return  # not under a quantifier: the atomic formula reads it as false
+        if not binders:
+            if get(self.constant_slots()) is not None:
+                return
+            get = _UNDEFINED
+        owner.append(get)
+
+    # formulas
+
+    def formula(self, f: Formula, scope: dict, depth: int, outer: Optional[list]) -> Compiled:
+        """``outer`` is the check list of the outermost enclosing quantifier."""
+        kind = type(f)
+        op = _CONNECTIVES.get(kind)
+        if op is not None:
+            lhs = self.formula(f.lhs, scope, depth, outer)
+            rhs = self.formula(f.rhs, scope, depth, outer)
+            if type(lhs) is tuple and type(rhs) is tuple:
+                return op(lhs, rhs)
+            return _connective(op, lhs, rhs)
+        if kind is Bottom:
+            return FALSE_GF
+        if kind is Atom or kind is Equality:
+            terms = f.args if kind is Atom else (f.lhs, f.rhs)
+            for t in terms:
+                if type(t) is not DomainName:
+                    break
+            else:
+                return self._closed(f, [t.value for t in terms])
+            compiled = [self.term(t, scope) for t in terms]
+            for t, (get, partial, _values) in zip(terms, compiled):
+                if partial:
+                    self._check(t, get, scope, outer)
+            if all(term_is_ground(t) for t in terms):
+                values = [get(self.constant_slots()) for get, _p, _v in compiled]
+                return FALSE_GF if None in values else self._closed(f, values)
+            if kind is Equality:
+                return self._equality(compiled)
+            if f.pred in COMPARISON_PREDICATES:
+                return self._comparison(_COMPARE[f.pred], compiled)
+            return self._atom(f.pred, terms, compiled, scope)
+        if kind is Forall or kind is Exists:
+            return self._quantifier(f, scope, depth, outer)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _closed(self, f: Union[Atom, Equality], values: list) -> GF:
+        """The ground formula of an atomic formula whose terms have the
+        given (defined) values."""
+        if type(f) is Equality:
+            return TRUE_GF if values[0] == values[1] else FALSE_GF
+        if f.pred in COMPARISON_PREDICATES:
+            return TRUE_GF if _COMPARE[f.pred](*values) else FALSE_GF
+        arg_sorts = self.predicates.get((f.pred, len(values)))
+        if arg_sorts is None:
+            return FALSE_GF  # no atom of the universe
+        for v, sort in zip(values, arg_sorts):
+            if v not in self.domain_set(sort):
+                return FALSE_GF
+        return ("atom", (f.pred, tuple(values)))
+
+    @staticmethod
+    def _equality(compiled) -> Compiled:
+        (get_a, _, _), (get_b, _, _) = compiled
+
+        def equality(env):
+            a = get_a(env)
+            return TRUE_GF if a is not None and a == get_b(env) else FALSE_GF
+
+        return equality
+
+    @staticmethod
+    def _comparison(compare, compiled) -> Compiled:
+        (get_a, _, _), (get_b, _, _) = compiled
+
+        def comparison(env):
+            a = get_a(env)
+            b = get_b(env)
+            if a is None or b is None:
+                return FALSE_GF
+            return TRUE_GF if compare(a, b) else FALSE_GF
+
+        return comparison
+
+    def _atom(self, pred: str, terms, compiled, scope: dict) -> Compiled:
+        arg_sorts = self.predicates.get((pred, len(compiled)))
+        if arg_sorts is None:
+            return FALSE_GF  # no atom of the universe has this predicate
+        domains = [self.domain_set(sort) for sort in arg_sorts]
+        # a literal outside its argument's domain is checked here, once
+        if any(v is not None and v.isdisjoint(d) for (_g, _p, v), d in zip(compiled, domains)):
+            return FALSE_GF
+        # positions whose values may fall outside the argument's domain
+        outside = tuple(
+            (i, d)
+            for i, ((_g, _p, v), d) in enumerate(zip(compiled, domains))
+            if v is None or not v <= d
+        )
+        partial = any(p for _g, p, _v in compiled)
+        if not partial and not outside:
+            # the common case: every argument a variable or a constant
+            slots = [
+                scope[t.name][0] if isinstance(t, Variable) else self.constant_slot(t.value)
+                for t in terms
+            ]
+            if len(slots) == 1:
+                (slot,) = slots
+                return lambda env: ("atom", (pred, (env[slot],)))
+            read = operator.itemgetter(*slots)
+            return lambda env: ("atom", (pred, read(env)))
+        getters = [get for get, _p, _v in compiled]
+
+        def atom(env):
+            values = tuple([g(env) for g in getters])
+            if partial and None in values:
+                return FALSE_GF
+            for i, domain in outside:
+                if values[i] not in domain:
+                    return FALSE_GF
+            return ("atom", (pred, values))
+
+        return atom
+
+    def _quantifier(self, f: Union[Forall, Exists], scope: dict, depth: int, outer) -> Compiled:
+        slot = depth
+        self.size = max(self.size, slot + 1)
+        checks: list = []
+        inner = dict(scope)
+        inner[f.var.name] = (slot, checks, self.domain_set(f.var.sort))
+        body = self.formula(f.body, inner, depth + 1, checks if outer is None else outer)
+        domain = self.structure.domain(f.var.sort)
+        combine = gand_all if isinstance(f, Forall) else gor_all
+        if _UNDEFINED in checks:
+            return combine(())
+        if isinstance(body, tuple):
+            if not checks:
+                return combine([body] * len(domain))
+            fixed = body
+            body = lambda env: fixed  # noqa: E731
+        # the comprehensions assign each element to the slot in turn
+        if not checks:
+            return lambda env: combine([body(env) for env[slot] in domain])
+        if len(checks) == 1:
+            (check,) = checks
+            return lambda env: combine(
+                [body(env) for env[slot] in domain if check(env) is not None]
+            )
+        return lambda env: combine(
+            [body(env) for env[slot] in domain if all(c(env) is not None for c in checks)]
+        )
+
+
+_CONNECTIVES = {And: gand, Or: gor, Implies: gimp}
+# a left operand that decides the connective by itself: (operand, result)
+_DECIDED_BY_LHS = {gand: (FALSE_GF, FALSE_GF), gor: (TRUE_GF, TRUE_GF), gimp: (FALSE_GF, TRUE_GF)}
+
+
+def _connective(op, lhs: Compiled, rhs: Compiled) -> Compiled:
+    """A connective with at least one operand not known at compile time."""
+    if isinstance(lhs, tuple):
+        probe = op(lhs, _HOLE)
+        if probe is _HOLE:
+            return rhs
+        if probe in (TRUE_GF, FALSE_GF):
+            return probe
+        return lambda env: op(lhs, rhs(env))
+    if isinstance(rhs, tuple):
+        probe = op(_HOLE, rhs)
+        if probe is _HOLE:
+            return lhs
+        if probe in (TRUE_GF, FALSE_GF):
+            return probe
+        return lambda env: op(lhs(env), rhs)
+    decisive, result = _DECIDED_BY_LHS[op]
+
+    def connective(env):
+        left = lhs(env)
+        if left == decisive:
+            return result  # the right operand cannot change the fold
+        return op(left, rhs(env))
+
+    return connective
 
 
 def gf_atoms(gf: GF) -> set[GroundAtom]:

@@ -90,10 +90,11 @@ def ground_region(
 ) -> tuple[dict[GroundAtom, engine.GF], list[engine.GF]]:
     """The statement's region and its excluded-middle sentences, ground.
 
-    The condition is grounded once per atom of the universe; an undefined
-    term in it makes it false, so the atom is outside the region.  Each
-    predicate gets one conjunction of ``¬region → (a ∨ ¬a)`` over its atoms,
-    nested per argument in the order of :func:`em_theory`'s quantifiers.
+    Each predicate's condition is compiled once, over its argument
+    variables, and grounded at every atom of the universe; an undefined term
+    in it makes it false, so the atom is outside the region.  Each predicate
+    gets one conjunction of ``¬region → (a ∨ ¬a)`` over its atoms, nested
+    per argument in the order of :func:`em_theory`'s quantifiers.
     """
     signature = lam.signature
     region_gf: dict[GroundAtom, engine.GF] = {}
@@ -101,13 +102,14 @@ def ground_region(
     for key in sorted(signature.predicates):
         pred, arity = key
         arg_sorts = signature.pred_arg_sorts(pred, arity)
+        variables, formula = lam.entry(key)
+        condition = engine.compile_formula(structure, formula, variables)
 
         def conjunction(values: tuple[Element, ...]) -> engine.GF:
             if len(values) < arity:
                 domain = structure.domain(arg_sorts[len(values)])
                 return engine.gand_all([conjunction(values + (d,)) for d in domain])
-            names = tuple(DomainName(v, s) for v, s in zip(values, arg_sorts))
-            region = engine.ground_formula(structure, lam.condition(key, names))
+            region = condition(values)
             region_gf[(pred, values)] = region
             a = ("atom", (pred, values))
             excluded_middle = engine.gor(a, engine.gimp(a, engine.FALSE_GF))

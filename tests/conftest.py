@@ -58,3 +58,58 @@ def formula_level_lambda_stable(interp, theory, lam, method="direct-full"):
 
     sentences = theory_sentences(theory) + em_theory(lam)
     return _stable(interp, sentences, removable=atoms_of_lambda(interp, lam), method=method)
+
+
+def reference_ground_formula(structure, f):
+    """The substitution-based grounder that ``engine.ground_formula``
+    replaced, kept as a test oracle: every quantifier instance is
+    substituted and searched for an undefined ground term.  It does not
+    fold atoms outside the atom universe to false."""
+    from htsplit.engine import FALSE_GF, TRUE_GF, gand, gand_all, gimp, gor, gor_all
+    from htsplit.interpretations import _COMPARE, eval_term, has_undefined_ground_term
+    from htsplit.syntax import (
+        And,
+        Atom,
+        Bottom,
+        COMPARISON_PREDICATES,
+        DomainName,
+        Equality,
+        Exists,
+        Forall,
+        Implies,
+        Or,
+        _substitute_by_name,
+    )
+
+    ground_formula = reference_ground_formula
+    if isinstance(f, Atom):
+        values = []
+        for t in f.args:
+            v = eval_term(structure, t)
+            if v is None:
+                return FALSE_GF
+            values.append(v)
+        if f.pred in COMPARISON_PREDICATES:
+            return TRUE_GF if _COMPARE[f.pred](*values) else FALSE_GF
+        return ("atom", (f.pred, tuple(values)))
+    if isinstance(f, Equality):
+        lhs = eval_term(structure, f.lhs)
+        rhs = eval_term(structure, f.rhs)
+        return TRUE_GF if lhs is not None and rhs is not None and lhs == rhs else FALSE_GF
+    if isinstance(f, Bottom):
+        return FALSE_GF
+    if isinstance(f, And):
+        return gand(ground_formula(structure, f.lhs), ground_formula(structure, f.rhs))
+    if isinstance(f, Or):
+        return gor(ground_formula(structure, f.lhs), ground_formula(structure, f.rhs))
+    if isinstance(f, Implies):
+        return gimp(ground_formula(structure, f.lhs), ground_formula(structure, f.rhs))
+    if isinstance(f, (Forall, Exists)):
+        parts = []
+        for d in structure.domain(f.var.sort):
+            inst = _substitute_by_name(f.body, {f.var.name: DomainName(d, f.var.sort)})
+            if has_undefined_ground_term(structure, inst):
+                continue
+            parts.append(ground_formula(structure, inst))
+        return gand_all(parts) if isinstance(f, Forall) else gor_all(parts)
+    raise TypeError(f"not a formula: {f!r}")

@@ -259,7 +259,8 @@ def test_em_theory_forces_the_extensional_region(theory, interp):
 
 def _random_int_sentence(rng, depth, variables=()):
     # vocabulary with arithmetic: q/1 over a narrow integer range, where
-    # successor terms routinely leave the range inside quantifiers
+    # successor terms routinely leave the range inside quantifiers, literals
+    # fall outside it, and nested quantifiers may reuse (shadow) a name
     from htsplit.syntax import Atom as A, Equality as Eq, Func, INT_SORT, Variable as V
     from htsplit.syntax import And as An, Or as O, Implies as I, BOT as B
     from htsplit.syntax import Forall as Fa, Exists as Ex
@@ -269,7 +270,7 @@ def _random_int_sentence(rng, depth, variables=()):
         base = [int_name(rng.randint(-1, 3))] + [v for v in vs]
         t = rng.choice(base)
         if rng.random() < 0.5:
-            t = Func(rng.choice(("+", "-")), (t, int_name(rng.randint(0, 2))), INT_SORT)
+            t = Func(rng.choice(("+", "-", "*")), (t, int_name(rng.randint(0, 2))), INT_SORT)
         return t
 
     leaves = lambda vs: rng.choice(
@@ -288,7 +289,10 @@ def _random_int_sentence(rng, depth, variables=()):
             _random_int_sentence(rng, depth - 1, variables),
             _random_int_sentence(rng, depth - 1, variables),
         )
-    v = V(f"T{len(variables)}", INT_SORT)
+    if variables and rng.random() < 0.3:
+        v = rng.choice(variables)
+    else:
+        v = V(f"T{len(variables)}", INT_SORT)
     body = _random_int_sentence(rng, depth - 1, tuple(variables) + (v,))
     return (Fa if kind == "forall" else Ex)(v, body)
 
