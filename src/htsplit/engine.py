@@ -55,7 +55,6 @@ from .syntax import (
     Or,
     Term,
     Variable,
-    term_is_ground,
     term_variables,
 )
 
@@ -138,12 +137,6 @@ Env = list
 Compiled = Union[GF, Callable[[Env], GF]]  # a GF when no slot is read
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-# a check standing for a closed term that is undefined: it drops every
-# instance of the quantifier it is attached to
-_UNDEFINED = lambda env: None  # noqa: E731
-# stands for an operand not known at compile time, to see whether the folds
-# of gand/gor/gimp decide a connective from its other operand alone
-_HOLE: GF = ("hole",)
 
 
 def ground_formula(structure: FiniteInterpretation, f: Formula) -> GF:
@@ -168,47 +161,50 @@ def compile_formula(
     the result maps their values, in order, to the ground formula of the
     instance.  Raises ``ValueError`` naming any other free variable."""
     compiler = _Compiler(structure)
-    scope = {v.name: (slot, None, compiler.domain_set(v.sort)) for slot, v in enumerate(variables)}
-    body = compiler.formula(f, scope, len(variables), None)
-    if type(body) is tuple:
-        return lambda values: body
-    padding = [None] * (compiler.size - len(variables)) + compiler.constant_slots()
+    scope = {v.name: (slot, None) for slot, v in enumerate(variables)}
+    body = _reader(compiler.formula(f, scope, len(variables), None))
+    padding = [None] * (compiler.size - len(variables))
     return lambda values: body(list(values) + padding)
+
+
+def _reader(c: Compiled) -> Callable[[Env], GF]:
+    """``c`` as a closure, also when it is a ground formula."""
+    return (lambda env: c) if type(c) is tuple else c
 
 
 class _Compiler:
     """Compiles sentences over one structure: one sentence, or the
-    sentences of one theory, which share the domain sets and constants.
+    sentences of one theory, which share the domain sets.
 
-    A scope maps each variable name to its binder: its slot, the check list
-    of the quantifier that binds it (None for a slot given to
-    :func:`compile_formula`), and the set of values it takes.  Constants
-    take the slots at the end of the environment, counted from the end, so
-    that an atomic formula reads every plain argument from a slot.
+    A scope maps each variable name to its binder: its slot, and the check
+    list of the quantifier that binds it (None for a slot given to
+    :func:`compile_formula`).
 
     A term that can be undefined is checked by the quantifier whose
     instances first make it ground: the innermost binder among its
     variables, or the outermost enclosing quantifier when no quantifier
     binds it.  A failed check drops the instance, which is what substituting
     the instance and looking for an undefined ground term in it would
-    decide.
+    decide.  Terms are evaluated where the substituting grounder evaluated
+    them, so a missing function table raises in the same places, with two
+    exceptions: the right operand of a connective whose left operand
+    decides the fold (see :func:`_connective`), and an atom the universe
+    makes false at compile time (an undeclared predicate, or a literal
+    outside its argument's domain).  The arguments of both are still read by
+    the quantifiers' checks.
     """
 
-    __slots__ = ("structure", "predicates", "size", "_domain_sets", "_constants")
+    __slots__ = ("structure", "predicates", "size", "_domain_sets")
 
     def __init__(self, structure: FiniteInterpretation):
         self.structure = structure
         self.predicates = structure.signature.predicates
         self.size = 0
         self._domain_sets: dict[str, frozenset] = {}
-        self._constants: dict[tuple[type, Element], int] = {}
 
     def ground(self, f: Formula) -> GF:
         """The ground formula of a sentence."""
-        body = self.formula(f, {}, 0, None)
-        if type(body) is tuple:
-            return body
-        return body([None] * self.size + self.constant_slots())
+        return _reader(self.formula(f, {}, 0, None))([None] * self.size)
 
     def domain_set(self, sort: str) -> frozenset:
         out = self._domain_sets.get(sort)
@@ -216,30 +212,22 @@ class _Compiler:
             out = self._domain_sets[sort] = frozenset(self.structure.domain(sort))
         return out
 
-    def constant_slot(self, value: Element) -> int:
-        return -1 - self._constants.setdefault((type(value), value), len(self._constants))
-
-    def constant_slots(self) -> Env:
-        """The end of every environment: the constants' slots."""
-        return [value for _type, value in reversed(self._constants)]
-
     # terms: a getter from the environment to a value (None when undefined),
-    # whether it can be undefined, and the values it can take (None: unknown)
+    # and whether it can be undefined
 
-    def term(self, t: Term, scope: dict) -> tuple[Callable[[Env], Any], bool, Optional[frozenset]]:
+    def term(self, t: Term, scope: dict) -> tuple[Callable[[Env], Any], bool]:
         if isinstance(t, Variable):
             if t.name not in scope:
                 raise ValueError(f"cannot evaluate non-ground term, free variable {t.name}")
-            slot, _checks, values = scope[t.name]
-            return operator.itemgetter(slot), False, values
+            return operator.itemgetter(scope[t.name][0]), False
         if isinstance(t, DomainName):
-            return operator.itemgetter(self.constant_slot(t.value)), False, frozenset((t.value,))
+            value = t.value
+            return (lambda env: value), False
         if isinstance(t, Func):
             args = [self.term(a, scope)[0] for a in t.args]
             if t.name in _ARITHMETIC:
-                domain = self.domain_set(t.sort)
-                return self._arithmetic(_ARITHMETIC[t.name], args, domain), True, domain
-            return self._table(t.name, args), True, None
+                return self._arithmetic(_ARITHMETIC[t.name], args, self.domain_set(t.sort)), True
+            return self._table(t.name, args), True
         raise TypeError(f"not a term: {t!r}")
 
     @staticmethod
@@ -278,13 +266,8 @@ class _Compiler:
         binders = [scope[v.name] for v in term_variables(t)]
         deepest = max(binders, key=lambda b: b[0])[1] if binders else None
         owner = deepest if deepest is not None else outer
-        if owner is None:
-            return  # not under a quantifier: the atomic formula reads it as false
-        if not binders:
-            if get(self.constant_slots()) is not None:
-                return
-            get = _UNDEFINED
-        owner.append(get)
+        if owner is not None:  # else the atomic formula reads it as false
+            owner.append(get)
 
     # formulas
 
@@ -297,61 +280,56 @@ class _Compiler:
             rhs = self.formula(f.rhs, scope, depth, outer)
             if type(lhs) is tuple and type(rhs) is tuple:
                 return op(lhs, rhs)
-            return _connective(op, lhs, rhs)
+            return _connective(op, _reader(lhs), _reader(rhs))
         if kind is Bottom:
             return FALSE_GF
         if kind is Atom or kind is Equality:
             terms = f.args if kind is Atom else (f.lhs, f.rhs)
-            for t in terms:
-                if type(t) is not DomainName:
-                    break
-            else:
+            if all(type(t) is DomainName for t in terms):
                 return self._closed(f, [t.value for t in terms])
             compiled = [self.term(t, scope) for t in terms]
-            for t, (get, partial, _values) in zip(terms, compiled):
+            for t, (get, partial) in zip(terms, compiled):
                 if partial:
                     self._check(t, get, scope, outer)
-            if all(term_is_ground(t) for t in terms):
-                values = [get(self.constant_slots()) for get, _p, _v in compiled]
-                return FALSE_GF if None in values else self._closed(f, values)
+            getters = [get for get, _partial in compiled]
             if kind is Equality:
-                return self._equality(compiled)
+                return self._equality(*getters)
             if f.pred in COMPARISON_PREDICATES:
-                return self._comparison(_COMPARE[f.pred], compiled)
-            return self._atom(f.pred, terms, compiled, scope)
+                return self._comparison(_COMPARE[f.pred], *getters)
+            return self._atom(f.pred, terms, getters)
         if kind is Forall or kind is Exists:
             return self._quantifier(f, scope, depth, outer)
         raise TypeError(f"not a formula: {f!r}")
 
     def _closed(self, f: Union[Atom, Equality], values: list) -> GF:
-        """The ground formula of an atomic formula whose terms have the
-        given (defined) values."""
+        """The ground formula of an atomic formula whose terms are literals."""
         if type(f) is Equality:
             return TRUE_GF if values[0] == values[1] else FALSE_GF
         if f.pred in COMPARISON_PREDICATES:
             return TRUE_GF if _COMPARE[f.pred](*values) else FALSE_GF
-        arg_sorts = self.predicates.get((f.pred, len(values)))
-        if arg_sorts is None:
-            return FALSE_GF  # no atom of the universe
-        for v, sort in zip(values, arg_sorts):
-            if v not in self.domain_set(sort):
-                return FALSE_GF
+        if not self._in_universe(f.pred, values):
+            return FALSE_GF
         return ("atom", (f.pred, tuple(values)))
 
-    @staticmethod
-    def _equality(compiled) -> Compiled:
-        (get_a, _, _), (get_b, _, _) = compiled
+    def _in_universe(self, pred: str, values) -> bool:
+        """Whether some atom of the universe can have these argument values;
+        ``None`` stands for a value known only at grounding time."""
+        arg_sorts = self.predicates.get((pred, len(values)))
+        return arg_sorts is not None and all(
+            v is None or v in self.domain_set(sort) for v, sort in zip(values, arg_sorts)
+        )
 
+    @staticmethod
+    def _equality(get_a, get_b) -> Compiled:
         def equality(env):
             a = get_a(env)
-            return TRUE_GF if a is not None and a == get_b(env) else FALSE_GF
+            b = get_b(env)
+            return TRUE_GF if a is not None and a == b else FALSE_GF
 
         return equality
 
     @staticmethod
-    def _comparison(compare, compiled) -> Compiled:
-        (get_a, _, _), (get_b, _, _) = compiled
-
+    def _comparison(compare, get_a, get_b) -> Compiled:
         def comparison(env):
             a = get_a(env)
             b = get_b(env)
@@ -361,42 +339,19 @@ class _Compiler:
 
         return comparison
 
-    def _atom(self, pred: str, terms, compiled, scope: dict) -> Compiled:
-        arg_sorts = self.predicates.get((pred, len(compiled)))
-        if arg_sorts is None:
-            return FALSE_GF  # no atom of the universe has this predicate
-        domains = [self.domain_set(sort) for sort in arg_sorts]
-        # a literal outside its argument's domain is checked here, once
-        if any(v is not None and v.isdisjoint(d) for (_g, _p, v), d in zip(compiled, domains)):
+    def _atom(self, pred: str, terms, getters) -> Compiled:
+        # a literal outside its domain makes every instance false
+        literals = [t.value if type(t) is DomainName else None for t in terms]
+        if not self._in_universe(pred, literals):
             return FALSE_GF
-        # positions whose values may fall outside the argument's domain
-        outside = tuple(
-            (i, d)
-            for i, ((_g, _p, v), d) in enumerate(zip(compiled, domains))
-            if v is None or not v <= d
-        )
-        partial = any(p for _g, p, _v in compiled)
-        if not partial and not outside:
-            # the common case: every argument a variable or a constant
-            slots = [
-                scope[t.name][0] if isinstance(t, Variable) else self.constant_slot(t.value)
-                for t in terms
-            ]
-            if len(slots) == 1:
-                (slot,) = slots
-                return lambda env: ("atom", (pred, (env[slot],)))
-            read = operator.itemgetter(*slots)
-            return lambda env: ("atom", (pred, read(env)))
-        getters = [get for get, _p, _v in compiled]
+        domains = [self.domain_set(sort) for sort in self.predicates[(pred, len(terms))]]
 
         def atom(env):
             values = tuple([g(env) for g in getters])
-            if partial and None in values:
-                return FALSE_GF
-            for i, domain in outside:
-                if values[i] not in domain:
-                    return FALSE_GF
-            return ("atom", (pred, values))
+            # an undefined value (None) is in no domain
+            if all(map(frozenset.__contains__, domains, values)):
+                return ("atom", (pred, values))
+            return FALSE_GF
 
         return atom
 
@@ -405,57 +360,35 @@ class _Compiler:
         self.size = max(self.size, slot + 1)
         checks: list = []
         inner = dict(scope)
-        inner[f.var.name] = (slot, checks, self.domain_set(f.var.sort))
+        inner[f.var.name] = (slot, checks)
         body = self.formula(f.body, inner, depth + 1, checks if outer is None else outer)
         domain = self.structure.domain(f.var.sort)
         combine = gand_all if isinstance(f, Forall) else gor_all
-        if _UNDEFINED in checks:
-            return combine(())
-        if isinstance(body, tuple):
-            if not checks:
-                return combine([body] * len(domain))
-            fixed = body
-            body = lambda env: fixed  # noqa: E731
-        # the comprehensions assign each element to the slot in turn
-        if not checks:
-            return lambda env: combine([body(env) for env[slot] in domain])
-        if len(checks) == 1:
-            (check,) = checks
-            return lambda env: combine(
-                [body(env) for env[slot] in domain if check(env) is not None]
-            )
+        if type(body) is tuple and not checks:
+            return combine([body] * len(domain))
+        body = _reader(body)
+        # the comprehension assigns each element to the slot in turn
         return lambda env: combine(
             [body(env) for env[slot] in domain if all(c(env) is not None for c in checks)]
         )
 
 
 _CONNECTIVES = {And: gand, Or: gor, Implies: gimp}
-# a left operand that decides the connective by itself: (operand, result)
+# the left operand that decides each fold by itself, and the result
 _DECIDED_BY_LHS = {gand: (FALSE_GF, FALSE_GF), gor: (TRUE_GF, TRUE_GF), gimp: (FALSE_GF, TRUE_GF)}
 
 
-def _connective(op, lhs: Compiled, rhs: Compiled) -> Compiled:
-    """A connective with at least one operand not known at compile time."""
-    if isinstance(lhs, tuple):
-        probe = op(lhs, _HOLE)
-        if probe is _HOLE:
-            return rhs
-        if probe in (TRUE_GF, FALSE_GF):
-            return probe
-        return lambda env: op(lhs, rhs(env))
-    if isinstance(rhs, tuple):
-        probe = op(_HOLE, rhs)
-        if probe is _HOLE:
-            return lhs
-        if probe in (TRUE_GF, FALSE_GF):
-            return probe
-        return lambda env: op(lhs(env), rhs)
+def _connective(op, lhs: Callable[[Env], GF], rhs: Callable[[Env], GF]) -> Compiled:
+    """``op`` of the operands' ground formulas.  When the left operand
+    decides the fold, the right one is not grounded: its ground formula
+    could not change the result, and an error grounding it (a missing
+    function table) is not raised."""
     decisive, result = _DECIDED_BY_LHS[op]
 
     def connective(env):
         left = lhs(env)
         if left == decisive:
-            return result  # the right operand cannot change the fold
+            return result
         return op(left, rhs(env))
 
     return connective

@@ -232,9 +232,7 @@ class GroundProblem:
     ) -> "GroundProblem":
         region_gf, em_gfs = ground_region(structure, lam)
         gfs = engine.ground_theory(structure, theory_sentences(theory)) + em_gfs
-        # a literal outside its sort's domain names an atom outside the
-        # universe, false in every interpretation over the domains
-        atoms = frozenset(engine.candidate_atoms(gfs)).intersection(region_gf)
+        atoms = frozenset(engine.candidate_atoms(gfs))
         return cls(gfs, region_gf, atoms)
 
     def restrict(self, allowed: frozenset[GroundAtom]) -> "GroundProblem":

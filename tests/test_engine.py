@@ -22,6 +22,7 @@ from htsplit.syntax import (
     INT_SORT,
     Atom,
     DomainName,
+    Equality,
     Forall,
     Func,
     Implies,
@@ -145,6 +146,17 @@ def test_function_table_terms_ground_like_the_reference():
     _assert_grounds_like_the_reference(structure, sentence)
     with pytest.raises(ValueError, match="no table for function g"):
         engine.ground_formula(structure, Forall(x, Atom("u", (Func("g", (x,), "s"),))))
+    # a left operand that decides the fold spares the right one, errors
+    # included: where the reference grounds the consequent and raises, the
+    # compiled grounder reads the implication as true
+    d1, d2 = DomainName("d1", "s"), DomainName("d2", "s")
+    guarded = Implies(Equality(x, d1), Atom("u", (Func("g", (x,), "s"),)))
+    with pytest.raises(ValueError, match="no table for function g"):
+        reference_ground_formula(structure, syntax.substitute(guarded, {x: d2}))
+    assert engine.compile_formula(structure, guarded, [x])(("d2",)) == engine.TRUE_GF
+    # under a quantifier, the quantifier's check still reads the term
+    with pytest.raises(ValueError, match="no table for function g"):
+        engine.ground_formula(structure, Forall(x, guarded))
 
 
 def test_grounding_an_open_formula_names_the_free_variable():
@@ -169,6 +181,13 @@ def test_an_atom_outside_the_universe_is_false():
     assert engine.ground_formula(structure, Atom("q", (int_name(3),))) == engine.FALSE_GF
     one_plus_one = Func("+", (int_name(1), int_name(1)), INT_SORT)
     assert engine.ground_formula(structure, Atom("q", (one_plus_one,))) == ("atom", ("q", (2,)))
+    # a variable of a supersort also takes values outside a subsort argument
+    sig = Signature.make(["loc", "block"], [("block", "loc")], {("q", 1): ("block",)})
+    structure = FiniteInterpretation.make(sig, {"loc": ("l", "b"), "block": ("b",)})
+    x = Variable("X", "loc")
+    sentence = exists_over([x], Atom("q", (x,)))
+    _assert_grounds_like_the_reference(structure, sentence)
+    assert engine.ground_formula(structure, sentence) == ("atom", ("q", ("b",)))
 
 
 def _naive_indices(table, width):
