@@ -15,8 +15,10 @@ the atom universe grounds to false.  On top of that this module provides:
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
   property suite);
-* bit-parallel truth tables over a candidate atom list, and the prefilter
-  built on them, which keeps only assignments that could be stable models;
+* bit-parallel truth tables over a candidate atom list, one block of at
+  most ``2 ** BLOCK_ATOMS`` assignments at a time (the low atoms vary, the
+  others are fixed per block), and the prefilter built on them, which keeps
+  only assignments that could be stable models;
 * the exact minimality check of one candidate, a :func:`find_model` query:
   does the reduct have a model that drops some removable true atom?
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .interpretations import (
     _COMPARE,
@@ -540,25 +542,34 @@ def find_model(
     gfs: Sequence[GF],
     node_cap: int = DEFAULT_NODE_CAP,
     forced: Optional[dict[GroundAtom, bool]] = None,
+    atom_orders: Optional[Sequence[Sequence[GroundAtom]]] = None,
 ) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """Search for a classical model of the ground theory.
 
     Returns ``("sat", atoms)``, ``("unsat", None)``, or ``("unknown", None)``
     when the node cap is hit.  Atoms absent from the theory stay false in the
-    witness.
+    witness.  The search decides the first unassigned atom, in
+    :func:`~htsplit.interpretations.atom_sort_key` order, of the first
+    sentence whose value is unknown.  A caller that knows these orders
+    passes ``atom_orders``: for each formula of ``gfs``, its atoms outside
+    ``forced`` in that order.  The search then neither walks nor sorts the
+    sentences to find them.
     """
-    sentences = [g for g in gfs if g != TRUE_GF]
+    orders = [None] * len(gfs) if atom_orders is None else atom_orders
+    kept = [(g, order) for g, order in zip(gfs, orders) if g != TRUE_GF]
+    sentences = [g for g, _order in kept]
     if any(g == FALSE_GF for g in sentences):
         return ("unsat", None)
     if not sentences:
         return ("sat", frozenset(k for k, v in (forced or {}).items() if v))
 
     assign: dict[GroundAtom, bool] = dict(forced or {})
-    order_cache: dict[int, list[GroundAtom]] = {}
+    order_cache: dict[int, Sequence[GroundAtom]] = {}
 
-    def atom_order(i: int) -> list[GroundAtom]:
+    def atom_order(i: int) -> Sequence[GroundAtom]:
         if i not in order_cache:
-            order_cache[i] = sorted(gf_atoms(sentences[i]), key=atom_sort_key)
+            g, order = kept[i]
+            order_cache[i] = sorted(gf_atoms(g), key=atom_sort_key) if order is None else order
         return order_cache[i]
 
     # one entry per decision: the atom, and whether False is still to try
@@ -601,21 +612,52 @@ def find_model(
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
-class TableSpace:
-    """Truth tables over all assignments to a fixed atom list.
+# The atoms that vary inside one block of a truth-table space: a table then
+# has 2^20 bits (128 KB), which stays in the cache across the many passes a
+# prefilter makes over it.  On the 26 candidate atoms of the blocks split at
+# 0..3, the `models` prefilter took 0.2 to 0.4 s with blocks of 16 to 20
+# atoms, 0.5 to 0.8 s with 14 or 22, and 1.7 s over the whole space at once,
+# whose 8 MB tables bound it by memory bandwidth (Python 3.11, 2-core Xeon).
+BLOCK_ATOMS = 20
 
-    A table is a Python int whose bit ``k`` gives the formula's value under
-    the assignment where atom ``i`` is true iff bit ``i`` of ``k`` is set.
+
+class TableSpace:
+    """Truth tables over one block of the assignments to a fixed atom list.
+
+    The first ``BLOCK_ATOMS`` atoms (all of them, in a smaller space) vary
+    inside the block; every later atom is a constant, true iff its bit of
+    the block number is set.  An assignment's global index has bit ``i`` set
+    iff atom ``i`` is true, and a table is a Python int whose bit ``k``
+    gives the formula's value under the block's assignment of global index
+    ``base + k``.  :meth:`blocks` lists the blocks of a space.
     """
 
-    def __init__(self, atoms: Sequence[GroundAtom]):
+    def __init__(
+        self, atoms: Sequence[GroundAtom], block: int = 0, low_tables: Optional[dict] = None
+    ):
         self.atoms = list(atoms)
         self.index = {a: i for i, a in enumerate(self.atoms)}
-        self.width = 1 << len(self.atoms)
+        self.low = min(len(self.atoms), BLOCK_ATOMS)
+        if not 0 <= block < 1 << (len(self.atoms) - self.low):
+            raise ValueError(f"a space over {len(self.atoms)} atoms has no block {block}")
+        self.block = block
+        self.base = block << self.low
+        self.width = 1 << self.low
         self.mask = (1 << self.width) - 1
-        self._atom_tables: dict[int, int] = {}
+        self._atom_tables: dict[int, int] = {} if low_tables is None else low_tables
+
+    @classmethod
+    def blocks(cls, atoms: Sequence[GroundAtom]) -> Iterator["TableSpace"]:
+        """The blocks of the space over ``atoms``, in ascending order of
+        their global indices.  They share the tables of the varying atoms."""
+        atoms = list(atoms)
+        low_tables: dict[int, int] = {}
+        for block in range(1 << max(0, len(atoms) - BLOCK_ATOMS)):
+            yield cls(atoms, block, low_tables)
 
     def atom_table(self, i: int) -> int:
+        if i >= self.low:
+            return self.mask if (self.block >> (i - self.low)) & 1 else 0
         t = self._atom_tables.get(i)
         if t is None:
             block = ((1 << (1 << i)) - 1) << (1 << i)
@@ -651,12 +693,12 @@ class TableSpace:
         return out
 
     def indices(self, table: int) -> list[int]:
-        """Positions of the set bits, ascending."""
+        """Global indices of the set bits, ascending."""
         raw = table.to_bytes((self.width + 7) // 8, "little")
         out = []
         for m in _NONZERO_BYTE.finditer(raw):
             i = m.start()
-            byte, base = raw[i], 8 * i
+            byte, base = raw[i], self.base + 8 * i
             while byte:
                 low = byte & -byte
                 out.append(base + low.bit_length() - 1)
@@ -664,9 +706,11 @@ class TableSpace:
         return out
 
     def lowest_index(self, table: int) -> int:
-        return (table & -table).bit_length() - 1
+        """Global index of the lowest set bit of a nonzero table."""
+        return self.base + (table & -table).bit_length() - 1
 
     def atoms_at(self, k: int) -> frozenset[GroundAtom]:
+        """The true atoms of the assignment of global index ``k``."""
         return frozenset(a for i, a in enumerate(self.atoms) if (k >> i) & 1)
 
 
@@ -730,9 +774,8 @@ def is_stable_ground(
             return (False, None)  # not even a classical model
         if r != TRUE_GF:
             reducts.append(r)
-    mentioned: set[GroundAtom] = set()
-    for r in reducts:
-        mentioned |= gf_atoms(r)
+    atom_sets = [gf_atoms(r) for r in reducts]
+    mentioned: set[GroundAtom] = set().union(*atom_sets)
     # a removable true atom the reduct never mentions can always be dropped
     loose = removable - mentioned
     if loose:
@@ -752,7 +795,10 @@ def is_stable_ground(
     # assigning them up front only spares the search deciding them, which
     # takes 2.3 times the eval3_gf calls on the one-direction benchmark
     forced = {a: True for a in mentioned if a not in removable}
-    status, here = find_model(reducts + [drop], MAX_STABLE_NODES, forced)
+    # the search decides only removable atoms, so each reduct's decision
+    # order is its share of ``variables``
+    orders = [[a for a in variables if a in atoms] for atoms in atom_sets]
+    status, here = find_model(reducts + [drop], MAX_STABLE_NODES, forced, orders + [variables])
     if status == "unknown":
         raise ResourceCapExceeded("stability countermodel search exceeded its node cap")
     if status == "unsat":
@@ -777,14 +823,18 @@ def stable_candidate_table(
     region_gf: dict[GroundAtom, GF],
     required_false: Iterable[GroundAtom] = (),
 ) -> int:
-    """Necessary conditions for stability, bit-parallel over the space.
+    """Necessary conditions for stability, bit-parallel over one block of
+    the space.
 
     Keeps assignments that satisfy the theory classically, set every
     ``required_false`` atom to false, and give every true atom inside the
-    droppable region a strictly positive supporting occurrence.  Every stable
+    droppable region a strictly positive supporting occurrence; the atoms
+    fixed by the block are checked like the varying ones.  Every stable
     model passes this filter; survivors still need the exact check.  The
     formulas in ``gfs`` and ``region_gf`` may mention only atoms of the
-    space (see ``GroundProblem.restrict``).
+    space (see ``GroundProblem.restrict``).  Callers run it on each block
+    of :meth:`TableSpace.blocks`, so no table is wider than
+    ``2 ** BLOCK_ATOMS`` bits.
     """
     good = space.theory_table(gfs)
     for a in required_false:

@@ -260,10 +260,10 @@ class GroundProblem:
     ) -> list[frozenset[GroundAtom]]:
         """The true atoms of every stable model, in a fixed order.
 
-        The search covers the candidate atoms only: the bit-parallel
-        prefilter keeps the classical models that give every true atom in
-        the region a supporting occurrence, and the exact check decides the
-        survivors.  Raises :class:`engine.ResourceCapExceeded` beyond
+        The search covers the candidate atoms only, one block of the
+        truth-table space at a time: the bit-parallel prefilter keeps the
+        classical models that give every true atom in the region a
+        supporting occurrence, and the exact check decides the survivors.  Raises :class:`engine.ResourceCapExceeded` beyond
         ``atom_cap`` candidate atoms.
         """
         atoms = sorted(self.atoms, key=atom_sort_key)
@@ -275,13 +275,13 @@ class GroundProblem:
         if any(g == engine.FALSE_GF for g in problem.gfs):
             return []
 
-        space = engine.TableSpace(atoms)
-        good = engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
         models = []
-        for k in space.indices(good):
-            true_atoms = space.atoms_at(k)
-            if problem.is_stable(true_atoms):
-                models.append(true_atoms)
+        for space in engine.TableSpace.blocks(atoms):
+            good = engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
+            for k in space.indices(good):
+                true_atoms = space.atoms_at(k)
+                if problem.is_stable(true_atoms):
+                    models.append(true_atoms)
         models.sort(key=lambda m: sorted(m, key=atom_sort_key))
         return models
 
@@ -339,33 +339,31 @@ def check_strong_equivalence(
     gfs1 = engine.ground_theory(structure, theory_sentences(theory1)) + em_gfs
     gfs2 = engine.ground_theory(structure, theory_sentences(theory2)) + em_gfs
 
-    space = engine.TableSpace(universe)
-    t1 = space.theory_table(gfs1)
-    t2 = space.theory_table(gfs2)
     domains_key = structure.domains
+    # the lowest classical difference is the counterexample wherever it lies,
+    # so every block is compared before any reduct is made
+    for space in engine.TableSpace.blocks(universe):
+        diff = space.theory_table(gfs1) ^ space.theory_table(gfs2)
+        if diff:
+            there = structure.with_atoms(space.atoms_at(space.lowest_index(diff)))
+            counter = HTInterpretation(atoms_of(there), there)
+            return StrongEquivalenceResult(False, counter, domains_key)
 
-    diff = t1 ^ t2
-    if diff:
-        k = space.lowest_index(diff)
-        there = structure.with_atoms(space.atoms_at(k))
-        counter = HTInterpretation(atoms_of(there), there)
-        return StrongEquivalenceResult(False, counter, domains_key)
-
-    for k in space.indices(t1 & t2):
-        true_atoms = space.atoms_at(k)
-        r1 = [engine.reduct(g, true_atoms) for g in gfs1]
-        r2 = [engine.reduct(g, true_atoms) for g in gfs2]
-        mentioned: set[GroundAtom] = set()
-        for r in r1 + r2:
-            mentioned |= engine.gf_atoms(r)
-        sub = engine.TableSpace(sorted(mentioned, key=atom_sort_key))
-        s1 = sub.theory_table(r1)
-        s2 = sub.theory_table(r2)
-        if s1 != s2:
-            j = sub.lowest_index(s1 ^ s2)
-            here = sub.atoms_at(j) | (true_atoms - mentioned)
-            there = structure.with_atoms(true_atoms)
-            return StrongEquivalenceResult(
-                False, HTInterpretation(frozenset(here), there), domains_key
-            )
+    # the classical models agree, so the first theory's table lists them
+    for space in engine.TableSpace.blocks(universe):
+        for k in space.indices(space.theory_table(gfs1)):
+            true_atoms = space.atoms_at(k)
+            r1 = [engine.reduct(g, true_atoms) for g in gfs1]
+            r2 = [engine.reduct(g, true_atoms) for g in gfs2]
+            mentioned: set[GroundAtom] = set()
+            for r in r1 + r2:
+                mentioned |= engine.gf_atoms(r)
+            for sub in engine.TableSpace.blocks(sorted(mentioned, key=atom_sort_key)):
+                diff = sub.theory_table(r1) ^ sub.theory_table(r2)
+                if diff:
+                    here = sub.atoms_at(sub.lowest_index(diff)) | (true_atoms - mentioned)
+                    there = structure.with_atoms(true_atoms)
+                    return StrongEquivalenceResult(
+                        False, HTInterpretation(frozenset(here), there), domains_key
+                    )
     return StrongEquivalenceResult(True, None, domains_key)

@@ -15,9 +15,9 @@ import htsplit
 from conftest import DATA, load, reference_ground_formula
 from htsplit import engine, interpretations, syntax
 from htsplit.depgraph import bounded_sat
-from htsplit.interpretations import FiniteInterpretation, atom_universe
+from htsplit.interpretations import FiniteInterpretation, atom_sort_key, atom_universe
 from htsplit.parser import parse_problem
-from htsplit.semantics import em_theory, ground_region, is_lambda_stable
+from htsplit.semantics import GroundProblem, em_theory, ground_region, is_lambda_stable
 from htsplit.syntax import (
     INT_SORT,
     Atom,
@@ -202,6 +202,36 @@ def test_table_indices_match_a_bit_loop():
         tables += [rng.getrandbits(space.width) for _ in range(20)]
         for table in tables:
             assert space.indices(table) == _naive_indices(table, space.width)
+
+
+def test_stability_search_order_is_the_one_find_model_takes_by_itself(
+    monkeypatch, blocks_split_problem
+):
+    # is_stable_ground hands find_model each reduct's decision order; the
+    # search must reach the same answer and witness as when it walks and
+    # sorts the reducts itself
+    original = engine.find_model
+    searches = []
+
+    def both(gfs, node_cap, forced, atom_orders):
+        result = original(gfs, node_cap, forced, atom_orders)
+        assert result == original(gfs, node_cap, forced)
+        searches.append(result[0])
+        return result
+
+    monkeypatch.setattr(engine, "find_model", both)
+    problem = blocks_split_problem
+    structure = FiniteInterpretation.make(problem.signature, problem.domains())
+    ground = GroundProblem.ground(
+        structure, problem.group("lt") + problem.group("gt"), problem.default_lambda
+    )
+    atoms = sorted(ground.atoms, key=atom_sort_key)
+    ground = ground.restrict(frozenset(atoms))
+    for space in engine.TableSpace.blocks(atoms):
+        # the first classical models of each block; few reach the search
+        for k in space.indices(space.theory_table(ground.gfs))[:20]:
+            ground.is_stable(space.atoms_at(k))
+    assert "sat" in searches and "unsat" in searches
 
 
 def test_stability_node_cap_is_read_at_call_time(monkeypatch, four_models_problem):
