@@ -43,7 +43,6 @@ class RunConfig:
     lambda_name: str = "default"
     partition_names: tuple[str, ...] = ()
     context_name: Optional[str] = None
-    approx_name: Optional[str] = None
     part_names: tuple[str, ...] = ()
     verify: bool = False
     cap: int = 1 << engine.DEFAULT_ATOM_CAP
@@ -55,7 +54,8 @@ class RunConfig:
 
     @property
     def atom_cap(self) -> int:
-        return max(1, (self.cap - 1).bit_length())
+        """The most atoms whose interpretations, 2 ** atoms, fit the cap."""
+        return self.cap.bit_length() - 1
 
 
 def _load(config: RunConfig) -> ProblemFile:
@@ -77,12 +77,9 @@ def _partition(problem: ProblemFile, config: RunConfig) -> Partition:
 
 
 def _context(problem: ProblemFile, config: RunConfig) -> list:
-    names = {n for n in (config.context_name, config.approx_name) if n is not None}
-    if len(names) > 1:
-        raise KeyError("--context and --approx must agree when both are given")
-    if not names:
+    if config.context_name is None:
         return []
-    return problem.context(names.pop())
+    return problem.context(config.context_name)
 
 
 def _emit(config: RunConfig, text_lines: list[str], payload: dict) -> None:
@@ -392,7 +389,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", required=True, help="comma-separated #group names")
     p.add_argument("--partition", required=True, help="comma-separated #part names")
     p.add_argument("--context", dest="context_name")
-    p.add_argument("--approx", dest="approx_name")
     p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("selftest", help="randomized library self-checks")
@@ -412,7 +408,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             n for n in getattr(args, "partition", "").split(",") if n
         ),
         context_name=getattr(args, "context_name", None),
-        approx_name=getattr(args, "approx_name", None),
         part_names=tuple(n for n in getattr(args, "parts", "").split(",") if n),
         verify=getattr(args, "verify", False),
         cap=args.cap,

@@ -15,10 +15,12 @@ the atom universe grounds to false.  On top of that this module provides:
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
   property suite);
-* bit-parallel truth tables over a candidate atom list, one block of at
-  most ``2 ** BLOCK_ATOMS`` assignments at a time (the low atoms vary, the
-  others are fixed per block), and the prefilter built on them, which keeps
-  only assignments that could be stable models;
+* bit-parallel truth tables over a candidate atom list, and the prefilter
+  built on them, which keeps only assignments that could be stable models;
+  :func:`scan` is the one place that knows the space is walked in blocks of
+  at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary, the others
+  are fixed per block): its callers pass a table per block and get back the
+  true atoms of each kept assignment;
 * the exact minimality check of one candidate, a :func:`find_model` query:
   does the reduct have a model that drops some removable true atom?
 
@@ -629,7 +631,7 @@ class TableSpace:
     the block number is set.  An assignment's global index has bit ``i`` set
     iff atom ``i`` is true, and a table is a Python int whose bit ``k``
     gives the formula's value under the block's assignment of global index
-    ``base + k``.  :meth:`blocks` lists the blocks of a space.
+    ``base + k``.  :func:`scan` walks the blocks of a space.
     """
 
     def __init__(
@@ -645,15 +647,6 @@ class TableSpace:
         self.width = 1 << self.low
         self.mask = (1 << self.width) - 1
         self._atom_tables: dict[int, int] = {} if low_tables is None else low_tables
-
-    @classmethod
-    def blocks(cls, atoms: Sequence[GroundAtom]) -> Iterator["TableSpace"]:
-        """The blocks of the space over ``atoms``, in ascending order of
-        their global indices.  They share the tables of the varying atoms."""
-        atoms = list(atoms)
-        low_tables: dict[int, int] = {}
-        for block in range(1 << max(0, len(atoms) - BLOCK_ATOMS)):
-            yield cls(atoms, block, low_tables)
 
     def atom_table(self, i: int) -> int:
         if i >= self.low:
@@ -705,13 +698,28 @@ class TableSpace:
                 byte ^= low
         return out
 
-    def lowest_index(self, table: int) -> int:
-        """Global index of the lowest set bit of a nonzero table."""
-        return self.base + (table & -table).bit_length() - 1
 
-    def atoms_at(self, k: int) -> frozenset[GroundAtom]:
-        """The true atoms of the assignment of global index ``k``."""
-        return frozenset(a for i, a in enumerate(self.atoms) if (k >> i) & 1)
+def scan(
+    atoms: Sequence[GroundAtom], table_of: Callable[[TableSpace], int]
+) -> Iterator[frozenset[GroundAtom]]:
+    """The true atoms of every assignment to ``atoms`` whose bit is set in
+    the table ``table_of`` builds for its block, in ascending order of
+    global index.
+
+    The blocks come in ascending order and share the tables of the varying
+    atoms.  A block's table is built only once the previous block's
+    assignments have been taken, so no table is wider than
+    ``2 ** BLOCK_ATOMS`` bits and a caller that stops early builds no later
+    table.
+    """
+    atoms = list(atoms)
+    low_tables: dict[int, int] = {}
+    for block in range(1 << max(0, len(atoms) - BLOCK_ATOMS)):
+        space = TableSpace(atoms, block, low_tables)
+        table = table_of(space)
+        if table:
+            for k in space.indices(table):
+                yield frozenset(a for i, a in enumerate(atoms) if (k >> i) & 1)
 
 
 def posin_tables(
@@ -821,26 +829,21 @@ def stable_candidate_table(
     space: TableSpace,
     gfs: Sequence[GF],
     region_gf: dict[GroundAtom, GF],
-    required_false: Iterable[GroundAtom] = (),
 ) -> int:
     """Necessary conditions for stability, bit-parallel over one block of
-    the space.
+    the space; callers hand it to :func:`scan`, which walks the blocks.
 
-    Keeps assignments that satisfy the theory classically, set every
-    ``required_false`` atom to false, and give every true atom inside the
-    droppable region a strictly positive supporting occurrence; the atoms
-    fixed by the block are checked like the varying ones.  Every stable
-    model passes this filter; survivors still need the exact check.  The
-    formulas in ``gfs`` and ``region_gf`` may mention only atoms of the
-    space (see ``GroundProblem.restrict``).  Callers run it on each block
-    of :meth:`TableSpace.blocks`, so no table is wider than
-    ``2 ** BLOCK_ATOMS`` bits.
+    Keeps assignments that satisfy the theory classically and give every
+    true atom inside the droppable region a strictly positive supporting
+    occurrence; the atoms fixed by the block are checked like the varying
+    ones.  Every stable model passes this filter; survivors still need the
+    exact check.  The formulas in ``gfs`` and ``region_gf`` may mention
+    only atoms of the space (see ``GroundProblem.restrict``).  An atom of
+    the space that is none of the problem's candidates lies inside the
+    region (else its excluded-middle sentence would make it a candidate)
+    and has no strictly positive occurrence, so no survivor makes it true.
     """
     good = space.theory_table(gfs)
-    for a in required_false:
-        good &= space.mask ^ space.atom_table(space.index[a])
-        if not good:
-            return 0
     if good:
         support = posin_tables(space, gfs, frozenset(space.atoms))
         for a in space.atoms:

@@ -100,9 +100,6 @@ class FiniteInterpretation:
             self.signature, self.domains, frozenset(true_atoms), self.function_tables
         )
 
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.true_atoms))
-
     def __repr__(self) -> str:  # keep pytest output readable
         return f"FiniteInterpretation({format_atom_set(self.true_atoms)})"
 

@@ -260,11 +260,12 @@ class GroundProblem:
     ) -> list[frozenset[GroundAtom]]:
         """The true atoms of every stable model, in a fixed order.
 
-        The search covers the candidate atoms only, one block of the
-        truth-table space at a time: the bit-parallel prefilter keeps the
-        classical models that give every true atom in the region a
-        supporting occurrence, and the exact check decides the survivors.  Raises :class:`engine.ResourceCapExceeded` beyond
-        ``atom_cap`` candidate atoms.
+        The search covers the candidate atoms only: :func:`engine.scan`
+        lists the survivors of the bit-parallel prefilter, the classical
+        models that give every true atom in the region a supporting
+        occurrence, and the exact check decides them.  Raises
+        :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` candidate
+        atoms.
         """
         atoms = sorted(self.atoms, key=atom_sort_key)
         if len(atoms) > atom_cap:
@@ -275,13 +276,11 @@ class GroundProblem:
         if any(g == engine.FALSE_GF for g in problem.gfs):
             return []
 
-        models = []
-        for space in engine.TableSpace.blocks(atoms):
-            good = engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
-            for k in space.indices(good):
-                true_atoms = space.atoms_at(k)
-                if problem.is_stable(true_atoms):
-                    models.append(true_atoms)
+        survivors = engine.scan(
+            atoms,
+            lambda space: engine.stable_candidate_table(space, problem.gfs, problem.region_gf),
+        )
+        models = [m for m in survivors if problem.is_stable(m)]
         models.sort(key=lambda m: sorted(m, key=atom_sort_key))
         return models
 
@@ -341,29 +340,30 @@ def check_strong_equivalence(
 
     domains_key = structure.domains
     # the lowest classical difference is the counterexample wherever it lies,
-    # so every block is compared before any reduct is made
-    for space in engine.TableSpace.blocks(universe):
-        diff = space.theory_table(gfs1) ^ space.theory_table(gfs2)
-        if diff:
-            there = structure.with_atoms(space.atoms_at(space.lowest_index(diff)))
-            counter = HTInterpretation(atoms_of(there), there)
-            return StrongEquivalenceResult(False, counter, domains_key)
+    # so the whole space is compared before any reduct is made
+    classical = engine.scan(
+        universe, lambda space: space.theory_table(gfs1) ^ space.theory_table(gfs2)
+    )
+    true_atoms = next(classical, None)
+    if true_atoms is not None:
+        there = structure.with_atoms(true_atoms)
+        return StrongEquivalenceResult(False, HTInterpretation(true_atoms, there), domains_key)
 
-    # the classical models agree, so the first theory's table lists them
-    for space in engine.TableSpace.blocks(universe):
-        for k in space.indices(space.theory_table(gfs1)):
-            true_atoms = space.atoms_at(k)
-            r1 = [engine.reduct(g, true_atoms) for g in gfs1]
-            r2 = [engine.reduct(g, true_atoms) for g in gfs2]
-            mentioned: set[GroundAtom] = set()
-            for r in r1 + r2:
-                mentioned |= engine.gf_atoms(r)
-            for sub in engine.TableSpace.blocks(sorted(mentioned, key=atom_sort_key)):
-                diff = sub.theory_table(r1) ^ sub.theory_table(r2)
-                if diff:
-                    here = sub.atoms_at(sub.lowest_index(diff)) | (true_atoms - mentioned)
-                    there = structure.with_atoms(true_atoms)
-                    return StrongEquivalenceResult(
-                        False, HTInterpretation(frozenset(here), there), domains_key
-                    )
+    # the classical models agree, so the first theory's tables list them
+    for true_atoms in engine.scan(universe, lambda space: space.theory_table(gfs1)):
+        r1 = [engine.reduct(g, true_atoms) for g in gfs1]
+        r2 = [engine.reduct(g, true_atoms) for g in gfs2]
+        mentioned: set[GroundAtom] = set()
+        for r in r1 + r2:
+            mentioned |= engine.gf_atoms(r)
+        reducts = engine.scan(
+            sorted(mentioned, key=atom_sort_key),
+            lambda sub: sub.theory_table(r1) ^ sub.theory_table(r2),
+        )
+        here = next(reducts, None)
+        if here is not None:
+            there = structure.with_atoms(true_atoms)
+            return StrongEquivalenceResult(
+                False, HTInterpretation(here | (true_atoms - mentioned), there), domains_key
+            )
     return StrongEquivalenceResult(True, None, domains_key)

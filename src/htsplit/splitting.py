@@ -222,10 +222,10 @@ def verify_split(
 
     The scan covers every interpretation that could belong to either side:
     an interpretation making an atom true that no side can support belongs to
-    neither, so the two sides trivially agree on it.  The scan runs one
-    block of the truth-table space at a time: candidate survivors of the
-    block's bit-parallel necessary-condition filters are rechecked exactly
-    before the next block is filtered.
+    neither, so the two sides trivially agree on it.  :func:`engine.scan`
+    lists the survivors of either side's bit-parallel necessary-condition
+    filter in ascending order, and each is rechecked exactly as it comes, so
+    the first mismatch is the lowest one.
     """
     if len(parts) != len(partition.members):
         raise ValueError("one part per partition member is required")
@@ -250,7 +250,6 @@ def verify_split(
             f"verification space has {len(space_atoms)} atoms, cap is {atom_cap}"
         )
     allowed = frozenset(space_atoms)
-
     union_side = union_side.restrict(allowed)
     part_sides = [side.restrict(allowed) for side in part_sides]
     psi_restricted = [engine.restrict_false(g, allowed) for g in psi_gfs]
@@ -260,31 +259,20 @@ def verify_split(
             return False
         return all(side.is_stable(true_atoms) for side in part_sides)
 
-    # blocks come in ascending order, so the first mismatch is the same as
-    # over the whole space at once
-    for space in engine.TableSpace.blocks(space_atoms):
-        table_a = engine.stable_candidate_table(
-            space, union_side.gfs, union_side.region_gf, allowed - union_side.atoms
-        )
+    def either_side(space) -> int:
+        table_a = engine.stable_candidate_table(space, union_side.gfs, union_side.region_gf)
         table_b = space.theory_table(psi_restricted)
         for side in part_sides:
             if not table_b:
                 break
-            table_b &= engine.stable_candidate_table(
-                space, side.gfs, side.region_gf, allowed - side.atoms
-            )
-        for k in space.indices(table_a | table_b):
-            true_atoms = space.atoms_at(k)
-            a = union_side.is_stable(true_atoms)
-            b = in_side_b(true_atoms)
-            if a and not b:
-                return VerificationResult(
-                    "mismatch", structure.with_atoms(true_atoms), "union-only"
-                )
-            if b and not a:
-                return VerificationResult(
-                    "mismatch", structure.with_atoms(true_atoms), "parts-only"
-                )
+            table_b &= engine.stable_candidate_table(space, side.gfs, side.region_gf)
+        return table_a | table_b
+
+    for true_atoms in engine.scan(space_atoms, either_side):
+        a = union_side.is_stable(true_atoms)
+        if a != in_side_b(true_atoms):
+            side = "union-only" if a else "parts-only"
+            return VerificationResult("mismatch", structure.with_atoms(true_atoms), side)
     return VerificationResult("verified")
 
 

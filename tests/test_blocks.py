@@ -1,18 +1,23 @@
-"""The truth-table prefilter run block by block (``engine.BLOCK_ATOMS``):
-every verdict, model list, first mismatch and counterexample equals the
-one-block result, each block's tables are slices of the whole-space table,
-and no table is wider than a block."""
+"""The truth-table prefilter run block by block (``engine.BLOCK_ATOMS``)
+by ``engine.scan``: every verdict, model list, first mismatch and
+counterexample equals the one-block result, each block's tables are slices
+of the whole-space table, no table is wider than a block, and no module but
+the engine knows about blocks."""
 
+import pathlib
 import random
+import re
 
 import pytest
 
 from conftest import DATA
+import htsplit
 from htsplit import engine
 from htsplit.cli import main
 from htsplit.interpretations import FiniteInterpretation, atom_sort_key
 from htsplit.intensionality import IntensionalityStatement, Partition
 from htsplit.parser import parse_problem
+from htsplit.selftest import random_split_instance
 from htsplit.semantics import GroundProblem, check_strong_equivalence
 from htsplit.splitting import verify_split
 from htsplit.syntax import TOP, Atom, DomainName, Equality, Or, Variable
@@ -94,67 +99,151 @@ def test_block_results_equal_the_one_block_results_on_the_blocks_split(monkeypat
     assert _outcomes(parts, partition, lam, problem.domains()) == whole
 
 
+def _split_sides(structure, parts, partition):
+    """The union and part problems of a split, restricted to the atom list
+    ``verify_split`` scans, each with that list and the list's atoms that
+    are not the problem's candidates."""
+    union = GroundProblem.ground(structure, [s for p in parts for s in p], partition.target)
+    sides = [
+        GroundProblem.ground(structure, list(p), m) for p, m in zip(parts, partition.members)
+    ]
+    allowed = union.atoms | frozenset.intersection(*(side.atoms for side in sides))
+    atoms = sorted(allowed, key=atom_sort_key)
+    for side in [union] + sides:
+        yield side.restrict(allowed), atoms, allowed - side.atoms
+
+
 def _candidate_problems():
-    """Restricted problems with their atom lists and required-false atoms,
+    """Restricted problems with their atom lists and non-candidate atoms,
     as ``verify_split`` filters them: the blocks split at 0..1, and random
     strategy theories."""
     problem = _blocks_split(1)
     structure = FiniteInterpretation.make(problem.signature, problem.domains())
-    ground = [
-        GroundProblem.ground(structure, problem.group(g), problem.part(m))
-        for g, m in (("lt", "beta1"), ("gt", "beta2"))
-    ]
-    union = GroundProblem.ground(
-        structure, problem.group("lt") + problem.group("gt"), problem.default_lambda
+    parts = [problem.group("lt"), problem.group("gt")]
+    partition = Partition.of(
+        [problem.part("beta1"), problem.part("beta2")], target=problem.default_lambda
     )
-    out = [(union, ground[0].atoms | ground[1].atoms | union.atoms)]
+    yield from _split_sides(structure, parts, partition)
     structure = FiniteInterpretation.make(SIG, DOMAINS)
     for parts, _partition, lam in _strategy_cases(20, seed=5):
         union = GroundProblem.ground(structure, parts[0] + parts[1], lam)
-        out.append((union, frozenset(UNIVERSE)))
-    for side, allowed in out:
-        atoms = sorted(allowed, key=atom_sort_key)
-        yield side.restrict(allowed), atoms, allowed - side.atoms
+        allowed = frozenset(UNIVERSE)
+        yield union.restrict(allowed), sorted(allowed, key=atom_sort_key), allowed - union.atoms
+
+
+def _selftest_problems(count: int):
+    """The split sides of ``selftest``'s random program splits."""
+    rng = random.Random(0)
+    for _ in range(count):
+        instance = random_split_instance(rng)
+        structure = FiniteInterpretation.make(instance.signature, {})
+        yield from _split_sides(structure, instance.parts, instance.partition)
+
+
+def _block_tables(atoms, table_of) -> list:
+    """The blocks ``engine.scan`` walks over ``atoms``, with their tables."""
+    blocks = []
+    for _ in engine.scan(atoms, lambda space: blocks.append((space, table_of(space))) or 0):
+        pass
+    return blocks
+
+
+def _assignment(atoms, k: int) -> frozenset:
+    return frozenset(a for i, a in enumerate(atoms) if (k >> i) & 1)
 
 
 @pytest.mark.parametrize("block_atoms", [2, 3])
 def test_each_block_table_is_a_slice_of_the_whole_space_table(monkeypatch, block_atoms):
-    for problem, atoms, required_false in _candidate_problems():
+    for problem, atoms, _non_candidates in _candidate_problems():
+
+        def candidates(space):
+            return engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
+
         monkeypatch.setattr(engine, "BLOCK_ATOMS", WIDE)
-        (whole_space,) = engine.TableSpace.blocks(atoms)
-        whole = engine.stable_candidate_table(
-            whole_space, problem.gfs, problem.region_gf, required_false
-        )
+        ((_whole_space, whole),) = _block_tables(atoms, candidates)
         monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
-        blocks = list(engine.TableSpace.blocks(atoms))
+        blocks = _block_tables(atoms, candidates)
         assert len(blocks) == 1 << (len(atoms) - block_atoms)
-        for space in blocks:
-            table = engine.stable_candidate_table(
-                space, problem.gfs, problem.region_gf, required_false
-            )
+        for space, table in blocks:
             assert table == (whole >> space.base) & space.mask
+
+
+@pytest.mark.parametrize("block_atoms", [2, 3])
+def test_no_survivor_makes_a_non_candidate_true(monkeypatch, block_atoms):
+    # a non-candidate atom has no excluded-middle sentence and no strictly
+    # positive occurrence, so the support condition alone makes it false
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
+    seen = 0
+    for problem, atoms, non_candidates in [*_candidate_problems(), *_selftest_problems(60)]:
+        for name in non_candidates:
+            assert problem.region_gf[name] == engine.TRUE_GF
+        survivors = engine.scan(
+            atoms, lambda space: engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
+        )
+        for true_atoms in survivors:
+            assert not true_atoms & non_candidates
+            seen += bool(non_candidates)
+    assert seen >= 20  # survivors of problems that have non-candidates
 
 
 @pytest.mark.parametrize("block_atoms", [2, 3])
 def test_blocks_cover_every_assignment_in_ascending_order(monkeypatch, block_atoms):
     monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
     atoms = [("p", (i,)) for i in range(block_atoms + 3)]
-    listed = []
-    for space in engine.TableSpace.blocks(atoms):
+    spaces = []
+    listed = list(engine.scan(atoms, lambda space: spaces.append(space) or space.mask))
+    assert listed == [_assignment(atoms, k) for k in range(1 << len(atoms))]
+    assert listed[-1] == frozenset(atoms)  # the last block
+    assert [space.block for space in spaces] == list(range(1 << 3))
+    for space in spaces:
         assert space.width == 1 << block_atoms
-        indices = space.indices(space.mask)
-        listed += indices
-        for j, k in enumerate(indices):
-            true_atoms = space.atoms_at(k)
-            assert true_atoms == {a for i, a in enumerate(atoms) if (k >> i) & 1}
-            # bit j of each atom's table agrees with the assignment at k
+        for j in range(space.width):
+            # bit j of each atom's table agrees with the assignment it lists
             for i, a in enumerate(atoms):
-                assert (space.atom_table(i) >> j) & 1 == (a in true_atoms)
-        assert space.lowest_index(1 << (space.width - 1)) == indices[-1]
-    assert listed == list(range(1 << len(atoms)))
-    assert space.atoms_at(listed[-1]) == frozenset(atoms)  # the last block
+                assert (space.atom_table(i) >> j) & 1 == (a in listed[space.base + j])
+    # random tables, with empty blocks among them, keep the whole order
+    rng = random.Random(block_atoms)
+    n = 1 << len(atoms)
+    for _ in range(20):
+        whole = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        listed = list(engine.scan(atoms, lambda space: (whole >> space.base) & space.mask))
+        assert listed == [_assignment(atoms, k) for k in range(n) if (whole >> k) & 1]
     with pytest.raises(ValueError):
         engine.TableSpace(atoms, 1 << 3)
+
+
+@pytest.mark.parametrize("block_atoms", [2, 3])
+def test_the_first_assignment_scan_yields_is_the_lowest_set_bit(monkeypatch, block_atoms):
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
+    atoms = [("p", (i,)) for i in range(block_atoms + 3)]
+    n = 1 << len(atoms)
+    rng = random.Random(block_atoms)
+    # a single bit anywhere, and random tables whose lowest bits are clear
+    wholes = [0] + [1 << k for k in range(n)] + [rng.getrandbits(n - k) << k for k in range(n)]
+    for whole in wholes:
+        first = next(engine.scan(atoms, lambda space: (whole >> space.base) & space.mask), None)
+        if whole:
+            assert first == _assignment(atoms, (whole & -whole).bit_length() - 1)
+        else:
+            assert first is None
+
+
+def test_scan_builds_a_block_table_only_once_the_block_before_is_consumed(monkeypatch):
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", 2)
+    atoms = [("p", (i,)) for i in range(5)]
+    built = []
+    survivors = engine.scan(atoms, lambda space: built.append(space.block) or space.mask)
+    assert built == []
+    for k, _true_atoms in enumerate(survivors):
+        assert built == list(range(k // 4 + 1))
+    assert built == list(range(8))
+
+
+def test_only_the_engine_names_blocks_or_table_spaces():
+    src = pathlib.Path(htsplit.__file__).parent
+    for name in ("semantics.py", "splitting.py", "cli.py"):
+        text = (src / name).read_text(encoding="utf-8")
+        assert not re.search(r"TableSpace|BLOCK_ATOMS|\.indices\b|atoms_at", text), name
 
 
 def test_no_table_is_wider_than_a_block(monkeypatch, tmp_path, capsys):

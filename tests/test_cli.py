@@ -4,9 +4,13 @@ import json
 
 import pathlib
 
+import pytest
 
+from conftest import load
 from htsplit import engine
 from htsplit.cli import main
+from htsplit.interpretations import FiniteInterpretation
+from htsplit.semantics import GroundProblem
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -40,6 +44,18 @@ def test_models_cap_exceeded_is_exit_3(capsys):
     code, _out, err = run(capsys, "models", DATA / "blocks_split.htsplit", "--cap", "16")
     assert code == 3
     assert "inconclusive" in err
+
+
+@pytest.mark.parametrize("name", ["four_models.htsplit", "range_edge.htsplit", "meta.htsplit"])
+def test_models_cap_admits_the_atoms_whose_interpretations_fit(capsys, name):
+    # --cap counts interpretations: n candidate atoms need a cap of 2^n
+    problem = load(name)
+    structure = FiniteInterpretation.make(problem.signature, problem.domains())
+    n = len(GroundProblem.ground(structure, problem.theory(), problem.default_lambda).atoms)
+    code, _out, err = run(capsys, "models", DATA / name, "--cap", (1 << n) - 1)
+    assert code == 3 and f"has {n} atoms, cap is {n - 1}" in err
+    code, _out, err = run(capsys, "models", DATA / name, "--cap", 1 << n)
+    assert code == 0 and err == ""
 
 
 def test_models_past_the_stability_node_cap_is_exit_3(capsys, monkeypatch):

@@ -227,10 +227,17 @@ def test_stability_search_order_is_the_one_find_model_takes_by_itself(
     )
     atoms = sorted(ground.atoms, key=atom_sort_key)
     ground = ground.restrict(frozenset(atoms))
-    for space in engine.TableSpace.blocks(atoms):
-        # the first classical models of each block; few reach the search
-        for k in space.indices(space.theory_table(ground.gfs))[:20]:
-            ground.is_stable(space.atoms_at(k))
+
+    def first_classical_models(space):
+        # the first 20 classical models of each block; few reach the search
+        table, kept = space.theory_table(ground.gfs), 0
+        for _ in range(20):
+            kept |= table & -table
+            table &= table - 1
+        return kept
+
+    for true_atoms in engine.scan(atoms, first_classical_models):
+        ground.is_stable(true_atoms)
     assert "sat" in searches and "unsat" in searches
 
 
