@@ -447,6 +447,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the parser and the grounder recurse once per nested connective
         print("inconclusive: formulas nest too deeply for the recursive parser and grounder", file=sys.stderr)
         return INCONCLUSIVE
+    except MemoryError:
+        print("inconclusive: out of memory", file=sys.stderr)
+        return INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -15,6 +15,9 @@ the atom universe grounds to false.  On top of that this module provides:
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
   property suite);
+* the conjuncts of a ground theory (:func:`conjuncts`), on which strong
+  equivalence compares two theories: the shared ones cancel out, and the
+  reduct of each conjunct depends only on the values of its own atoms;
 * bit-parallel truth tables over a candidate atom list, and the prefilter
   built on them, which keeps only assignments that could be stable models;
   :func:`scan` is the one place that knows the space is walked in blocks of
@@ -396,6 +399,21 @@ def _connective(op, lhs: Callable[[Env], GF], rhs: Callable[[Env], GF]) -> Compi
         return op(left, rhs(env))
 
     return connective
+
+
+def conjuncts(gfs: Iterable[GF]) -> list[GF]:
+    """The conjuncts of ``gfs``: top-level ``and`` nodes flattened, left to
+    right, with ⊤ dropped and each conjunct kept at its first occurrence."""
+    out: dict[GF, None] = {}
+    stack = list(gfs)[::-1]
+    while stack:
+        g = stack.pop()
+        if g[0] == "and":
+            stack.append(g[2])
+            stack.append(g[1])
+        elif g != TRUE_GF:
+            out[g] = None
+    return list(out)
 
 
 def gf_atoms(gf: GF) -> set[GroundAtom]:

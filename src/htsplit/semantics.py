@@ -326,7 +326,22 @@ def check_strong_equivalence(
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> StrongEquivalenceResult:
     """Compare the HT-models of the two theories extended with the
-    excluded-middle sentences of the statement, over the declared domains."""
+    excluded-middle sentences of the statement, over the declared domains.
+
+    The cap applies to the atom universe, before anything is grounded.  The
+    ground theories are compared by their :func:`engine.conjuncts`: S, the
+    conjuncts they share, and A and B, those of the first and of the second
+    theory only.  HT conjunction is idempotent and commutative, so where A
+    and B are empty the theories are one formula.  Otherwise the lowest
+    classical model of ``S ∧ (A ⊕ B)`` is the counterexample, with H = T.
+    Failing one, each classical model T is taken in ascending order, and
+    each conjunct's reduct comes from a cache keyed by the conjunct and the
+    values its atoms take in T, on which alone the reduct depends.  Where
+    the non-⊤ reducts of A and B are the same set, no here-world tells the
+    theories apart; elsewhere the lowest H over the atoms the reducts
+    mention that satisfies ``rS ∧ (rA ⊕ rB)``, plus the atoms of T that they
+    do not mention, is the counterexample.
+    """
     signature = lam.signature
     structure = FiniteInterpretation.make(signature, domains)
     universe = atom_universe(signature, structure.domain_map())
@@ -335,32 +350,59 @@ def check_strong_equivalence(
             f"strong-equivalence space has {len(universe)} atoms, cap is {atom_cap}"
         )
     _region, em_gfs = ground_region(structure, lam)
-    gfs1 = engine.ground_theory(structure, theory_sentences(theory1)) + em_gfs
-    gfs2 = engine.ground_theory(structure, theory_sentences(theory2)) + em_gfs
+    first = engine.conjuncts(engine.ground_theory(structure, theory_sentences(theory1)) + em_gfs)
+    second = engine.conjuncts(engine.ground_theory(structure, theory_sentences(theory2)) + em_gfs)
+    in_first, in_second = set(first), set(second)
+    shared = [g for g in first if g in in_second]
+    only1 = [g for g in first if g not in in_second]
+    only2 = [g for g in second if g not in in_first]
 
     domains_key = structure.domains
+    if not only1 and not only2:
+        return StrongEquivalenceResult(True, None, domains_key)
+
+    def difference(space, s, a, b) -> int:
+        return space.theory_table(s) & (space.theory_table(a) ^ space.theory_table(b))
+
     # the lowest classical difference is the counterexample wherever it lies,
     # so the whole space is compared before any reduct is made
-    classical = engine.scan(
-        universe, lambda space: space.theory_table(gfs1) ^ space.theory_table(gfs2)
-    )
+    classical = engine.scan(universe, lambda space: difference(space, shared, only1, only2))
     true_atoms = next(classical, None)
     if true_atoms is not None:
         there = structure.with_atoms(true_atoms)
         return StrongEquivalenceResult(False, HTInterpretation(true_atoms, there), domains_key)
 
+    # a conjunct's reduct depends only on the values its own atoms take in T,
+    # so each conjunct keeps its reducts, with their atoms, by those values
+    def cached(gs: list[engine.GF]) -> list:
+        return [(g, frozenset(engine.gf_atoms(g)), {}) for g in gs]
+
+    def reducts(parts: list, true_atoms: frozenset[GroundAtom]) -> list:
+        out = []
+        for g, atoms, cache in parts:
+            values = atoms & true_atoms
+            hit = cache.get(values)
+            if hit is None:
+                r = engine.reduct(g, true_atoms)
+                hit = cache[values] = (r, engine.gf_atoms(r))
+            out.append(hit)
+        return out
+
+    parts_s, parts_a, parts_b = cached(shared), cached(only1), cached(only2)
     # the classical models agree, so the first theory's tables list them
-    for true_atoms in engine.scan(universe, lambda space: space.theory_table(gfs1)):
-        r1 = [engine.reduct(g, true_atoms) for g in gfs1]
-        r2 = [engine.reduct(g, true_atoms) for g in gfs2]
-        mentioned: set[GroundAtom] = set()
-        for r in r1 + r2:
-            mentioned |= engine.gf_atoms(r)
-        reducts = engine.scan(
+    for true_atoms in engine.scan(universe, lambda space: space.theory_table(first)):
+        hits_a, hits_b = reducts(parts_a, true_atoms), reducts(parts_b, true_atoms)
+        r_a, r_b = [r for r, _ in hits_a], [r for r, _ in hits_b]
+        if set(r_a) - {engine.TRUE_GF} == set(r_b) - {engine.TRUE_GF}:
+            continue  # no here-world tells the theories apart at T
+        hits_s = reducts(parts_s, true_atoms)
+        r_s = [r for r, _ in hits_s]
+        mentioned = set().union(*(m for _, m in hits_s + hits_a + hits_b))
+        heres = engine.scan(
             sorted(mentioned, key=atom_sort_key),
-            lambda sub: sub.theory_table(r1) ^ sub.theory_table(r2),
+            lambda sub: difference(sub, r_s, r_a, r_b),
         )
-        here = next(reducts, None)
+        here = next(heres, None)
         if here is not None:
             there = structure.with_atoms(true_atoms)
             return StrongEquivalenceResult(

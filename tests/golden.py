@@ -43,6 +43,9 @@ _STRONG_EQ = {
     "blocks_split.htsplit": [("lt", "gt")],
     "meta.htsplit": [("gamma1", "gamma2"), ("gamma1", "gamma3")],
     "strong_eq.htsplit": [("plain", "guarded"), ("plain", "early_only"), ("guarded", "early_only")],
+    "strong_eq_rewrites.htsplit": [
+        ("plain", "curried"), ("guarded", "curried"), ("plain", "dneg"), ("curried", "dneg"),
+    ],
 }
 
 

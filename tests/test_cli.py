@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from conftest import load
-from htsplit import engine
+from htsplit import cli, engine
 from htsplit.cli import main
 from htsplit.interpretations import FiniteInterpretation
 from htsplit.semantics import GroundProblem
@@ -390,3 +390,14 @@ def test_a_sentence_nested_past_the_recursion_limit_is_exit_3(capsys, tmp_path):
     source.write_text("pred p.\n" + "(" * 3000 + "p" + ")" * 3000 + ".\n")
     code, _out, err = run(capsys, "models", source)
     _assert_one_inconclusive_line(code, err)
+
+
+def test_running_out_of_memory_is_exit_3(capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_models", exhausted)
+    code, out, err = run(capsys, "models", DATA / "four_models.htsplit")
+    _assert_one_inconclusive_line(code, err)
+    assert err == "inconclusive: out of memory\n"
+    assert out == ""

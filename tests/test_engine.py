@@ -204,6 +204,27 @@ def test_table_indices_match_a_bit_loop():
             assert space.indices(table) == _naive_indices(table, space.width)
 
 
+def test_conjuncts_flatten_top_level_conjunctions_in_order():
+    a, b, c = (("atom", (name, ())) for name in "abc")
+    imp = ("imp", a, b)
+    inner_or = ("or", ("and", a, c), b)
+    nested = ("and", ("and", a, engine.TRUE_GF), ("and", imp, ("and", b, a)))
+    gfs = [nested, engine.TRUE_GF, c, inner_or, ("and", imp, c), engine.FALSE_GF]
+    # left to right, ⊤ dropped, a conjunct kept where it first occurs, and
+    # conjunctions below another connective left whole
+    assert engine.conjuncts(gfs) == [a, imp, b, c, inner_or, engine.FALSE_GF]
+    assert engine.conjuncts([]) == []
+    assert engine.conjuncts([engine.TRUE_GF, ("and", engine.TRUE_GF, engine.TRUE_GF)]) == []
+
+
+def test_conjuncts_of_a_chain_deeper_than_the_recursion_limit():
+    atoms = [("atom", ("p", (i,))) for i in range(5000)]
+    chain = atoms[0]
+    for atom in atoms[1:]:
+        chain = ("and", chain, atom)
+    assert engine.conjuncts([chain]) == atoms
+
+
 def test_stability_search_order_is_the_one_find_model_takes_by_itself(
     monkeypatch, blocks_split_problem
 ):

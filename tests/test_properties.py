@@ -49,6 +49,7 @@ from htsplit.syntax import (
     format_formula,
     format_rule,
     free_variables,
+    neg,
     substitute,
     theory_sentences,
 )
@@ -393,6 +394,89 @@ def test_enumeration_matches_brute_force_where_the_condition_leaves_the_range():
             if is_a_stable(i, theory, atoms_of_lambda(i, lam), method="direct-full")
         }
         assert fast == brute, (format_formula(condition), [format_formula(s) for s in theory])
+
+
+def _sharing_pair(rng, kind):
+    """Two theories that share sentences in the way ``kind`` names."""
+    from strategies import random_sentence
+
+    base = [random_sentence(rng, depth=2) for _ in range(rng.randint(1, 3))]
+    other = random_sentence(rng, depth=2)
+    if kind == "identical":
+        pair = (base, list(base))
+    elif kind == "extended":
+        pair = (base, base + [other])
+    elif kind == "replaced":
+        i = rng.randrange(len(base))
+        pair = (base, base[:i] + [other] + base[i + 1 :])
+    elif kind == "reordered":
+        pair = (base, rng.sample(base, len(base)))
+    elif kind == "negated twice":
+        # classically the same theory, so any difference is per model
+        i = rng.randrange(len(base))
+        pair = (base, base[:i] + [neg(neg(base[i]))] + base[i + 1 :])
+    elif kind == "restated":
+        # the same theory in HT, whose reducts still differ as formulas
+        i = rng.randrange(len(base))
+        pair = (base, base[:i] + [Or(base[i], base[i])] + base[i + 1 :])
+    else:
+        pair = (base, [random_sentence(rng, depth=2) for _ in range(rng.randint(1, 3))])
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def test_strong_equivalence_matches_the_definitional_check():
+    # the definitional check compares the HT-models (H, T), H ⊆ T, of the
+    # two theories extended with em_theory; these conditions hold no
+    # arithmetic, so em_theory is the ground region's excluded middle
+    import random
+
+    from htsplit.intensionality import IntensionalityStatement, lambda_bot
+    from htsplit.interpretations import FiniteInterpretation
+    from htsplit.semantics import check_strong_equivalence
+    from htsplit.syntax import Equality as Eq
+
+    x1 = Variable("X1", "s")
+    region = Or(Eq(x1, DomainName("d1", "s")), Atom("b", ()))  # d1 always, d2 iff b
+    statements = [
+        lambda_top(SIG),
+        lambda_bot(SIG),
+        IntensionalityStatement.make(SIG, {("u", 1): ((x1,), region), ("a", 0): ((), TOP)}),
+    ]
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    worlds = [
+        (t, h)
+        for t in _subsets(UNIVERSE)
+        for h in _subsets([a for a in UNIVERSE if a in t])
+    ]
+
+    def ht_models(theory, lam):
+        extended = theory_sentences(theory) + em_theory(lam)
+        return {
+            (h, t)
+            for t, h in worlds
+            if ht_satisfies_all(HTInterpretation(h, structure.with_atoms(t)), extended)
+        }
+
+    rng = random.Random(23)
+    seen = set()
+    for lam in statements:
+        for kind in (
+            "identical", "extended", "replaced", "reordered", "negated twice", "restated", "unrelated"
+        ):
+            for _ in range(30):
+                first, second = _sharing_pair(rng, kind)
+                text = (kind, [format_formula(f) for f in first], [format_formula(f) for f in second])
+                models1, models2 = ht_models(first, lam), ht_models(second, lam)
+                result = check_strong_equivalence(first, second, lam, DOMAINS)
+                assert result.equivalent == (models1 == models2), text
+                if result.equivalent:
+                    seen.add("equivalent")
+                    continue
+                here, there = result.counterexample.here, result.counterexample.there.true_atoms
+                assert here <= there, text
+                assert ((here, there) in models1) != ((here, there) in models2), text
+                seen.add("here < there" if here < there else "here = there")
+    assert seen == {"equivalent", "here < there", "here = there"}
 
 
 def test_splitting_invariants_under_interpretation_dependent_partitions():
