@@ -1,5 +1,11 @@
 """Command-line front end over ``.htsplit`` files.
 
+Each subcommand is one function that reads the parsed arguments and calls
+the library.  ``--format`` chooses text or JSON output on every subcommand
+but ``parse``; ``graph`` also prints ``dot-like``.  ``--cap N`` bounds the
+enumeration on the subcommands that enumerate, ``models``, ``ht-models``,
+``strong-eq`` and ``split``: a space over n atoms needs N ≥ 2^n.
+
 Exit codes: 0 success, 1 semantic failure (split rejected, counterexample
 found), 2 input error, 3 resource cap, recursion limit or inconclusive
 verdict.
@@ -8,59 +14,42 @@ verdict.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Iterable, Optional, Sequence
 
 from . import engine
 from .depgraph import graph_to_dot, graph_to_json, is_separable, program_dep_graph, theory_dep_graph
 from .intensionality import IntensionalityStatement, Partition
-from .interpretations import (
-    FiniteInterpretation,
-    format_atom,
-    atom_sort_key,
-    atom_universe,
-    format_atom_set,
-)
+from .interpretations import GroundAtom, format_atom, format_atom_set
 from .occurrences import PolarityError, TransformContext, atom_occurrences_with_polarity, fresh_variables
 from .parser import ParseError, ProblemFile, parse_problem, print_problem
 from .selftest import run_selftest
-from .semantics import GroundProblem, check_strong_equivalence, enumerate_lambda_stable_models
+from .semantics import check_strong_equivalence, enumerate_lambda_stable_models, ht_models
 from .splitting import SplitReport, check_split_program, check_split_theory, verify_split
 from .syntax import Rule, Statement, format_formula, theory_sentences
 
 OK, SEMANTIC_FAILURE, INPUT_ERROR, INCONCLUSIVE = 0, 1, 2, 3
 
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: the input file plus every selection flag."""
-
-    path: str
-    subcommand: str
-    lambda_name: str = "default"
-    partition_names: tuple[str, ...] = ()
-    context_name: Optional[str] = None
-    part_names: tuple[str, ...] = ()
-    verify: bool = False
-    cap: int = 1 << engine.DEFAULT_ATOM_CAP
-    output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.cap <= 0:
-            raise ValueError("the enumeration cap must be positive")
-
-    @property
-    def atom_cap(self) -> int:
-        """The most atoms whose interpretations, 2 ** atoms, fit the cap."""
-        return self.cap.bit_length() - 1
+INCONCLUSIVE_EDGES = "warning: some edges are present only because a search was inconclusive"
 
 
-def _load(config: RunConfig) -> ProblemFile:
-    with open(config.path, "r", encoding="utf-8") as handle:
+def _load(args: argparse.Namespace) -> ProblemFile:
+    with open(args.file, "r", encoding="utf-8") as handle:
         return parse_problem(handle.read())
+
+
+def _atom_cap(args: argparse.Namespace) -> int:
+    """The most atoms whose interpretations, 2 ** atoms, fit ``--cap``."""
+    if args.cap <= 0:
+        raise ValueError("the enumeration cap must be positive")
+    return args.cap.bit_length() - 1
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated name list, empty names dropped."""
+    return tuple(n for n in text.split(",") if n)
 
 
 def _lambda(problem: ProblemFile, name: str) -> IntensionalityStatement:
@@ -69,114 +58,75 @@ def _lambda(problem: ProblemFile, name: str) -> IntensionalityStatement:
     return problem.part(name)
 
 
-def _partition(problem: ProblemFile, config: RunConfig) -> Partition:
-    if not config.partition_names:
+def _partition(problem: ProblemFile, names: Sequence[str]) -> Partition:
+    if not names:
         raise KeyError("a --partition with member names is required")
-    members = [problem.part(name) for name in config.partition_names]
-    return Partition.of(members)
+    return Partition.of([problem.part(name) for name in names])
 
 
-def _context(problem: ProblemFile, config: RunConfig) -> list:
-    if config.context_name is None:
+def _context(problem: ProblemFile, name: Optional[str]) -> list:
+    if name is None:
         return []
-    return problem.context(config.context_name)
+    return problem.context(name)
 
 
-def _emit(config: RunConfig, text_lines: list[str], payload: dict) -> None:
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
+def _atom_names(atoms: Iterable[GroundAtom]) -> list[str]:
+    return sorted(format_atom(a) for a in atoms)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_parse(config: RunConfig) -> int:
-    problem = _load(config)
+def cmd_parse(args: argparse.Namespace) -> int:
+    problem = _load(args)
     sys.stdout.write(print_problem(problem))
     return OK
 
 
-def cmd_models(config: RunConfig) -> int:
-    problem = _load(config)
-    lam = _lambda(problem, config.lambda_name)
-    models = enumerate_lambda_stable_models(
-        problem.theory(), lam, problem.domains(), atom_cap=config.atom_cap
-    )
+def cmd_models(args: argparse.Namespace) -> int:
+    atom_cap = _atom_cap(args)
+    problem = _load(args)
+    lam = _lambda(problem, args.lambda_name)
+    models = enumerate_lambda_stable_models(problem.theory(), lam, problem.domains(), atom_cap)
     lines = [format_atom_set(m.true_atoms) for m in models]
-    _emit(
-        config,
-        lines,
-        {"models": [sorted(format_atom(a) for a in m.true_atoms) for m in models]},
-    )
+    _emit(args, lines, {"models": [_atom_names(m.true_atoms) for m in models]})
     return OK
 
 
-def cmd_ht_models(config: RunConfig) -> int:
-    problem = _load(config)
-    lam = _lambda(problem, config.lambda_name)
-    domains = problem.domains()
-    universe = atom_universe(problem.signature, domains)
-    if (1 << len(universe)) ** 2 > config.cap:
-        raise engine.ResourceCapExceeded(
-            f"ht-model space over {len(universe)} atoms exceeds the cap"
-        )
-    structure = FiniteInterpretation.make(problem.signature, domains)
-    gfs = GroundProblem.ground(structure, problem.theory(), lam).gfs
-    lines = []
-    pairs = []
-    for bits in itertools.product((False, True), repeat=len(universe)):
-        true_atoms = frozenset(a for a, bit in zip(universe, bits) if bit)
-        reducts = []
-        classical = True
-        for g in gfs:
-            value, r = engine.reduct_eval(g, true_atoms)
-            if not value:
-                classical = False
-                break
-            reducts.append(r)
-        if not classical:
-            continue
-        here_atoms = sorted(true_atoms, key=atom_sort_key)
-        for sub in itertools.product((False, True), repeat=len(here_atoms)):
-            here = frozenset(a for a, bit in zip(here_atoms, sub) if bit)
-            if all(engine.eval_gf(r, here) for r in reducts):
-                lines.append(f"here={format_atom_set(here)} there={format_atom_set(true_atoms)}")
-                pairs.append(
-                    {
-                        "here": sorted(format_atom(a) for a in here),
-                        "there": sorted(format_atom(a) for a in true_atoms),
-                    }
-                )
-    lines.sort()
-    _emit(config, lines, {"ht_models": pairs})
+def cmd_ht_models(args: argparse.Namespace) -> int:
+    atom_cap = _atom_cap(args)
+    problem = _load(args)
+    lam = _lambda(problem, args.lambda_name)
+    pairs = ht_models(problem.theory(), lam, problem.domains(), atom_cap)
+    lines = sorted(f"here={format_atom_set(h)} there={format_atom_set(t)}" for h, t in pairs)
+    payload = [{"here": _atom_names(h), "there": _atom_names(t)} for h, t in pairs]
+    _emit(args, lines, {"ht_models": payload})
     return OK
 
 
-def cmd_strong_eq(config: RunConfig, left: str, right: str) -> int:
-    problem = _load(config)
-    lam = _lambda(problem, config.lambda_name)
+def cmd_strong_eq(args: argparse.Namespace) -> int:
+    atom_cap = _atom_cap(args)
+    problem = _load(args)
+    lam = _lambda(problem, args.lambda_name)
     result = check_strong_equivalence(
-        problem.group(left),
-        problem.group(right),
-        lam,
-        problem.domains(),
-        atom_cap=config.atom_cap,
+        problem.group(args.left), problem.group(args.right), lam, problem.domains(), atom_cap
     )
     if result.equivalent:
-        _emit(
-            config,
-            ["equivalent (over the declared domains)"],
-            {"equivalent": True},
-        )
+        _emit(args, ["equivalent (over the declared domains)"], {"equivalent": True})
         return OK
     counter = result.counterexample
     assert counter is not None
     _emit(
-        config,
+        args,
         [
             "not equivalent",
             f"counterexample: here={format_atom_set(counter.here)}"
@@ -185,8 +135,8 @@ def cmd_strong_eq(config: RunConfig, left: str, right: str) -> int:
         {
             "equivalent": False,
             "counterexample": {
-                "here": sorted(format_atom(a) for a in counter.here),
-                "there": sorted(format_atom(a) for a in counter.there.true_atoms),
+                "here": _atom_names(counter.here),
+                "there": _atom_names(counter.there.true_atoms),
             },
         },
     )
@@ -210,16 +160,16 @@ def _resolve_occurrence(formula, selector: str):
     return occurrences[index - 1]
 
 
-def cmd_transform(config: RunConfig, formula_name: str, selector: str, variant: str) -> int:
-    problem = _load(config)
-    formula = problem.formula(formula_name)
-    psi = theory_sentences(_context(problem, config))
-    path, atom = _resolve_occurrence(formula, selector)
-    prefix = "$z" if variant == "pos" else "$y"
+def cmd_transform(args: argparse.Namespace) -> int:
+    problem = _load(args)
+    formula = problem.formula(args.formula)
+    psi = theory_sentences(_context(problem, args.context_name))
+    path, atom = _resolve_occurrence(formula, args.occurrence)
+    prefix = "$z" if args.variant == "pos" else "$y"
     fresh = fresh_variables(prefix, atom)
     ctx = TransformContext(problem.signature, problem.domains(), psi)
-    result = ctx.transform(formula, path, variant, fresh)
-    _emit(config, [format_formula(result)], {"transform": format_formula(result)})
+    result = ctx.transform(formula, path, args.variant, fresh)
+    _emit(args, [format_formula(result)], {"transform": format_formula(result)})
     return OK
 
 
@@ -228,10 +178,10 @@ def _is_program(statements: Sequence[Statement], psi: Sequence[Statement]) -> bo
     return not psi and all(isinstance(s, Rule) for s in statements)
 
 
-def cmd_graph(config: RunConfig) -> int:
-    problem = _load(config)
-    partition = _partition(problem, config)
-    psi = _context(problem, config)
+def cmd_graph(args: argparse.Namespace) -> int:
+    problem = _load(args)
+    partition = _partition(problem, args.partition)
+    psi = _context(problem, args.context_name)
     theory = problem.theory()
     if _is_program(theory, psi):
         graph = program_dep_graph(theory, partition, problem.domains())
@@ -240,9 +190,9 @@ def cmd_graph(config: RunConfig) -> int:
     inconclusive = any(
         w.inconclusive for _e, ws in graph.provenance for w in ws
     )
-    if config.output_format == "dot-like":
+    if args.format == "dot-like":
         print(graph_to_dot(graph))
-    elif config.output_format == "json":
+    elif args.format == "json":
         print(json.dumps(graph_to_json(graph), indent=2, sort_keys=True))
     else:
         print(f"{graph.kind} dependency graph")
@@ -255,7 +205,7 @@ def cmd_graph(config: RunConfig) -> int:
         if sep.mixed_cycle:
             print("mixed cycle: " + " -> ".join(graph.label(v) for v in sep.mixed_cycle))
     if inconclusive:
-        print("warning: some edges are present only because a search was inconclusive", file=sys.stderr)
+        print(INCONCLUSIVE_EDGES, file=sys.stderr)
         return INCONCLUSIVE
     return OK
 
@@ -290,41 +240,42 @@ def _report_lines(report: SplitReport, graph_labels) -> list[str]:
     return lines
 
 
-def cmd_split(config: RunConfig) -> int:
-    problem = _load(config)
-    partition = _partition(problem, config)
-    if len(config.part_names) != len(config.partition_names):
+def cmd_split(args: argparse.Namespace) -> int:
+    atom_cap = _atom_cap(args)
+    problem = _load(args)
+    partition = _partition(problem, args.partition)
+    if len(args.parts) != len(args.partition):
         raise KeyError("--parts and --partition need the same number of names")
-    parts = [problem.group(name) for name in config.part_names]
-    psi = _context(problem, config)
+    parts = [problem.group(name) for name in args.parts]
+    psi = _context(problem, args.context_name)
     domains = problem.domains()
 
     if _is_program([s for part in parts for s in part], psi):
-        report = check_split_program(
-            parts, partition, domains, part_names=list(config.part_names)
-        )
+        report = check_split_program(parts, partition, domains, part_names=list(args.parts))
     else:
         report = check_split_theory(
-            parts, partition, psi, domains, part_names=list(config.part_names)
+            parts, partition, psi, domains, part_names=list(args.parts), atom_cap=atom_cap
         )
-    if config.verify and report.hypotheses_pass:
-        outcome = verify_split(parts, partition, psi, domains, atom_cap=config.atom_cap)
+    if args.verify and report.hypotheses_pass:
+        outcome = verify_split(parts, partition, psi, domains, atom_cap=atom_cap)
         report = replace(report, verification=outcome)
 
-    _emit(config, _report_lines(report, report.graph.label), report.to_json())
+    _emit(args, _report_lines(report, report.graph.label), report.to_json())
+    if report.separability_unknown:
+        print(INCONCLUSIVE_EDGES, file=sys.stderr)
     if report.inconclusive:
         return INCONCLUSIVE
     if not report.hypotheses_pass:
         return SEMANTIC_FAILURE
-    if config.verify and not report.verification.verified:
+    if args.verify and not report.verification.verified:
         return SEMANTIC_FAILURE
     return OK
 
 
-def cmd_selftest(config: RunConfig, count: int, seed: int) -> int:
-    report = run_selftest(seed=seed, count=count)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    report = run_selftest(seed=args.seed, count=args.count)
     _emit(
-        config,
+        args,
         [report.summary()],
         {
             "checked": report.checked,
@@ -347,95 +298,59 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, with_file: bool = True) -> None:
+    def command(name: str, run, help_text: str, formats=("text", "json"), with_file=True, capped=False):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if with_file:
             p.add_argument("file", help="input .htsplit file")
-        p.add_argument("--format", choices=("text", "json", "dot-like"), default="text")
-        p.add_argument("--cap", type=int, default=1 << engine.DEFAULT_ATOM_CAP,
-                       help="search-space cap (number of interpretations)")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        if capped:
+            p.add_argument("--cap", type=int, default=1 << engine.DEFAULT_ATOM_CAP,
+                           help="search-space cap (number of interpretations)")
+        return p
 
-    p = sub.add_parser("parse", help="parse and reprint the file canonically")
-    common(p)
+    command("parse", cmd_parse, "parse and reprint the file canonically", formats=())
 
-    p = sub.add_parser("models", help="enumerate stable models under a statement")
-    common(p)
+    p = command("models", cmd_models, "enumerate stable models under a statement", capped=True)
     p.add_argument("--lambda", dest="lambda_name", default="default",
                    help="intensionality statement name (default: the #intensional one)")
 
-    p = sub.add_parser("ht-models", help="list two-world models of the extended theory")
-    common(p)
+    p = command("ht-models", cmd_ht_models, "list two-world models of the extended theory", capped=True)
     p.add_argument("--lambda", dest="lambda_name", default="default")
 
-    p = sub.add_parser("strong-eq", help="bounded strong-equivalence check of two groups")
-    common(p)
+    p = command("strong-eq", cmd_strong_eq, "bounded strong-equivalence check of two groups", capped=True)
     p.add_argument("--left", required=True, help="group name")
     p.add_argument("--right", required=True, help="group name")
     p.add_argument("--lambda", dest="lambda_name", default="default")
 
-    p = sub.add_parser("transform", help="print an occurrence transform")
-    common(p)
+    p = command("transform", cmd_transform, "print an occurrence transform")
     p.add_argument("--formula", required=True, help="#formula name")
     p.add_argument("--occurrence", required=True, help="selector like p or p#2")
     p.add_argument("--variant", required=True, choices=("pos", "pnn", "nnn"))
     p.add_argument("--context", dest="context_name")
 
-    p = sub.add_parser("graph", help="build a dependency graph")
-    common(p)
-    p.add_argument("--partition", required=True, help="comma-separated #part names")
+    p = command("graph", cmd_graph, "build a dependency graph", formats=("text", "json", "dot-like"))
+    p.add_argument("--partition", required=True, type=_names, help="comma-separated #part names")
     p.add_argument("--context", dest="context_name")
 
-    p = sub.add_parser("split", help="check the splitting hypotheses")
-    common(p)
-    p.add_argument("--parts", required=True, help="comma-separated #group names")
-    p.add_argument("--partition", required=True, help="comma-separated #part names")
+    p = command("split", cmd_split, "check the splitting hypotheses", capped=True)
+    p.add_argument("--parts", required=True, type=_names, help="comma-separated #group names")
+    p.add_argument("--partition", required=True, type=_names, help="comma-separated #part names")
     p.add_argument("--context", dest="context_name")
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("selftest", help="randomized library self-checks")
-    common(p, with_file=False)
+    p = command("selftest", cmd_selftest, "randomized library self-checks", with_file=False)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        path=getattr(args, "file", ""),
-        subcommand=args.subcommand,
-        lambda_name=getattr(args, "lambda_name", "default"),
-        partition_names=tuple(
-            n for n in getattr(args, "partition", "").split(",") if n
-        ),
-        context_name=getattr(args, "context_name", None),
-        part_names=tuple(n for n in getattr(args, "parts", "").split(",") if n),
-        verify=getattr(args, "verify", False),
-        cap=args.cap,
-        output_format=args.format,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        if args.subcommand == "parse":
-            return cmd_parse(config)
-        if args.subcommand == "models":
-            return cmd_models(config)
-        if args.subcommand == "ht-models":
-            return cmd_ht_models(config)
-        if args.subcommand == "strong-eq":
-            return cmd_strong_eq(config, args.left, args.right)
-        if args.subcommand == "transform":
-            return cmd_transform(config, args.formula, args.occurrence, args.variant)
-        if args.subcommand == "graph":
-            return cmd_graph(config)
-        if args.subcommand == "split":
-            return cmd_split(config)
-        if args.subcommand == "selftest":
-            return cmd_selftest(config, args.count, args.seed)
-        raise AssertionError(f"unhandled subcommand {args.subcommand}")
+        return args.run(args)
     except (OSError, ParseError, KeyError, ValueError, PolarityError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

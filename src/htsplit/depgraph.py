@@ -75,16 +75,16 @@ def bounded_sat(
     theory: Sequence[Statement],
     signature: Signature,
     domains: Domains,
-    node_cap: int = engine.DEFAULT_NODE_CAP,
 ) -> SatVerdict:
     """Exhaustive search for a model over the declared domains.
 
-    Decisive on closed domains unless the node cap is hit, in which case the
+    Decisive on closed domains unless the search passes
+    ``engine.DEFAULT_NODE_CAP`` nodes (read at call time), in which case the
     verdict is unknown.
     """
     structure = FiniteInterpretation.make(signature, domains)
     gfs = engine.ground_theory(structure, theory_sentences(theory))
-    status, atoms = engine.find_model(gfs, node_cap=node_cap)
+    status, atoms = engine.find_model(gfs, engine.DEFAULT_NODE_CAP)
     if status == "sat":
         return SatVerdict("sat", structure.with_atoms(atoms or frozenset()))
     return SatVerdict(status, None)
@@ -133,6 +133,11 @@ class DependencyGraph:
 
     def witnesses(self, edge: tuple[Vertex, Vertex]) -> tuple[EdgeWitness, ...]:
         return self._witnesses_of.get(edge, ())
+
+    def decisive(self) -> "DependencyGraph":
+        """The graph without the edges that only inconclusive searches keep."""
+        kept = tuple((e, ws) for e, ws in self.provenance if not all(w.inconclusive for w in ws))
+        return replace(self, edges=tuple(e for e, _ws in kept), provenance=kept)
 
 
 def _make_graph(
@@ -215,7 +220,6 @@ def _member_vertices(
     domains: Domains,
     psi: Sequence[Formula],
     predicates: Optional[set],
-    node_cap: int,
 ) -> tuple[list[Vertex], dict[Vertex, str]]:
     """Pairs (p, i) whose member condition is satisfiable together with psi."""
     vertices: list[Vertex] = []
@@ -225,7 +229,7 @@ def _member_vertices(
         for i, member in enumerate(partition.members):
             variables, condition = member.entry(key)
             closed = exists_over(variables, condition)
-            verdict = bounded_sat(list(psi) + [closed], signature, domains, node_cap)
+            verdict = bounded_sat(list(psi) + [closed], signature, domains)
             if verdict.status != "unsat":
                 vertex = (key, i)
                 vertices.append(vertex)
@@ -240,7 +244,6 @@ def _dependency_graph(
     psi_sentences: Sequence[Formula],
     domains: Domains,
     predicates: Optional[set],
-    node_cap: int,
     check_partition: bool,
 ) -> DependencyGraph:
     """The edge loop of the program and theory graphs.
@@ -255,9 +258,7 @@ def _dependency_graph(
     problems = partition_problems(partition, domains) if check_partition else []
     if problems:
         raise ValueError("invalid partition: " + "; ".join(problems))
-    vertices, labels = _member_vertices(
-        partition, signature, domains, psi_sentences, predicates, node_cap
-    )
+    vertices, labels = _member_vertices(partition, signature, domains, psi_sentences, predicates)
     vertex_set = set(vertices)
     edge_map: dict[tuple[Vertex, Vertex], list[EdgeWitness]] = {}
 
@@ -279,9 +280,7 @@ def _dependency_graph(
                             ]
                         )
                         closed = exists_over(free_variables(condition), condition)
-                        verdict = bounded_sat(
-                            list(psi_sentences) + [closed], signature, domains, node_cap
-                        )
+                        verdict = bounded_sat(list(psi_sentences) + [closed], signature, domains)
                         if verdict.status == "unsat":
                             continue
                         edge = ((head.key, i), (body.key, j))
@@ -302,7 +301,6 @@ def program_dep_graph(
     program: Sequence[Rule],
     partition: Partition,
     domains: Domains,
-    node_cap: int = engine.DEFAULT_NODE_CAP,
     check_partition: bool = True,
 ) -> DependencyGraph:
     """Dependencies between (predicate, member) pairs induced by the rules.
@@ -316,7 +314,7 @@ def program_dep_graph(
     rules = (_program_rule(rule, signature) for rule in program)
     occurring = _predicates_in(list(program), signature)
     return _dependency_graph(
-        "program", rules, partition, (), domains, occurring, node_cap, check_partition
+        "program", rules, partition, (), domains, occurring, check_partition
     )
 
 
@@ -325,7 +323,6 @@ def theory_dep_graph(
     partition: Partition,
     psi: Sequence[Statement],
     domains: Domains,
-    node_cap: int = engine.DEFAULT_NODE_CAP,
     check_partition: bool = True,
 ) -> DependencyGraph:
     """Positive dependencies of an arbitrary theory under a context.
@@ -338,7 +335,7 @@ def theory_dep_graph(
     psi_sentences = theory_sentences(psi)
 
     def rules() -> Iterator[_RuleOccurrences]:
-        ctx = TransformContext(signature, domains, psi_sentences, node_cap)
+        ctx = TransformContext(signature, domains, psi_sentences)
         for occ_rule in rules_of(theory_sentences(theory)):
             heads = list(_transformed(ctx, occ_rule.consequent, "pos", "$z"))
             if heads:
@@ -346,7 +343,7 @@ def theory_dep_graph(
                 yield format_formula(occ_rule.sentence), heads, bodies
 
     return _dependency_graph(
-        "theory", rules(), partition, psi_sentences, domains, None, node_cap, check_partition
+        "theory", rules(), partition, psi_sentences, domains, None, check_partition
     )
 
 
@@ -533,7 +530,6 @@ def _negativity(
     lam: IntensionalityStatement,
     psi_sentences: Sequence[Formula],
     domains: Domains,
-    node_cap: int,
 ) -> NegativityResult:
     """The negativity loop of programs and theories: for every (rule text,
     occurrence) pair, the context plus the existential closure of the
@@ -543,9 +539,7 @@ def _negativity(
     for rule_text, occ in occurrences:
         condition = conj([occ.formula, lam.condition(occ.key, occ.args)])
         closed = exists_over(free_variables(condition), condition)
-        verdict = bounded_sat(
-            list(psi_sentences) + [closed], lam.signature, domains, node_cap
-        )
+        verdict = bounded_sat(list(psi_sentences) + [closed], lam.signature, domains)
         if verdict.status == "sat":
             return NegativityResult(
                 "fail",
@@ -560,7 +554,6 @@ def is_negative_program(
     program: Sequence[Rule],
     lam: IntensionalityStatement,
     domains: Domains,
-    node_cap: int = engine.DEFAULT_NODE_CAP,
 ) -> NegativityResult:
     """No rule can derive an atom inside the statement's region: for every
     head atom, body plus head atom plus its condition is unsatisfiable."""
@@ -572,7 +565,7 @@ def is_negative_program(
             for h in heads:
                 yield text, replace(h, formula=conj([body, h.formula]))
 
-    return _negativity(occurrences(), lam, (), domains, node_cap)
+    return _negativity(occurrences(), lam, (), domains)
 
 
 def is_psi_negative(
@@ -580,7 +573,6 @@ def is_psi_negative(
     lam: IntensionalityStatement,
     psi: Sequence[Statement],
     domains: Domains,
-    node_cap: int = engine.DEFAULT_NODE_CAP,
 ) -> NegativityResult:
     """Theory-level negativity under a context.
 
@@ -595,13 +587,13 @@ def is_psi_negative(
     psi_sentences = theory_sentences(psi)
 
     def occurrences() -> Iterator[tuple[str, _Occurrence]]:
-        ctx = TransformContext(lam.signature, domains, psi_sentences, node_cap)
+        ctx = TransformContext(lam.signature, domains, psi_sentences)
         for sentence in theory_sentences(theory):
             text = format_formula(sentence)
             for occ in _transformed(ctx, sentence, "pos", "$y"):
                 yield text, occ
 
-    return _negativity(occurrences(), lam, psi_sentences, domains, node_cap)
+    return _negativity(occurrences(), lam, psi_sentences, domains)
 
 
 # ---------------------------------------------------------------------------

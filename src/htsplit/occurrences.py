@@ -127,19 +127,18 @@ class TransformContext:
         signature: Signature,
         domains: Mapping[str, tuple[Element, ...]],
         psi: Sequence[Formula] = (),
-        node_cap: int = engine.DEFAULT_NODE_CAP,
     ):
         self.signature = signature
         self.structure = FiniteInterpretation.make(signature, domains)
         self.psi = list(psi)
         self.psi_gfs = engine.ground_theory(self.structure, self.psi)
-        self.node_cap = node_cap
         self._sat_cache: dict[Formula, bool] = {}
 
     def satisfiable_with_context(self, f: Formula) -> bool:
         """Whether the context plus the existential closure of f has a model.
 
-        An inconclusive search counts as satisfiable, which over-approximates
+        An inconclusive search, past ``engine.DEFAULT_NODE_CAP`` nodes (read
+        at call time), counts as satisfiable, which over-approximates
         dependencies and keeps downstream verdicts sound.
         """
         hit = self._sat_cache.get(f)
@@ -147,7 +146,7 @@ class TransformContext:
             return hit
         closed = exists_over(free_variables(f), f)
         gf = engine.ground_formula(self.structure, closed)
-        status, _ = engine.find_model(self.psi_gfs + [gf], node_cap=self.node_cap)
+        status, _ = engine.find_model(self.psi_gfs + [gf], engine.DEFAULT_NODE_CAP)
         result = status != "unsat"
         self._sat_cache[f] = result
         return result

@@ -409,3 +409,33 @@ def check_strong_equivalence(
                 False, HTInterpretation(here | (true_atoms - mentioned), there), domains_key
             )
     return StrongEquivalenceResult(True, None, domains_key)
+
+
+def ht_models(
+    theory: Sequence[Statement],
+    lam: IntensionalityStatement,
+    domains: Mapping[str, tuple[Element, ...]],
+    atom_cap: int = engine.DEFAULT_ATOM_CAP,
+) -> list[tuple[frozenset[GroundAtom], frozenset[GroundAtom]]]:
+    """Every HT-model (H, T) of the theory extended with the statement's
+    excluded-middle sentences, over the declared domains.
+
+    The there-worlds T are the classical models, and the here-worlds of
+    each T the subsets of T that satisfy the reducts at T.  Both scans take
+    their atoms in reverse, so the first atom is the most significant bit
+    and the pairs come in lexicographic order: T over the atom universe,
+    then H over T's atoms.  A pair of worlds over n atoms takes 2n atoms of
+    ``atom_cap``, checked before anything is grounded.
+    """
+    structure = FiniteInterpretation.make(lam.signature, domains)
+    universe = atom_universe(lam.signature, structure.domain_map())
+    if 2 * len(universe) > atom_cap:
+        raise engine.ResourceCapExceeded(f"ht-model space over {len(universe)} atoms exceeds the cap")
+    gfs = GroundProblem.ground(structure, theory, lam).gfs
+    out = []
+    for there in engine.scan(universe[::-1], lambda space: space.theory_table(gfs)):
+        reducts = [engine.reduct(g, there) for g in gfs]
+        here_atoms = sorted(there, key=atom_sort_key)[::-1]
+        for here in engine.scan(here_atoms, lambda space: space.theory_table(reducts)):
+            out.append((here, there))
+    return out

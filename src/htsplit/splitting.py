@@ -79,9 +79,16 @@ class SplitReport:
         )
 
     @property
+    def separability_unknown(self) -> bool:
+        """Every mixed cycle runs through an edge that only an inconclusive
+        search keeps: the graph of the decisive edges is separable."""
+        return not self.separability.separable and is_separable(self.graph.decisive()).separable
+
+    @property
     def inconclusive(self) -> bool:
         return (
-            any(cell.result.verdict == "unknown" for cell in self.negativity)
+            self.separability_unknown
+            or any(cell.result.verdict == "unknown" for cell in self.negativity)
             or self.approximator_verdict == "unknown"
             or self.verification.status == "inconclusive"
         )
@@ -154,7 +161,6 @@ def check_split_program(
     partition: Partition,
     domains: Domains,
     part_names: Optional[Sequence[str]] = None,
-    node_cap: int = engine.DEFAULT_NODE_CAP,
 ) -> SplitReport:
     """Both hypotheses of the program splitting result: separability of the
     dependency graph of the union, and pairwise negativity of each part on
@@ -165,10 +171,8 @@ def check_split_program(
         partition,
         domains,
         part_names,
-        lambda union: program_dep_graph(
-            union, partition, domains, node_cap=node_cap, check_partition=False
-        ),
-        lambda part, member: is_negative_program(part, member, domains, node_cap),
+        lambda union: program_dep_graph(union, partition, domains, check_partition=False),
+        lambda part, member: is_negative_program(part, member, domains),
     )
 
 
@@ -178,7 +182,6 @@ def check_split_theory(
     psi: Sequence[Statement],
     domains: Domains,
     part_names: Optional[Sequence[str]] = None,
-    node_cap: int = engine.DEFAULT_NODE_CAP,
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> SplitReport:
     """The theory-level hypotheses: the context approximates the union,
@@ -190,10 +193,8 @@ def check_split_theory(
         partition,
         domains,
         part_names,
-        lambda union: theory_dep_graph(
-            union, partition, psi, domains, node_cap=node_cap, check_partition=False
-        ),
-        lambda part, member: is_psi_negative(part, member, psi, domains, node_cap),
+        lambda union: theory_dep_graph(union, partition, psi, domains, check_partition=False),
+        lambda part, member: is_psi_negative(part, member, psi, domains),
     )
     union: list[Statement] = [s for part in parts for s in part]
     try:

@@ -401,3 +401,73 @@ def test_running_out_of_memory_is_exit_3(capsys, monkeypatch):
     _assert_one_inconclusive_line(code, err)
     assert err == "inconclusive: out of memory\n"
     assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# the options each subcommand takes
+
+SPLIT_META = [
+    "split", DATA / "meta.htsplit",
+    "--parts", "gamma1,gamma2,gamma3", "--partition", "g1,g2,g3", "--context", "psi3",
+]
+CAPPED = {
+    "models": ["models", DATA / "four_models.htsplit"],
+    "ht-models": ["ht-models", DATA / "four_models.htsplit"],
+    "strong-eq": ["strong-eq", DATA / "strong_eq.htsplit", "--left", "plain", "--right", "guarded"],
+    "split": SPLIT_META,
+}
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(CAPPED))
+def test_a_cap_below_one_is_exit_2(capsys, command, cap):
+    code, out, err = run(capsys, *CAPPED[command], "--cap", cap)
+    assert (code, out, err) == (2, "", "error: the enumeration cap must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", DATA / "blocks_graph.htsplit", "--partition", "beta1,beta2", "--cap", "5"],
+        ["parse", DATA / "meta.htsplit", "--format", "json"],
+        ["models", DATA / "four_models.htsplit", "--format", "dot-like"],
+        ["selftest", "--cap", "5"],
+    ],
+)
+def test_an_option_the_subcommand_does_not_read_is_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(capsys, *argv)
+    assert exit_info.value.code == 2
+
+
+def test_split_cap_bounds_the_approximator(capsys):
+    # the approximator enumerates over 9 candidate atoms; a cap of 4 admits 2
+    code, out, _err = run(capsys, *SPLIT_META, "--cap", "4")
+    assert code == 3
+    assert "approximator: unknown" in out.splitlines()
+
+
+# p :- q, not p holds with q false, so without a cap the edge p -> q has no
+# model and the graph is separable; one search node leaves it unknown
+CYCLE_ONLY_THROUGH_UNKNOWN_EDGES = (
+    "pred p. pred q. #group g1 { p :- q, not p. }. #group g2 { q :- p. }. "
+    "#part m1 { p : #true }. #part m2 { q : #true }.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["split", "--parts", "g1,g2", "--partition", "m1,m2"], ["graph", "--partition", "m1,m2"]],
+)
+def test_a_mixed_cycle_through_an_inconclusive_edge_is_exit_3(capsys, monkeypatch, tmp_path, argv):
+    source = tmp_path / "cycle.htsplit"
+    source.write_text(CYCLE_ONLY_THROUGH_UNKNOWN_EDGES)
+    code, out, err = run(capsys, argv[0], source, *argv[1:])
+    assert (code, err) == (0, "")
+    assert "separable: yes" in out.splitlines()
+
+    monkeypatch.setattr(engine, "DEFAULT_NODE_CAP", 1)
+    code, out, err = run(capsys, argv[0], source, *argv[1:])
+    assert code == 3
+    assert err == "warning: some edges are present only because a search was inconclusive\n"
+    assert "separable: no" in out.splitlines()

@@ -3,6 +3,7 @@ negativity, and approximator checks, against the worked examples."""
 
 import pytest
 
+from htsplit import engine
 from htsplit.depgraph import (
     bounded_sat,
     grounded_dep_graph,
@@ -77,11 +78,12 @@ def test_witnesses_recheck():
     assert verdict.witness.true_atoms == {("p", ("e",))}
 
 
-def test_node_cap_gives_unknown():
+def test_node_cap_gives_unknown(monkeypatch):
     sig = Signature.make(predicates={(n, 0): () for n in "abcdefgh"})
     sentence = Atom("a", ())
     big = [Or(Atom(n, ()), neg(Atom(n, ()))) for n in "abcdefgh"] + [sentence]
-    assert bounded_sat(big, sig, {}, node_cap=2).status == "unknown"
+    monkeypatch.setattr(engine, "DEFAULT_NODE_CAP", 2)
+    assert bounded_sat(big, sig, {}).status == "unknown"
 
 
 # ---------------------------------------------------------------------------

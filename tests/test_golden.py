@@ -11,9 +11,8 @@ RECORD = json.loads(golden.RECORD.read_text(encoding="utf-8"))
 
 
 def test_the_record_covers_every_case_but_the_slow_ones():
-    keys = {golden.key(argv) for argv in golden.cases()}
-    assert set(RECORD) <= keys
-    assert len(RECORD) >= len(keys) - 4
+    assert golden.EXCLUDED <= {golden.key(argv) for argv in golden.cases()}
+    assert set(RECORD) == {golden.key(argv) for argv in golden.recorded_cases()}
 
 
 @pytest.mark.parametrize("command", sorted(RECORD))

@@ -424,42 +424,69 @@ def _sharing_pair(rng, kind):
     return pair if rng.random() < 0.5 else pair[::-1]
 
 
-def test_strong_equivalence_matches_the_definitional_check():
-    # the definitional check compares the HT-models (H, T), H ⊆ T, of the
-    # two theories extended with em_theory; these conditions hold no
-    # arithmetic, so em_theory is the ground region's excluded middle
-    import random
-
+def _ht_statements():
+    """The top and bottom statements and one whose region depends on the
+    interpretation; their conditions hold no arithmetic, so em_theory is the
+    ground region's excluded middle."""
     from htsplit.intensionality import IntensionalityStatement, lambda_bot
-    from htsplit.interpretations import FiniteInterpretation
-    from htsplit.semantics import check_strong_equivalence
     from htsplit.syntax import Equality as Eq
 
     x1 = Variable("X1", "s")
     region = Or(Eq(x1, DomainName("d1", "s")), Atom("b", ()))  # d1 always, d2 iff b
-    statements = [
+    return [
         lambda_top(SIG),
         lambda_bot(SIG),
         IntensionalityStatement.make(SIG, {("u", 1): ((x1,), region), ("a", 0): ((), TOP)}),
     ]
-    structure = FiniteInterpretation.make(SIG, DOMAINS)
-    worlds = [
-        (t, h)
-        for t in _subsets(UNIVERSE)
-        for h in _subsets([a for a in UNIVERSE if a in t])
+
+
+def _product_subsets(atoms):
+    """Every subset of ``atoms``, in ``itertools.product`` order: the first
+    atom varies slowest."""
+    return [
+        frozenset(a for a, bit in zip(atoms, bits) if bit)
+        for bits in itertools.product((False, True), repeat=len(atoms))
     ]
 
-    def ht_models(theory, lam):
-        extended = theory_sentences(theory) + em_theory(lam)
-        return {
-            (h, t)
-            for t, h in worlds
-            if ht_satisfies_all(HTInterpretation(h, structure.with_atoms(t)), extended)
-        }
+
+_WORLDS = [
+    (t, h) for t in _product_subsets(UNIVERSE) for h in _product_subsets([a for a in UNIVERSE if a in t])
+]
+
+
+def ht_models(theory, lam):
+    """The definitional HT-models (H, T), H ⊆ T, of the theory extended with
+    em_theory, T first and then H in ``itertools.product`` order."""
+    from htsplit.interpretations import FiniteInterpretation
+
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    extended = theory_sentences(theory) + em_theory(lam)
+    return [
+        (h, t)
+        for t, h in _WORLDS
+        if ht_satisfies_all(HTInterpretation(h, structure.with_atoms(t)), extended)
+    ]
+
+
+@given(st.lists(sentences(depth=2), max_size=3))
+@SETTINGS
+def test_ht_models_match_the_definitional_pairs_in_order(theory):
+    from htsplit import semantics
+
+    for lam in _ht_statements():
+        assert semantics.ht_models(theory, lam, DOMAINS) == ht_models(theory, lam)
+
+
+def test_strong_equivalence_matches_the_definitional_check():
+    # the definitional check compares the HT-models (H, T), H ⊆ T, of the
+    # two theories extended with em_theory
+    import random
+
+    from htsplit.semantics import check_strong_equivalence
 
     rng = random.Random(23)
     seen = set()
-    for lam in statements:
+    for lam in _ht_statements():
         for kind in (
             "identical", "extended", "replaced", "reordered", "negated twice", "restated", "unrelated"
         ):

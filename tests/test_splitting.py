@@ -1,6 +1,8 @@
 """Hypothesis reports for both splitting checks, exhaustive verification, and
 the graph-free direction."""
 
+from dataclasses import replace
+
 import pytest
 
 from htsplit.intensionality import IntensionalityStatement, Partition, lambda_top
@@ -65,6 +67,25 @@ def test_mutual_recursion_fails_separability():
     # negativity alone is fine here: each head lands in the other member's
     # false region, so only the mixed cycle blocks the split
     assert all(cell.result.holds for cell in report.negativity)
+
+
+def test_a_mixed_cycle_is_unknown_only_through_an_inconclusive_edge():
+    sig = Signature.make(predicates={("p", 0): (), ("q", 0): ()})
+    p, q = Atom("p", ()), Atom("q", ())
+    parts = [[Rule((p,), (Literal(q),))], [Rule((q,), (Literal(p),))]]
+    half1 = IntensionalityStatement.make(sig, {("p", 0): ((), TOP)}, name="h1")
+    half2 = IntensionalityStatement.make(sig, {("q", 0): ((), TOP)}, name="h2")
+    report = check_split_program(parts, Partition.of([half1, half2]), {})
+    assert not report.separability.separable
+    assert not report.separability_unknown and not report.inconclusive
+
+    # the same cycle, with one of its two edges kept only by an unknown search
+    (edge, witnesses), other = report.graph.provenance
+    unknown = (edge, tuple(replace(w, inconclusive=True) for w in witnesses))
+    graph = replace(report.graph, provenance=(unknown, other))
+    assert graph.decisive().edges == (other[0],)
+    report = replace(report, graph=graph)
+    assert report.separability_unknown and report.inconclusive
 
 
 def test_meta_split_theory_hypotheses(meta_split):
