@@ -8,9 +8,10 @@ from the slots, so no instance is built by substitution.  An atom outside
 the atom universe grounds to false.  On top of that this module provides:
 
 * classical and three-valued evaluation, and backtracking model search
-  (:func:`find_model`, the module's only search, a loop over an explicit
-  stack of decisions, so its depth is not bounded by the interpreter's
-  recursion limit);
+  (:func:`find_model`, a loop over an explicit stack of decisions, so its
+  depth is not bounded by the interpreter's recursion limit), which serves
+  the side path: bounded satisfiability, occurrence transforms and validity
+  checks;
 * the one-world reduct of a ground formula with respect to an interpretation,
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
@@ -24,8 +25,10 @@ the atom universe grounds to false.  On top of that this module provides:
   at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary, the others
   are fixed per block): its callers pass a table per block and get back the
   true atoms of each kept assignment;
-* the exact minimality check of one candidate, a :func:`find_model` query:
-  does the reduct have a model that drops some removable true atom?
+* the exact minimality check of one candidate (:func:`is_stable_ground`),
+  one :func:`scan` over the here-worlds: is the lowest model of the reduct
+  the candidate itself?  So the stable-model path, from the prefilter to
+  the exact check, runs on truth tables only.
 
 Grounding a theory under an intensionality statement, and enumerating its
 stable models with these pieces, is :class:`htsplit.semantics.GroundProblem`.
@@ -502,12 +505,17 @@ def eval3_gf(gf: GF, assign: dict[GroundAtom, bool]) -> Optional[bool]:
 # reducts
 
 
-def reduct_eval(gf: GF, true_atoms: frozenset[GroundAtom]) -> tuple[bool, GF]:
+def reduct_eval(
+    gf: GF, true_atoms: frozenset[GroundAtom], removable: Optional[frozenset[GroundAtom]] = None
+) -> tuple[bool, GF]:
     """Classical value and one-world reduct, in a single pass.
 
     Subformulas not satisfied by the there-world become false.  For any H
     contained in the true atoms, the here-and-there relation holds for gf
-    exactly when H classically satisfies the reduct.
+    exactly when H classically satisfies the reduct.  Given ``removable``
+    (a subset of the true atoms), the true atoms outside it fold to true:
+    the reduct then speaks of the here-worlds that keep them, and mentions
+    only removable atoms.
     """
     tag = gf[0]
     if tag == "t":
@@ -515,11 +523,11 @@ def reduct_eval(gf: GF, true_atoms: frozenset[GroundAtom]) -> tuple[bool, GF]:
     if tag == "f":
         return False, gf
     if tag == "atom":
-        if gf[1] in true_atoms:
-            return True, gf
-        return False, FALSE_GF
-    va, ra = reduct_eval(gf[1], true_atoms)
-    vb, rb = reduct_eval(gf[2], true_atoms)
+        if gf[1] not in true_atoms:
+            return False, FALSE_GF
+        return True, (gf if removable is None or gf[1] in removable else TRUE_GF)
+    va, ra = reduct_eval(gf[1], true_atoms, removable)
+    vb, rb = reduct_eval(gf[2], true_atoms, removable)
     if tag == "and":
         return (va and vb), (gand(ra, rb) if va and vb else FALSE_GF)
     if tag == "or":
@@ -559,10 +567,7 @@ def pos_syn_atoms(gf: GF) -> set[GroundAtom]:
 
 
 def find_model(
-    gfs: Sequence[GF],
-    node_cap: int = DEFAULT_NODE_CAP,
-    forced: Optional[dict[GroundAtom, bool]] = None,
-    atom_orders: Optional[Sequence[Sequence[GroundAtom]]] = None,
+    gfs: Sequence[GF], node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """Search for a classical model of the ground theory.
 
@@ -570,26 +575,22 @@ def find_model(
     when the node cap is hit.  Atoms absent from the theory stay false in the
     witness.  The search decides the first unassigned atom, in
     :func:`~htsplit.interpretations.atom_sort_key` order, of the first
-    sentence whose value is unknown.  A caller that knows these orders
-    passes ``atom_orders``: for each formula of ``gfs``, its atoms outside
-    ``forced`` in that order.  The search then neither walks nor sorts the
-    sentences to find them.
+    sentence whose value is unknown.  It serves the side path (bounded
+    satisfiability, occurrence transforms, validity checks); stability is
+    decided by :func:`is_stable_ground` on truth tables.
     """
-    orders = [None] * len(gfs) if atom_orders is None else atom_orders
-    kept = [(g, order) for g, order in zip(gfs, orders) if g != TRUE_GF]
-    sentences = [g for g, _order in kept]
+    sentences = [g for g in gfs if g != TRUE_GF]
     if any(g == FALSE_GF for g in sentences):
         return ("unsat", None)
     if not sentences:
-        return ("sat", frozenset(k for k, v in (forced or {}).items() if v))
+        return ("sat", frozenset())
 
-    assign: dict[GroundAtom, bool] = dict(forced or {})
+    assign: dict[GroundAtom, bool] = {}
     order_cache: dict[int, Sequence[GroundAtom]] = {}
 
     def atom_order(i: int) -> Sequence[GroundAtom]:
         if i not in order_cache:
-            g, order = kept[i]
-            order_cache[i] = sorted(gf_atoms(g), key=atom_sort_key) if order is None else order
+            order_cache[i] = sorted(gf_atoms(sentences[i]), key=atom_sort_key)
         return order_cache[i]
 
     # one entry per decision: the atom, and whether False is still to try
@@ -737,7 +738,12 @@ def scan(
         table = table_of(space)
         if table:
             for k in space.indices(table):
-                yield frozenset(a for i, a in enumerate(atoms) if (k >> i) & 1)
+                true = []
+                while k:  # one step per set bit, lowest first
+                    low = k & -k
+                    true.append(atoms[low.bit_length() - 1])
+                    k ^= low
+                yield frozenset(true)
 
 
 def posin_tables(
@@ -746,40 +752,43 @@ def posin_tables(
     """For each wanted atom, the table of interpretations I with the atom in
     the strictly positive atom set of some sentence (the guarded recursion)."""
     support: dict[GroundAtom, int] = {a: 0 for a in wanted}
-
-    def walk(gf: GF) -> tuple[int, dict[GroundAtom, int]]:
-        tag = gf[0]
-        if tag == "t":
-            return space.mask, {}
-        if tag == "f":
-            return 0, {}
-        if tag == "atom":
-            sat = space.atom_table(space.index[gf[1]])
-            return sat, ({gf[1]: sat} if gf[1] in wanted else {})
-        sat_l, pos_l = walk(gf[1])
-        sat_r, pos_r = walk(gf[2])
-        if tag == "and":
-            sat = sat_l & sat_r
-            pos = {a: (pos_l.get(a, 0) | pos_r.get(a, 0)) & sat for a in pos_l.keys() | pos_r.keys()}
-        elif tag == "or":
-            sat = sat_l | sat_r
-            pos = {a: (pos_l.get(a, 0) | pos_r.get(a, 0)) & sat for a in pos_l.keys() | pos_r.keys()}
-        else:  # implication: positive atoms come from the consequent, guarded by the antecedent
-            sat = (space.mask ^ sat_l) | sat_r
-            pos = {a: t & sat_l for a, t in pos_r.items()}
-        return sat, pos
-
     for g in gfs:
-        _, pos = walk(g)
+        _, pos = _posin_walk(space, wanted, g)
         for a, t in pos.items():
             support[a] |= t
     return support
 
 
+# a module-level function: a nested one that calls itself holds its closure,
+# and with it the space and its tables, in a reference cycle that outlives
+# the call until the cyclic collector runs
+def _posin_walk(
+    space: TableSpace, wanted: frozenset[GroundAtom], gf: GF
+) -> tuple[int, dict[GroundAtom, int]]:
+    tag = gf[0]
+    if tag == "t":
+        return space.mask, {}
+    if tag == "f":
+        return 0, {}
+    if tag == "atom":
+        sat = space.atom_table(space.index[gf[1]])
+        return sat, ({gf[1]: sat} if gf[1] in wanted else {})
+    sat_l, pos_l = _posin_walk(space, wanted, gf[1])
+    sat_r, pos_r = _posin_walk(space, wanted, gf[2])
+    if tag == "and":
+        sat = sat_l & sat_r
+        pos = {a: (pos_l.get(a, 0) | pos_r.get(a, 0)) & sat for a in pos_l.keys() | pos_r.keys()}
+    elif tag == "or":
+        sat = sat_l | sat_r
+        pos = {a: (pos_l.get(a, 0) | pos_r.get(a, 0)) & sat for a in pos_l.keys() | pos_r.keys()}
+    else:  # implication: positive atoms come from the consequent, guarded by the antecedent
+        sat = (space.mask ^ sat_l) | sat_r
+        pos = {a: t & sat_l for a, t in pos_r.items()}
+    return sat, pos
+
+
 # ---------------------------------------------------------------------------
 # stability of one candidate
-
-MAX_STABLE_NODES = 4_000_000
 
 
 def is_stable_ground(
@@ -787,49 +796,35 @@ def is_stable_ground(
     true_atoms: frozenset[GroundAtom],
     removable: frozenset[GroundAtom],
 ) -> tuple[bool, Optional[frozenset[GroundAtom]]]:
-    """Minimality check via the reduct.
+    """Minimality check via the reduct, one :func:`scan` over the here-worlds.
 
-    ``removable`` lists the true atoms a proper here-world may drop; the
-    excluded-middle sentences for everything else must already be part of
-    ``gfs``.  Returns (stable, countermodel-here-world-or-None).
+    ``removable`` (a subset of ``true_atoms``) lists the true atoms a proper
+    here-world may drop; every here-world keeps the other true atoms.  The
+    here-worlds are the assignments to the removable atoms, in
+    :func:`~htsplit.interpretations.atom_sort_key` order, and the true atoms
+    themselves are the all-ones assignment, which comes last.  So they are
+    stable exactly when the first here-world that satisfies the reduct is
+    the last one.  Returns ``(True, None)``; ``(False, H)`` with H the
+    lowest proper here-world that satisfies the reduct; or ``(False, None)``
+    when the true atoms do not even satisfy ``gfs``.  Raises
+    :class:`ResourceCapExceeded` beyond ``DEFAULT_ATOM_CAP`` removable atoms.
     """
     reducts = []
     for g in gfs:
-        _value, r = reduct_eval(g, true_atoms)
-        if r == FALSE_GF:
+        value, r = reduct_eval(g, true_atoms, removable)
+        if not value:
             return (False, None)  # not even a classical model
         if r != TRUE_GF:
             reducts.append(r)
-    atom_sets = [gf_atoms(r) for r in reducts]
-    mentioned: set[GroundAtom] = set().union(*atom_sets)
-    # a removable true atom the reduct never mentions can always be dropped
-    loose = removable - mentioned
-    if loose:
-        drop = min(loose, key=atom_sort_key)
-        return (False, true_atoms - {drop})
-
-    variables = sorted(removable & mentioned, key=atom_sort_key)
-    if not variables:
+    if len(removable) > DEFAULT_ATOM_CAP:
+        raise ResourceCapExceeded(
+            f"stability check has {len(removable)} removable atoms, cap is {DEFAULT_ATOM_CAP}"
+        )
+    atoms = sorted(removable, key=atom_sort_key)
+    here = next(scan(atoms, lambda space: space.theory_table(reducts)))
+    if len(here) == len(atoms):
         return (True, None)
-
-    # a proper here-world: a model of the reduct that drops a removable atom
-    drop = FALSE_GF
-    for a in variables:
-        drop = gor(drop, gimp(("atom", a), FALSE_GF))
-    # every non-removable true atom has an excluded-middle sentence whose
-    # reduct is the atom itself, so the reducts force these atoms anyway;
-    # assigning them up front only spares the search deciding them, which
-    # takes 2.3 times the eval3_gf calls on the one-direction benchmark
-    forced = {a: True for a in mentioned if a not in removable}
-    # the search decides only removable atoms, so each reduct's decision
-    # order is its share of ``variables``
-    orders = [[a for a in variables if a in atoms] for atoms in atom_sets]
-    status, here = find_model(reducts + [drop], MAX_STABLE_NODES, forced, orders + [variables])
-    if status == "unknown":
-        raise ResourceCapExceeded("stability countermodel search exceeded its node cap")
-    if status == "unsat":
-        return (True, None)
-    return (False, here | (true_atoms - mentioned))
+    return (False, here | (true_atoms - removable))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,8 @@ class SelfTestReport:
 
 
 def run_selftest(seed: int, count: int) -> SelfTestReport:
+    if count < 0:
+        raise ValueError("the selftest count must not be negative")
     rng = random.Random(seed)
     one_dir_bad = 0
     passed = 0

@@ -58,10 +58,12 @@ def test_models_cap_admits_the_atoms_whose_interpretations_fit(capsys, name):
     assert code == 0 and err == ""
 
 
-def test_models_past_the_stability_node_cap_is_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "MAX_STABLE_NODES", 1)
-    code, _out, err = run(capsys, "models", DATA / "four_models.htsplit")
+def test_models_past_the_stability_atom_cap_is_exit_3(capsys, monkeypatch):
+    # --cap admits the candidate space; the exact check reads its own cap
+    monkeypatch.setattr(engine, "DEFAULT_ATOM_CAP", 1)
+    code, _out, err = run(capsys, "models", DATA / "four_models.htsplit", "--cap", 1 << 16)
     _assert_one_inconclusive_line(code, err)
+    assert "removable atoms, cap is 1" in err
 
 
 def test_parse_error_is_exit_2(capsys, tmp_path):
@@ -336,6 +338,11 @@ def test_selftest_subcommand(capsys):
     code, out, _ = run(capsys, "selftest", "--count", "40", "--seed", "3")
     assert code == 0
     assert "checked 40 random instances" in out
+
+
+def test_a_negative_selftest_count_is_exit_2(capsys):
+    code, out, err = run(capsys, "selftest", "--count", "-3")
+    assert (code, out, err) == (2, "", "error: the selftest count must not be negative\n")
 
 
 # a disjunction over a thousand instances: quantifier instances ground to

@@ -1,12 +1,15 @@
 """Ground engine pieces: the compiled grounder against the substituting
-reference, truth-table bit listing, the stability node cap, a model search
-deeper than the recursion limit, and the import footprint of the package."""
+reference, truth-table bit listing, the exact stability check against the
+definitional subset search and its atom cap, a model search deeper than the
+recursion limit, and the import footprint of the package."""
 
+import gc
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +17,18 @@ from hypothesis import given, settings
 import htsplit
 from conftest import DATA, load, reference_ground_formula
 from htsplit import engine, interpretations, syntax
+from htsplit.cli import main
 from htsplit.depgraph import bounded_sat
-from htsplit.interpretations import FiniteInterpretation, atom_sort_key, atom_universe
+from htsplit.interpretations import (
+    FiniteInterpretation,
+    HTInterpretation,
+    atom_sort_key,
+    atom_universe,
+    ht_satisfies_all,
+    satisfies_all,
+)
 from htsplit.parser import parse_problem
-from htsplit.semantics import GroundProblem, em_theory, ground_region, is_lambda_stable
+from htsplit.semantics import em_atoms, em_theory, ground_region, is_lambda_stable
 from htsplit.syntax import (
     INT_SORT,
     Atom,
@@ -26,6 +37,7 @@ from htsplit.syntax import (
     Forall,
     Func,
     Implies,
+    Or,
     Signature,
     Variable,
     exists_over,
@@ -33,7 +45,7 @@ from htsplit.syntax import (
     int_name,
     theory_sentences,
 )
-from strategies import DOMAINS, SIG, sentences
+from strategies import DOMAINS, SIG, UNIVERSE, random_sentence, sentences
 from test_properties import _random_int_sentence
 
 
@@ -225,52 +237,118 @@ def test_conjuncts_of_a_chain_deeper_than_the_recursion_limit():
     assert engine.conjuncts([chain]) == atoms
 
 
-def test_stability_search_order_is_the_one_find_model_takes_by_itself(
-    monkeypatch, blocks_split_problem
-):
-    # is_stable_ground hands find_model each reduct's decision order; the
-    # search must reach the same answer and witness as when it walks and
-    # sorts the reducts itself
-    original = engine.find_model
-    searches = []
-
-    def both(gfs, node_cap, forced, atom_orders):
-        result = original(gfs, node_cap, forced, atom_orders)
-        assert result == original(gfs, node_cap, forced)
-        searches.append(result[0])
-        return result
-
-    monkeypatch.setattr(engine, "find_model", both)
-    problem = blocks_split_problem
-    structure = FiniteInterpretation.make(problem.signature, problem.domains())
-    ground = GroundProblem.ground(
-        structure, problem.group("lt") + problem.group("gt"), problem.default_lambda
-    )
-    atoms = sorted(ground.atoms, key=atom_sort_key)
-    ground = ground.restrict(frozenset(atoms))
-
-    def first_classical_models(space):
-        # the first 20 classical models of each block; few reach the search
-        table, kept = space.theory_table(ground.gfs), 0
-        for _ in range(20):
-            kept |= table & -table
-            table &= table - 1
-        return kept
-
-    for true_atoms in engine.scan(atoms, first_classical_models):
-        ground.is_stable(true_atoms)
-    assert "sat" in searches and "unsat" in searches
+def _stability_cases(count: int, seed: int):
+    """``is_stable_ground`` arguments from random strategy theories: every
+    interpretation over the universe, each with a random kept set, the
+    removable atoms the kept true ones and their excluded-middle sentences
+    added as ``is_a_stable`` adds them.  Yields (gfs, true atoms,
+    removable, sentences, structure)."""
+    rng = random.Random(seed)
+    universe = sorted(UNIVERSE, key=atom_sort_key)
+    for _ in range(count):
+        theory = [random_sentence(rng, depth=2) for _ in range(rng.randint(1, 3))]
+        kept = frozenset(a for a in universe if rng.random() < 0.7)
+        for k in range(1 << len(universe)):
+            true_atoms = frozenset(a for i, a in enumerate(universe) if (k >> i) & 1)
+            there = FiniteInterpretation.make(SIG, DOMAINS, true_atoms)
+            removable = kept & true_atoms
+            sentences = theory_sentences(theory) + em_atoms(there, removable)
+            yield engine.ground_theory(there, sentences), true_atoms, removable, sentences, there
 
 
-def test_stability_node_cap_is_read_at_call_time(monkeypatch, four_models_problem):
+def _lowest_proper_here_world(true_atoms, removable, sentences, there):
+    """The definitional answer: the here-worlds that keep the true atoms
+    outside ``removable``, tried in ascending order of the index whose bit
+    i is the i-th removable atom in ``atom_sort_key`` order, each checked
+    by the here-and-there satisfaction relation."""
+    if not satisfies_all(there, sentences):
+        return (False, None)
+    region = sorted(removable, key=atom_sort_key)
+    for k in range((1 << len(region)) - 1):
+        here = (true_atoms - removable) | {a for i, a in enumerate(region) if (k >> i) & 1}
+        if ht_satisfies_all(HTInterpretation(here, there), sentences):
+            return (False, here)
+    return (True, None)
+
+
+def test_stability_countermodel_is_the_lowest_proper_here_world():
+    seen = {"stable": 0, "countermodel": 0, "no model": 0}
+    for gfs, true_atoms, removable, sentences, there in _stability_cases(40, seed=1):
+        expected = _lowest_proper_here_world(true_atoms, removable, sentences, there)
+        assert engine.is_stable_ground(gfs, true_atoms, removable) == expected
+        seen["stable" if expected[0] else "no model" if expected[1] is None else "countermodel"] += 1
+    assert all(seen.values()), seen
+    # a | b has two incomparable countermodels at {a, b}: the lower one, {a}
+    a_or_b = [Or(Atom("a"), Atom("b"))]
+    there = FiniteInterpretation.make(SIG, DOMAINS, {("a", ()), ("b", ())})
+    expected = _lowest_proper_here_world(there.true_atoms, there.true_atoms, a_or_b, there)
+    assert expected == (False, frozenset({("a", ())}))
+    gfs = engine.ground_theory(there, a_or_b)
+    assert engine.is_stable_ground(gfs, there.true_atoms, there.true_atoms) == expected
+
+
+def test_stability_verdicts_and_countermodels_do_not_depend_on_the_block_width(monkeypatch):
+    cases = list(_stability_cases(40, seed=2))
+    wide = [engine.is_stable_ground(gfs, t, r) for gfs, t, r, _s, _i in cases]
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", 2)
+    assert len(UNIVERSE) > 2  # so a space of every removable atom spans several blocks
+    assert [engine.is_stable_ground(gfs, t, r) for gfs, t, r, _s, _i in cases] == wide
+    assert any(len(r) > 2 and h is not None for (_g, _t, r, _s, _i), (_v, h) in zip(cases, wide))
+
+
+def test_a_non_tight_theory_drops_both_atoms_of_its_loop():
+    # q -> p, p -> q and not not p hold at {p, q}, and so does the loop's
+    # empty here-world: the reduct of not not p is true
+    p, q = ("atom", ("p", ())), ("atom", ("q", ()))
+    gfs = [("imp", q, p), ("imp", p, q), ("imp", ("imp", p, engine.FALSE_GF), engine.FALSE_GF)]
+    true_atoms = frozenset({("p", ()), ("q", ())})
+    assert engine.is_stable_ground(gfs, true_atoms, true_atoms) == (False, frozenset())
+
+
+def test_models_on_the_data_files_make_no_find_model_call(monkeypatch, capsys):
+    # the stable-model path runs on truth tables only, from the prefilter
+    # to the exact check
+    def refuse(*_args):
+        raise AssertionError("find_model called")
+
+    monkeypatch.setattr(engine, "find_model", refuse)
+    for path in sorted(DATA.glob("*.htsplit")):
+        # blocks_graph's candidate space is past the default cap
+        expected = 3 if path.name == "blocks_graph.htsplit" else 0
+        assert main(["models", str(path), "--format", "json"]) == expected, path.name
+    capsys.readouterr()
+
+
+def test_no_table_space_outlives_models_without_the_cycle_collector(monkeypatch, capsys):
+    # a space holds its block's tables: a reference cycle through it would
+    # keep them alive until the cyclic collector runs
+    spaces = []
+
+    class Recorded(engine.TableSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spaces.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "TableSpace", Recorded)
+    gc.disable()
+    try:
+        assert main(["models", str(DATA / "four_models.htsplit")]) == 0
+        assert spaces and all(space() is None for space in spaces)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_stability_atom_cap_is_read_at_call_time(monkeypatch, four_models_problem):
     problem = four_models_problem
     lam = problem.default_lambda
+    # p(1,2) and p(2,2) lie in the region X2 = 2, so two atoms are removable
     interp = FiniteInterpretation.make(
-        problem.signature, problem.domains(), {("p", (1, 1)), ("p", (1, 2))}
+        problem.signature, problem.domains(), {("p", (x, y)) for x in (1, 2) for y in (1, 2)}
     )
     assert is_lambda_stable(interp, problem.theory(), lam)
-    monkeypatch.setattr(engine, "MAX_STABLE_NODES", 1)
-    with pytest.raises(engine.ResourceCapExceeded):
+    monkeypatch.setattr(engine, "DEFAULT_ATOM_CAP", 1)
+    with pytest.raises(engine.ResourceCapExceeded, match="2 removable atoms, cap is 1"):
         is_lambda_stable(interp, problem.theory(), lam)
 
 
