@@ -4,8 +4,11 @@ Sentences are grounded into ground formulas (nested tuples), with builtin
 comparisons and arithmetic folded away.  Each sentence is compiled once into
 closures over an environment of variable slots: a quantifier sets its slot
 to each domain element and grounds its body, whose terms read their values
-from the slots, so no instance is built by substitution.  An atom outside
-the atom universe grounds to false.  On top of that this module provides:
+from the slots, so no instance is built by substitution.  An existential
+whose body has a conjunct ``x = t``, with t a literal or a variable bound
+outside, grounds only the instance x = t (the one-point rule: every other
+instance folds to false).  An atom outside the atom universe grounds to
+false.  On top of that this module provides:
 
 * classical and three-valued evaluation, and backtracking model search
   (:func:`find_model`, a loop over an explicit stack of decisions, so its
@@ -196,12 +199,14 @@ class _Compiler:
     binds it.  A failed check drops the instance, which is what substituting
     the instance and looking for an undefined ground term in it would
     decide.  Terms are evaluated where the substituting grounder evaluated
-    them, so a missing function table raises in the same places, with two
+    them, so a missing function table raises in the same places, with three
     exceptions: the right operand of a connective whose left operand
     decides the fold (see :func:`_connective`), and an atom the universe
     makes false at compile time (an undeclared predicate, or a literal
-    outside its argument's domain).  The arguments of both are still read by
-    the quantifiers' checks.
+    outside its argument's domain), whose arguments are still read by the
+    quantifiers' checks; and a pinned existential (see
+    :func:`_pinning_term`), whose checks and body run for its one instance
+    only, since every other instance folds to false.
     """
 
     __slots__ = ("structure", "predicates", "size", "_domain_sets")
@@ -372,6 +377,10 @@ class _Compiler:
         inner = dict(scope)
         inner[f.var.name] = (slot, checks)
         body = self.formula(f.body, inner, depth + 1, checks if outer is None else outer)
+        pin = _pinning_term(f, scope) if type(f) is Exists else None
+        if pin is not None:
+            get = self.term(pin, scope)[0]
+            return self._pinned(get, self.domain_set(f.var.sort), slot, checks, _reader(body))
         domain = self.structure.domain(f.var.sort)
         combine = gand_all if isinstance(f, Forall) else gor_all
         if type(body) is tuple and not checks:
@@ -381,6 +390,22 @@ class _Compiler:
         return lambda env: combine(
             [body(env) for env[slot] in domain if all(c(env) is not None for c in checks)]
         )
+
+    @staticmethod
+    def _pinned(get, domain: frozenset, slot: int, checks: list, body) -> Compiled:
+        """∃x (x = t ∧ φ) as φ[t/x]: every other instance has a false
+        conjunct, and the disjunction of ⊥s and φ folds to φ."""
+
+        def pinned(env):
+            value = get(env)
+            if value not in domain:
+                return FALSE_GF
+            env[slot] = value
+            if all(c(env) is not None for c in checks):
+                return body(env)
+            return FALSE_GF
+
+        return pinned
 
 
 _CONNECTIVES = {And: gand, Or: gor, Implies: gimp}
@@ -402,6 +427,35 @@ def _connective(op, lhs: Callable[[Env], GF], rhs: Callable[[Env], GF]) -> Compi
         return op(left, rhs(env))
 
     return connective
+
+
+def _pinning_term(f: Exists, scope: dict) -> Optional[Term]:
+    """The term t of a conjunct ``x = t`` or ``t = x`` that pins the
+    variable x of ``f``: a conjunct of its body, seen through conjunctions
+    and nested existentials, with t a literal or a variable of ``scope``,
+    which binds it outside ``f``.  None when there is no such conjunct.
+
+    The search stops where an inner binder reuses x's name, and a variable
+    an inner binder reuses is not bound outside."""
+    x = f.var.name
+    stack = [(f.body, frozenset((x,)))]  # a node, and the names bound inside f above it
+    while stack:
+        g, bound = stack.pop()
+        kind = type(g)
+        if kind is And:
+            stack.append((g.rhs, bound))
+            stack.append((g.lhs, bound))
+        elif kind is Exists:
+            if g.var.name != x:
+                stack.append((g.body, bound | {g.var.name}))
+        elif kind is Equality:
+            for v, t in ((g.lhs, g.rhs), (g.rhs, g.lhs)):
+                if type(v) is Variable and v.name == x:
+                    if type(t) is DomainName or (
+                        type(t) is Variable and t.name in scope and t.name not in bound
+                    ):
+                        return t
+    return None
 
 
 def conjuncts(gfs: Iterable[GF]) -> list[GF]:
@@ -566,18 +620,17 @@ def pos_syn_atoms(gf: GF) -> set[GroundAtom]:
 # backtracking model search
 
 
-def find_model(
-    gfs: Sequence[GF], node_cap: int = DEFAULT_NODE_CAP
-) -> tuple[str, Optional[frozenset[GroundAtom]]]:
+def find_model(gfs: Sequence[GF], node_cap: int) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """Search for a classical model of the ground theory.
 
     Returns ``("sat", atoms)``, ``("unsat", None)``, or ``("unknown", None)``
-    when the node cap is hit.  Atoms absent from the theory stay false in the
-    witness.  The search decides the first unassigned atom, in
-    :func:`~htsplit.interpretations.atom_sort_key` order, of the first
-    sentence whose value is unknown.  It serves the side path (bounded
-    satisfiability, occurrence transforms, validity checks); stability is
-    decided by :func:`is_stable_ground` on truth tables.
+    when the search passes ``node_cap`` nodes (callers pass
+    ``DEFAULT_NODE_CAP`` as it reads when they call).  Atoms absent from the
+    theory stay false in the witness.  The search decides the first
+    unassigned atom, in :func:`~htsplit.interpretations.atom_sort_key` order,
+    of the first sentence whose value is unknown.  It serves the side path
+    (bounded satisfiability, occurrence transforms, validity checks);
+    stability is decided by :func:`is_stable_ground` on truth tables.
     """
     sentences = [g for g in gfs if g != TRUE_GF]
     if any(g == FALSE_GF for g in sentences):

@@ -31,9 +31,11 @@ from htsplit.parser import parse_problem
 from htsplit.semantics import em_atoms, em_theory, ground_region, is_lambda_stable
 from htsplit.syntax import (
     INT_SORT,
+    And,
     Atom,
     DomainName,
     Equality,
+    Exists,
     Forall,
     Func,
     Implies,
@@ -151,8 +153,9 @@ def test_grounding_makes_no_substitution(monkeypatch):
 
 def test_function_table_terms_ground_like_the_reference():
     sig = Signature.make(sorts=["s"], predicates={("u", 1): ("s",)})
-    flip = {("f", ("d1",)): "d2", ("f", ("d2",)): "d1"}
-    structure = FiniteInterpretation.make(sig, {"s": ("d1", "d2")}, function_tables=flip)
+    # f flips the two elements; h has a table at d1 only, g none at all
+    tables = {("f", ("d1",)): "d2", ("f", ("d2",)): "d1", ("h", ("d1",)): "d2"}
+    structure = FiniteInterpretation.make(sig, {"s": ("d1", "d2")}, function_tables=tables)
     x = Variable("X", "s")
     sentence = Forall(x, Implies(Atom("u", (x,)), Atom("u", (Func("f", (x,), "s"),))))
     _assert_grounds_like_the_reference(structure, sentence)
@@ -169,6 +172,144 @@ def test_function_table_terms_ground_like_the_reference():
     # under a quantifier, the quantifier's check still reads the term
     with pytest.raises(ValueError, match="no table for function g"):
         engine.ground_formula(structure, Forall(x, guarded))
+    # a pinned existential checks its one instance only: where the reference
+    # reads h(d2) and raises, the compiled grounder grounds X = d1 alone,
+    # and the universal dual keeps its loop and its error
+    h_of_x = Atom("u", (Func("h", (x,), "s"),))
+    pinned = Exists(x, And(Equality(x, d1), h_of_x))
+    with pytest.raises(ValueError, match="no table for function h"):
+        reference_ground_formula(structure, pinned)
+    assert engine.ground_formula(structure, pinned) == ("atom", ("u", ("d2",)))
+    with pytest.raises(ValueError, match="no table for function h"):
+        engine.ground_formula(structure, Forall(x, Implies(Equality(x, d1), h_of_x)))
+
+
+_PIN_CASES = {
+    # case: whether X's quantifier is pinned
+    "literal inside the sort": True,
+    "literal outside the sort": True,
+    "outer variable": True,
+    "undefined arithmetic term": False,
+    "below nested existentials": True,
+    "inner binder shadows X": False,
+    "inner binder shadows the outer variable": False,
+    "variable of an inner quantifier": False,
+}
+
+
+def _pinned_sentence(rng, case):
+    """``Q Y0 ∃X φ`` over q/1 and the range 0..2, where φ holds the
+    conjunct ``X = t`` (either way round) among random conjuncts, below the
+    inner existentials that ``case`` asks for, and maybe beside a random
+    conjunct over Y0 and X outside them."""
+    y, x, z = (Variable(name, INT_SORT) for name in ("Y0", "X", "Z1"))
+    inner: tuple = ()
+    if case == "literal inside the sort":
+        t = int_name(rng.randint(0, 2))
+    elif case == "literal outside the sort":
+        t = int_name(rng.choice((-1, 3)))
+    elif case == "outer variable":
+        t = y
+    elif case == "undefined arithmetic term":
+        t = Func(rng.choice("+-*"), (y, int_name(rng.randint(1, 2))), INT_SORT)
+    elif case == "below nested existentials":
+        t = rng.choice((y, int_name(rng.randint(-1, 3))))
+        inner = (z, Variable("Z2", INT_SORT))[: rng.randint(1, 2)]
+    elif case == "inner binder shadows X":
+        t = rng.choice((y, int_name(rng.randint(0, 2))))
+        inner = (x,)
+    elif case == "inner binder shadows the outer variable":
+        t, inner = y, (y,)
+    else:
+        t, inner = z, (z,)
+    variables = (y, x) + inner
+
+    def equates_x(f):
+        if type(f) is Equality:
+            return x in (f.lhs, f.rhs)
+        if type(f) in (And, Or, Implies):
+            return equates_x(f.lhs) or equates_x(f.rhs)
+        return type(f) in (Forall, Exists) and equates_x(f.body)
+
+    def filler(variables):  # a random formula with no equality that could pin X
+        while True:
+            f = _random_int_sentence(rng, 2, variables)
+            if not equates_x(f):
+                return f
+
+    parts = [filler(variables) for _ in range(rng.randint(0, 3))]
+    parts.insert(rng.randint(0, len(parts)), Equality(x, t) if rng.random() < 0.5 else Equality(t, x))
+    while len(parts) > 1:  # a random tree of conjunctions, in order
+        i = rng.randrange(len(parts) - 1)
+        parts[i : i + 2] = [And(parts[i], parts[i + 1])]
+    body = exists_over(inner, parts[0])
+    if rng.random() < 0.6:
+        beside = filler((y, x))
+        body = And(beside, body) if rng.random() < 0.5 else And(body, beside)
+    exists_x = Exists(x, body)
+    return rng.choice((Forall, Exists))(y, exists_x), exists_x
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_CASES))
+def test_a_pinned_existential_grounds_like_the_reference(monkeypatch, case):
+    # ∃X (X = t ∧ φ) grounds one instance where t is a literal or a
+    # variable bound outside; everywhere else the quantifier keeps its loop
+    sig = Signature.make(predicates={("q", 1): (INT_SORT,)}, has_int=True)
+    structure = FiniteInterpretation.make(sig, {INT_SORT: (0, 1, 2)})
+    pinned = []
+    real_pinning_term = engine._pinning_term
+
+    def recording(f, scope):
+        t = real_pinning_term(f, scope)
+        if t is not None:
+            pinned.append(f)
+        return t
+
+    monkeypatch.setattr(engine, "_pinning_term", recording)
+    rng = random.Random(case)
+    for _ in range(300):
+        sentence, exists_x = _pinned_sentence(rng, case)
+        pinned.clear()
+        _assert_grounds_like_the_reference(structure, sentence)
+        assert any(f is exists_x for f in pinned) == _PIN_CASES[case], syntax.format_formula(sentence)
+
+
+def test_the_dual_and_arithmetic_pins_keep_the_loop():
+    sig = Signature.make(predicates={("q", 1): (INT_SORT,)}, has_int=True)
+    structure = FiniteInterpretation.make(sig, {INT_SORT: (0, 1, 2)})
+    x, y = Variable("X", INT_SORT), Variable("Y", INT_SORT)
+    # ∀X (X = t → φ), the dual of the pinned form, over a literal, an outer
+    # variable and a literal outside the range
+    for t in (int_name(1), y, int_name(3)):
+        _assert_grounds_like_the_reference(
+            structure, Forall(y, Forall(x, Implies(Equality(x, t), Atom("q", (x,)))))
+        )
+    # ∀Y ∃X (X = Y + 1 ∧ q(X)) at the top of the range: Y + 1 is undefined
+    # at Y = 2, and the instance is dropped
+    successor = Equality(x, Func("+", (y, int_name(1)), INT_SORT))
+    sentence = Forall(y, Exists(x, And(successor, Atom("q", (x,)))))
+    _assert_grounds_like_the_reference(structure, sentence)
+    q1, q2 = ("atom", ("q", (1,))), ("atom", ("q", (2,)))
+    assert engine.ground_formula(structure, sentence) == ("and", q1, q2)
+
+
+def test_a_pinned_existential_makes_no_disjunction_of_instances(monkeypatch):
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    x = Variable("X", "s")
+    calls = []
+    real_gor_all = engine.gor_all
+
+    def recording(parts):
+        calls.append(len(parts))
+        return real_gor_all(parts)
+
+    monkeypatch.setattr(engine, "gor_all", recording)
+    pinned = Exists(x, And(Atom("u", (x,)), Equality(x, DomainName("d2", "s"))))
+    assert engine.ground_formula(structure, pinned) == ("atom", ("u", ("d2",)))
+    assert calls == []
+    unpinned = Exists(x, Or(Atom("u", (x,)), Equality(x, DomainName("d2", "s"))))
+    assert engine.ground_formula(structure, unpinned) == engine.TRUE_GF
+    assert calls == [2]
 
 
 def test_grounding_an_open_formula_names_the_free_variable():

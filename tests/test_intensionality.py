@@ -2,9 +2,13 @@
 
 import pytest
 
+from htsplit import engine
+from htsplit.depgraph import bounded_sat
+from htsplit.interpretations import FiniteInterpretation
 from htsplit.intensionality import (
     IntensionalityStatement,
     Partition,
+    _valid_on,
     disjoint,
     equivalent,
     is_purely_extensional,
@@ -18,11 +22,13 @@ from htsplit.intensionality import (
     partition_problems,
     validate_condition_predicates,
 )
+from htsplit.parser import parse_problem
 from htsplit.syntax import (
     And,
     Atom,
     Equality,
     INT_SORT,
+    Or,
     Signature,
     TOP,
     Variable,
@@ -174,3 +180,16 @@ def test_conditions_reject_stray_free_variables():
 def test_join_all_matches_pairwise(blocks):
     sig, domains, beta, beta1, beta2 = blocks
     assert equivalent(join_all([beta1, beta2]), join(beta1, beta2), domains)
+
+
+def test_validity_checks_read_the_node_cap_at_call_time(monkeypatch):
+    problem = parse_problem("int range 0..3. pred p(int).\np(X) | p(X+1) :- X >= 0.\n")
+    structure = FiniteInterpretation.make(problem.signature, problem.domains())
+    p1 = Atom("p", (int_name(1),))
+    excluded_middle = Or(p1, neg(p1))
+    assert bounded_sat(problem.theory(), problem.signature, problem.domains()).status == "sat"
+    assert _valid_on(structure, excluded_middle)
+    monkeypatch.setattr(engine, "DEFAULT_NODE_CAP", 1)
+    assert bounded_sat(problem.theory(), problem.signature, problem.domains()).status == "unknown"
+    with pytest.raises(engine.ResourceCapExceeded, match="validity check"):
+        _valid_on(structure, excluded_middle)
