@@ -397,61 +397,6 @@ class SeparabilityResult:
         return self.separable
 
 
-def _strongly_connected_components(
-    vertices: Sequence[Vertex], edges: Sequence[tuple[Vertex, Vertex]]
-) -> list[list[Vertex]]:
-    succ: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-    for u, w in edges:
-        succ[u].append(w)
-    index: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
-    on_stack: set[Vertex] = set()
-    stack: list[Vertex] = []
-    counter = [0]
-    out: list[list[Vertex]] = []
-
-    def strongconnect(root: Vertex) -> None:
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                out.append(component)
-
-    for v in vertices:
-        if v not in index:
-            strongconnect(v)
-    return out
-
-
 def _path_within(
     start: Vertex, goal: Vertex, allowed: set, succ: dict
 ) -> Optional[list[Vertex]]:
@@ -486,7 +431,7 @@ def is_separable(
     succ: dict[Vertex, list[Vertex]] = {v: [] for v in graph.vertices}
     for u, w in graph.edges:
         succ[u].append(w)
-    for component in _strongly_connected_components(graph.vertices, graph.edges):
+    for component in engine.strongly_connected_components(graph.vertices, graph.edges):
         members = {member_of(v) for v in component}
         if len(members) <= 1:
             continue

@@ -23,11 +23,17 @@ false.  On top of that this module provides:
   equivalence compares two theories: the shared ones cancel out, and the
   reduct of each conjunct depends only on the values of its own atoms;
 * bit-parallel truth tables over a candidate atom list, and the prefilter
-  built on them, which keeps only assignments that could be stable models;
+  built on them, the singleton loop test (:func:`stable_candidate_table`),
+  which keeps the classical models X from which no droppable true atom a
+  can be dropped alone: X∖{a} does not satisfy the reduct at X.
   :func:`scan` is the one place that knows the space is walked in blocks of
   at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary, the others
   are fixed per block): its callers pass a table per block and get back the
   true atoms of each kept assignment;
+* tightness (:func:`is_tight`): when the positive dependency graph has no
+  cycle through two atoms, every loop is a singleton, so the survivors of
+  the singleton loop test are the stable models and tight problems skip
+  the exact check;
 * the exact minimality check of one candidate (:func:`is_stable_ground`),
   one :func:`scan` over the here-worlds: is the lowest model of the reduct
   the candidate itself?  So the stable-model path, from the prefilter to
@@ -44,7 +50,17 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Container,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .interpretations import (
     _COMPARE,
@@ -799,25 +815,18 @@ def scan(
                 yield frozenset(true)
 
 
-def posin_tables(
-    space: TableSpace, gfs: Sequence[GF], wanted: frozenset[GroundAtom]
-) -> dict[GroundAtom, int]:
-    """For each wanted atom, the table of interpretations I with the atom in
-    the strictly positive atom set of some sentence (the guarded recursion)."""
-    support: dict[GroundAtom, int] = {a: 0 for a in wanted}
-    for g in gfs:
-        _, pos = _posin_walk(space, wanted, g)
-        for a, t in pos.items():
-            support[a] |= t
-    return support
-
-
 # a module-level function: a nested one that calls itself holds its closure,
 # and with it the space and its tables, in a reference cycle that outlives
 # the call until the cyclic collector runs
-def _posin_walk(
-    space: TableSpace, wanted: frozenset[GroundAtom], gf: GF
+def _singleton_walk(
+    space: TableSpace, wanted: Container[GroundAtom], gf: GF
 ) -> tuple[int, dict[GroundAtom, int]]:
+    """The table of ``gf`` and, for each atom a of ``wanted`` with a strictly
+    positive occurrence in it, the table D_a of the assignments X with
+    X∖{a} ⊨ gf^X (the reduct at X).  Any other atom's D_a is the table of
+    ``gf``: an atom that occurs only in antecedents cannot falsify the
+    reduct by its absence, so an antecedent is walked only for the atoms its
+    consequent tracks."""
     tag = gf[0]
     if tag == "t":
         return space.mask, {}
@@ -825,19 +834,132 @@ def _posin_walk(
         return 0, {}
     if tag == "atom":
         sat = space.atom_table(space.index[gf[1]])
-        return sat, ({gf[1]: sat} if gf[1] in wanted else {})
-    sat_l, pos_l = _posin_walk(space, wanted, gf[1])
-    sat_r, pos_r = _posin_walk(space, wanted, gf[2])
+        return sat, ({gf[1]: 0} if gf[1] in wanted else {})
+    if tag == "imp":
+        sat_r, d_r = _singleton_walk(space, wanted, gf[2])
+        if d_r:
+            sat_l, d_l = _singleton_walk(space, d_r.keys(), gf[1])
+        else:
+            sat_l, d_l = space.table(gf[1]), {}
+        sat = (space.mask ^ sat_l) | sat_r
+        return sat, {a: sat & ((space.mask ^ d_l.get(a, sat_l)) | t) for a, t in d_r.items()}
+    sat_l, d_l = _singleton_walk(space, wanted, gf[1])
+    sat_r, d_r = _singleton_walk(space, wanted, gf[2])
     if tag == "and":
         sat = sat_l & sat_r
-        pos = {a: (pos_l.get(a, 0) | pos_r.get(a, 0)) & sat for a in pos_l.keys() | pos_r.keys()}
-    elif tag == "or":
+        d = {a: d_l.get(a, sat_l) & d_r.get(a, sat_r) for a in d_l.keys() | d_r.keys()}
+    else:
         sat = sat_l | sat_r
-        pos = {a: (pos_l.get(a, 0) | pos_r.get(a, 0)) & sat for a in pos_l.keys() | pos_r.keys()}
-    else:  # implication: positive atoms come from the consequent, guarded by the antecedent
-        sat = (space.mask ^ sat_l) | sat_r
-        pos = {a: t & sat_l for a, t in pos_r.items()}
-    return sat, pos
+        d = {a: d_l.get(a, sat_l) | d_r.get(a, sat_r) for a in d_l.keys() | d_r.keys()}
+    return sat, d
+
+
+# ---------------------------------------------------------------------------
+# tightness
+
+
+def positive_dependency_edges(gfs: Iterable[GF]) -> set[tuple[GroundAtom, GroundAtom]]:
+    """The edges a → b of the conservative positive dependency graph: for
+    each implication subformula F → G, from every atom with a strictly
+    positive occurrence in G to every atom that occurs in F outside any
+    negation X → ⊥."""
+    edges: set[tuple[GroundAtom, GroundAtom]] = set()
+    stack = list(gfs)
+    while stack:
+        g = stack.pop()
+        if g[0] in ("and", "or", "imp"):
+            stack.append(g[1])
+            stack.append(g[2])
+            if g[0] == "imp":
+                heads = pos_syn_atoms(g[2])
+                if heads:
+                    bodies = _unnegated_atoms(g[1])
+                    edges.update((a, b) for a in heads for b in bodies)
+    return edges
+
+
+def _unnegated_atoms(gf: GF) -> set[GroundAtom]:
+    """Atoms with an occurrence in ``gf`` outside every subformula X → ⊥."""
+    out: set[GroundAtom] = set()
+    stack = [gf]
+    while stack:
+        g = stack.pop()
+        tag = g[0]
+        if tag == "atom":
+            out.add(g[1])
+        elif tag in ("and", "or") or (tag == "imp" and g[2] != FALSE_GF):
+            stack.append(g[1])
+            stack.append(g[2])
+    return out
+
+
+def is_tight(gfs: Iterable[GF]) -> bool:
+    """Whether every strongly connected component of the positive dependency
+    graph (:func:`positive_dependency_edges`) is one atom.  Then every loop
+    is a singleton, so a model that passes the singleton loop test of
+    :func:`stable_candidate_table` is stable (Erdem and Lifschitz, "Tight
+    logic programs"; Ferraris, Lee and Lifschitz, "A generalization of the
+    Lin-Zhao theorem").  A self-loop alone leaves a problem tight."""
+    edges = positive_dependency_edges(gfs)
+    vertices = list({v for edge in edges for v in edge})
+    return all(len(c) == 1 for c in strongly_connected_components(vertices, edges))
+
+
+def strongly_connected_components(
+    vertices: Sequence[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+) -> list[list[Hashable]]:
+    """Tarjan's components of the graph, by an explicit stack, so a path
+    longer than the recursion limit is followed."""
+    succ: dict[Hashable, list[Hashable]] = {v: [] for v in vertices}
+    for u, w in edges:
+        succ[u].append(w)
+    index: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    stack: list[Hashable] = []
+    counter = [0]
+    out: list[list[Hashable]] = []
+
+    def strongconnect(root: Hashable) -> None:
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    component.append(w)
+                    if w == v:
+                        break
+                out.append(component)
+
+    for v in vertices:
+        if v not in index:
+            strongconnect(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -896,26 +1018,39 @@ def stable_candidate_table(
     gfs: Sequence[GF],
     region_gf: dict[GroundAtom, GF],
 ) -> int:
-    """Necessary conditions for stability, bit-parallel over one block of
-    the space; callers hand it to :func:`scan`, which walks the blocks.
+    """The singleton loop test, bit-parallel over one block of the space;
+    callers hand it to :func:`scan`, which walks the blocks.
 
-    Keeps assignments that satisfy the theory classically and give every
-    true atom inside the droppable region a strictly positive supporting
-    occurrence; the atoms fixed by the block are checked like the varying
-    ones.  Every stable model passes this filter; survivors still need the
-    exact check.  The formulas in ``gfs`` and ``region_gf`` may mention
-    only atoms of the space (see ``GroundProblem.restrict``).  An atom of
-    the space that is none of the problem's candidates lies inside the
-    region (else its excluded-middle sentence would make it a candidate)
-    and has no strictly positive occurrence, so no survivor makes it true.
+    Keeps the classical models X of the theory in which no true atom a
+    inside the droppable region has X∖{a} ⊨ Γ^X; the atoms fixed by the
+    block are checked like the varying ones.  X∖{a} is then a proper
+    here-world that satisfies the reduct, so every stable model passes.  On
+    a tight problem (:func:`is_tight`) every loop is a singleton and the
+    survivors are the stable models; on any other a survivor still needs the
+    exact check.  The formulas in ``gfs`` and ``region_gf`` may mention only
+    atoms of the space (see ``GroundProblem.restrict``).  An atom of the
+    space that is none of the problem's candidates lies inside the region
+    (else its excluded-middle sentence would make it a candidate) and has no
+    strictly positive occurrence, so X∖{a} satisfies every reduct and no
+    survivor makes it true.
     """
-    good = space.theory_table(gfs)
-    if good:
-        support = posin_tables(space, gfs, frozenset(space.atoms))
-        for a in space.atoms:
-            region_table = space.table(region_gf[a])
-            bad = space.atom_table(space.index[a]) & region_table & ~support[a]
-            good &= space.mask ^ bad
+    droppable = [a for a in space.atoms if region_gf[a] != FALSE_GF]
+    wanted = frozenset(droppable)
+    # D_a of a conjunction is its table and the D_a of the conjuncts that
+    # track a; good lies inside every table, so only the D_a are kept
+    good = space.mask
+    held: dict[GroundAtom, int] = {}
+    for g in conjuncts(gfs):
+        sat, d = _singleton_walk(space, wanted, g)
+        good &= sat
+        if not good:
+            return 0
+        for a, t in d.items():
+            held[a] = held.get(a, space.mask) & t
+    for a in droppable:
+        bad = space.atom_table(space.index[a]) & held.get(a, space.mask) & good
+        if bad:
+            good ^= bad & space.table(region_gf[a])
             if not good:
                 break
     return good

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal as LiteralType, Mapping, Optional, Sequence
 
 from . import engine
@@ -223,6 +224,13 @@ class GroundProblem:
     region_gf: dict[GroundAtom, engine.GF]
     atoms: frozenset[GroundAtom]
 
+    @cached_property
+    def tight(self) -> bool:
+        """Whether :func:`engine.is_tight` holds of ``gfs``: then the
+        survivors of :func:`engine.stable_candidate_table` are the stable
+        models."""
+        return engine.is_tight(self.gfs)
+
     @classmethod
     def ground(
         cls,
@@ -261,11 +269,11 @@ class GroundProblem:
         """The true atoms of every stable model, in a fixed order.
 
         The search covers the candidate atoms only: :func:`engine.scan`
-        lists the survivors of the bit-parallel prefilter, the classical
-        models that give every true atom in the region a supporting
-        occurrence, and the exact check decides them.  Raises
-        :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` candidate
-        atoms.
+        lists the survivors of the singleton loop test, the classical models
+        from which no true atom in the region can be dropped alone.  On a
+        tight problem they are the stable models; on any other the exact
+        check decides them.  Raises :class:`engine.ResourceCapExceeded`
+        beyond ``atom_cap`` candidate atoms.
         """
         atoms = sorted(self.atoms, key=atom_sort_key)
         if len(atoms) > atom_cap:
@@ -280,7 +288,10 @@ class GroundProblem:
             atoms,
             lambda space: engine.stable_candidate_table(space, problem.gfs, problem.region_gf),
         )
-        models = [m for m in survivors if problem.is_stable(m)]
+        if problem.tight:
+            models = list(survivors)
+        else:
+            models = [m for m in survivors if problem.is_stable(m)]
         models.sort(key=lambda m: sorted(m, key=atom_sort_key))
         return models
 

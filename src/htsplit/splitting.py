@@ -224,9 +224,12 @@ def verify_split(
     The scan covers every interpretation that could belong to either side:
     an interpretation making an atom true that no side can support belongs to
     neither, so the two sides trivially agree on it.  :func:`engine.scan`
-    lists the survivors of either side's bit-parallel necessary-condition
-    filter in ascending order, and each is rechecked exactly as it comes, so
-    the first mismatch is the lowest one.
+    lists the survivors of either side's singleton loop test in ascending
+    order, and each is rechecked exactly as it comes, so the first mismatch
+    is the lowest one.  When the union and every part are tight, the
+    survivors of each side are its members, so only the interpretations on
+    which the two sides' tables differ are listed: each is a mismatch, and
+    a run that verifies makes no exact check.
     """
     if len(parts) != len(partition.members):
         raise ValueError("one part per partition member is required")
@@ -260,6 +263,8 @@ def verify_split(
             return False
         return all(side.is_stable(true_atoms) for side in part_sides)
 
+    tight = union_side.tight and all(side.tight for side in part_sides)
+
     def either_side(space) -> int:
         table_a = engine.stable_candidate_table(space, union_side.gfs, union_side.region_gf)
         table_b = space.theory_table(psi_restricted)
@@ -267,7 +272,7 @@ def verify_split(
             if not table_b:
                 break
             table_b &= engine.stable_candidate_table(space, side.gfs, side.region_gf)
-        return table_a | table_b
+        return table_a ^ table_b if tight else table_a | table_b
 
     for true_atoms in engine.scan(space_atoms, either_side):
         a = union_side.is_stable(true_atoms)

@@ -12,6 +12,14 @@ from htsplit.parser import parse_problem
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+# a positive loop through p and q, so the problem is not tight: only the
+# exact check rejects its classical model {p, q}
+LOOP_SOURCE = (
+    "pred p. pred q.\np :- q.\nq :- p.\n:- not p.\n"
+    "#intensional p : #true.\n#intensional q : #true.\n"
+)
+
+
 def load(name: str):
     return parse_problem((DATA / name).read_text())
 

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from conftest import load
+from conftest import LOOP_SOURCE, load
 from htsplit import cli, engine
 from htsplit.cli import main
 from htsplit.interpretations import FiniteInterpretation
@@ -58,10 +58,13 @@ def test_models_cap_admits_the_atoms_whose_interpretations_fit(capsys, name):
     assert code == 0 and err == ""
 
 
-def test_models_past_the_stability_atom_cap_is_exit_3(capsys, monkeypatch):
-    # --cap admits the candidate space; the exact check reads its own cap
+def test_models_past_the_stability_atom_cap_is_exit_3(capsys, monkeypatch, tmp_path):
+    # --cap admits the candidate space; the exact check reads its own cap.
+    # A tight input never reaches the exact check, so this one has a loop
+    source = tmp_path / "loop.htsplit"
+    source.write_text(LOOP_SOURCE)
     monkeypatch.setattr(engine, "DEFAULT_ATOM_CAP", 1)
-    code, _out, err = run(capsys, "models", DATA / "four_models.htsplit", "--cap", 1 << 16)
+    code, _out, err = run(capsys, "models", source, "--cap", 1 << 16)
     _assert_one_inconclusive_line(code, err)
     assert "removable atoms, cap is 1" in err
 

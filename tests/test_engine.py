@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import htsplit
-from conftest import DATA, load, reference_ground_formula
+from conftest import DATA, LOOP_SOURCE, load, reference_ground_formula
 from htsplit import engine, interpretations, syntax
 from htsplit.cli import main
 from htsplit.depgraph import bounded_sat
@@ -28,7 +28,13 @@ from htsplit.interpretations import (
     satisfies_all,
 )
 from htsplit.parser import parse_problem
-from htsplit.semantics import em_atoms, em_theory, ground_region, is_lambda_stable
+from htsplit.semantics import (
+    GroundProblem,
+    em_atoms,
+    em_theory,
+    ground_region,
+    is_lambda_stable,
+)
 from htsplit.syntax import (
     INT_SORT,
     And,
@@ -444,6 +450,97 @@ def test_a_non_tight_theory_drops_both_atoms_of_its_loop():
     gfs = [("imp", q, p), ("imp", p, q), ("imp", ("imp", p, engine.FALSE_GF), engine.FALSE_GF)]
     true_atoms = frozenset({("p", ()), ("q", ())})
     assert engine.is_stable_ground(gfs, true_atoms, true_atoms) == (False, frozenset())
+
+
+_P, _Q, _R = ("atom", ("p", ())), ("atom", ("q", ())), ("atom", ("r", ()))
+
+
+def _not(g):
+    return ("imp", g, engine.FALSE_GF)
+
+
+def test_an_atom_under_negation_adds_no_dependency_edge():
+    # p :- not q.  and  p :- r, not not q.
+    assert engine.positive_dependency_edges([("imp", _not(_Q), _P)]) == set()
+    body = ("and", _R, _not(_not(_Q)))
+    assert engine.positive_dependency_edges([("imp", body, _P)]) == {(("p", ()), ("r", ()))}
+    # an antecedent outside a negation counts whatever its polarity, and
+    # the inner implication q -> r adds its own edge
+    nested = ("imp", ("imp", _Q, _R), _P)
+    assert engine.positive_dependency_edges([nested]) == {
+        (("p", ()), ("q", ())),
+        (("p", ()), ("r", ())),
+        (("r", ()), ("q", ())),
+    }
+
+
+def test_a_self_loop_alone_is_tight_and_a_two_atom_cycle_is_not():
+    assert engine.positive_dependency_edges([("imp", _P, _P)]) == {(("p", ()), ("p", ()))}
+    assert engine.is_tight([("imp", _P, _P)])
+    assert engine.is_tight([("imp", _Q, _P), ("imp", _R, _Q)])
+    assert not engine.is_tight([("imp", _Q, _P), ("imp", _P, _Q)])
+    # a disjunctive head and a conjunctive body: self-loop r -> r only,
+    # until q -> p closes the cycle p -> q -> p
+    choice = ("imp", ("and", _Q, _R), ("or", _P, _R))
+    assert engine.is_tight([choice])
+    assert not engine.is_tight([choice, ("imp", _P, _Q)])
+
+
+def test_restrict_false_only_removes_dependency_edges():
+    rng = random.Random(11)
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    universe = sorted(UNIVERSE, key=atom_sort_key)
+    seen_loose = 0
+    for _ in range(300):
+        gfs = engine.ground_theory(structure, [random_sentence(rng, depth=3) for _ in range(3)])
+        edges = engine.positive_dependency_edges(gfs)
+        seen_loose += not engine.is_tight(gfs)
+        allowed = frozenset(a for a in universe if rng.random() < 0.6)
+        restricted = [engine.restrict_false(g, allowed) for g in gfs]
+        assert engine.positive_dependency_edges(restricted) <= edges
+        assert engine.is_tight(restricted) or not engine.is_tight(gfs)
+    assert seen_loose
+
+
+def _restricted_problem(source: str):
+    problem = parse_problem(source)
+    structure = FiniteInterpretation.make(problem.signature, problem.domains())
+    ground = GroundProblem.ground(structure, problem.theory(), problem.default_lambda)
+    return ground.restrict(ground.atoms)
+
+
+def test_the_blocks_split_is_tight_and_the_loop_input_is_not():
+    assert _restricted_problem((DATA / "blocks_split.htsplit").read_text()).tight
+    assert not _restricted_problem(LOOP_SOURCE).tight
+
+
+def test_tight_inputs_make_no_exact_check(monkeypatch, capsys, tmp_path):
+    # the singleton loop test decides stability on a tight problem, so
+    # neither models nor a split that verifies calls the exact check
+    calls = []
+    is_stable_ground = engine.is_stable_ground
+
+    def counted(*args):
+        calls.append(args)
+        return is_stable_ground(*args)
+
+    monkeypatch.setattr(engine, "is_stable_ground", counted)
+    checked = []
+    for path in sorted(DATA.glob("*.htsplit")):
+        if path.name == "blocks_graph.htsplit" or not _restricted_problem(path.read_text()).tight:
+            continue  # blocks_graph's candidate space is past the default cap
+        assert main(["models", str(path), "--format", "json"]) == 0, path.name
+        assert calls == [], path.name
+        checked.append(path.name)
+    assert {"blocks_split.htsplit", "four_models.htsplit"} <= set(checked)
+    split = ["split", str(DATA / "blocks_split.htsplit"), "--parts", "lt,gt"]
+    assert main(split + ["--partition", "beta1,beta2", "--verify"]) == 0
+    assert calls == []
+    loop = tmp_path / "loop.htsplit"
+    loop.write_text(LOOP_SOURCE)
+    assert main(["models", str(loop)]) == 0
+    assert calls
+    capsys.readouterr()
 
 
 def test_models_on_the_data_files_make_no_find_model_call(monkeypatch, capsys):

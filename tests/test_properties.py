@@ -359,6 +359,63 @@ def test_enumeration_matches_brute_force_under_interpretation_dependent_regions(
         assert fast == brute, [format_formula(s) for s in theory]
 
 
+def test_singleton_loop_test_keeps_the_stable_models_and_only_them_when_tight():
+    # the survivors of the singleton loop test include every definitional
+    # stable model, and on a tight problem are exactly them; the handwritten
+    # theories have the loop a <-> b, whose survivor {a, b} under the top
+    # statement only the exact check rejects
+    import random
+
+    from htsplit.intensionality import IntensionalityStatement
+    from htsplit.interpretations import FiniteInterpretation, all_interpretations, atom_sort_key
+    from htsplit.semantics import GroundProblem, enumerate_lambda_stable_models
+    from htsplit.syntax import Equality as Eq
+    from strategies import random_sentence
+
+    x1 = Variable("X1", "s")
+    region = Or(Eq(x1, DomainName("d1", "s")), Atom("b", ()))  # d1 always, d2 iff b
+    statements = [
+        lambda_top(SIG),
+        IntensionalityStatement.make(SIG, {("u", 1): ((x1,), region), ("a", 0): ((), TOP)}),
+    ]
+    a, b = Atom("a", ()), Atom("b", ())
+    loop = [Implies(b, a), Implies(a, b)]
+    rng = random.Random(23)
+    theories = [loop + [neg(neg(a))], loop + [Or(a, neg(a))]] + [
+        [random_sentence(rng, depth=rng.choice((2, 3))) for _ in range(rng.randint(1, 3))]
+        for _ in range(400)
+    ]
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    seen = {"tight": 0, "not tight": 0, "rejected by the exact check": 0}
+    for theory in theories:
+        text = [format_formula(f) for f in theory]
+        for lam in statements:
+            problem = GroundProblem.ground(structure, theory, lam)
+            atoms = sorted(problem.atoms, key=atom_sort_key)
+            restricted = problem.restrict(frozenset(atoms))
+            survivors = set(
+                engine.scan(
+                    atoms,
+                    lambda space: engine.stable_candidate_table(
+                        space, restricted.gfs, restricted.region_gf
+                    ),
+                )
+            )
+            stable = {
+                i.true_atoms
+                for i in all_interpretations(SIG, DOMAINS)
+                if is_lambda_stable(i, theory, lam, method="direct-full")
+            }
+            assert stable <= survivors, text
+            if restricted.tight:
+                assert survivors == stable, text
+            seen["tight" if restricted.tight else "not tight"] += 1
+            seen["rejected by the exact check"] += survivors != stable
+            fast = {m.true_atoms for m in enumerate_lambda_stable_models(theory, lam, DOMAINS)}
+            assert fast == stable, text
+    assert all(seen.values()), seen
+
+
 def test_enumeration_matches_brute_force_where_the_condition_leaves_the_range():
     # every condition on q holds the successor X+1, undefined at X = 2, so it
     # reads false there: q(2) is outside the region and obeys excluded middle.
@@ -554,6 +611,56 @@ def _member_partition():
         SIG, {("u", 1): ((x1,), An(Eq(x1, d2), A("b", ())))}, name="m2"
     )
     return Partition.of([member1, member2])
+
+
+def test_verify_split_reports_the_lowest_definitional_mismatch():
+    # the first mismatch verify_split reports, and its side, against the
+    # definitional stability of every interpretation.  Most of these
+    # problems are tight, where the scan lists only the interpretations on
+    # which the two sides' tables differ.  The loop a <-> u(d2) crosses the
+    # members, so the union is not tight and {a, b, u(d2)} is stable for
+    # each part alone only
+    import random
+
+    from htsplit.interpretations import all_interpretations, atom_sort_key, satisfies_all
+    from htsplit.splitting import verify_split
+    from strategies import random_sentence
+
+    partition = _member_partition()
+    universe = sorted(UNIVERSE, key=atom_sort_key)
+    rng = random.Random(29)
+    a, u2 = Atom("a", ()), Atom("u", (DomainName("d2", "s"),))
+    cases = [([[Implies(u2, a)], [Implies(a, u2)]], [])]
+    for _ in range(150):
+        parts = [
+            [random_sentence(rng, depth=2) for _ in range(rng.randint(0, 2))]
+            for _ in range(2)
+        ]
+        cases.append((parts, [random_sentence(rng, depth=1)] if rng.random() < 0.3 else []))
+    seen = set()
+    for parts, psi in cases:
+        union = [s for part in parts for s in part]
+        mismatches = []
+        for interp in all_interpretations(SIG, DOMAINS):
+            in_union = is_lambda_stable(interp, union, partition.target, method="direct-full")
+            in_parts = satisfies_all(interp, theory_sentences(psi)) and all(
+                is_lambda_stable(interp, part, member, method="direct-full")
+                for part, member in zip(parts, partition.members)
+            )
+            if in_union != in_parts:
+                index = sum(1 << i for i, a in enumerate(universe) if a in interp.true_atoms)
+                side = "union-only" if in_union else "parts-only"
+                mismatches.append((index, interp.true_atoms, side))
+        outcome = verify_split(parts, partition, psi, DOMAINS)
+        text = [[format_formula(s) for s in part] for part in parts + [psi]]
+        if mismatches:
+            _index, true_atoms, side = min(mismatches)
+            assert outcome.status == "mismatch", text
+            assert (outcome.mismatch.true_atoms, outcome.side) == (true_atoms, side), text
+        else:
+            assert outcome.status == "verified", text
+        seen.add(outcome.side or outcome.status)
+    assert seen == {"verified", "union-only", "parts-only"}, seen
 
 
 def test_one_direction_per_part_matches_the_definitional_check():
