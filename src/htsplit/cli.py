@@ -14,10 +14,11 @@ verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import engine
 from .depgraph import graph_to_dot, graph_to_json, is_separable, program_dep_graph, theory_dep_graph
@@ -78,8 +79,10 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> Non
             print(line)
 
 
-def _atom_names(atoms: Iterable[GroundAtom]) -> list[str]:
-    return sorted(format_atom(a) for a in atoms)
+def _atom_names(
+    atoms: Iterable[GroundAtom], name: Callable[[GroundAtom], str] = format_atom
+) -> list[str]:
+    return sorted(map(name, atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +100,11 @@ def cmd_models(args: argparse.Namespace) -> int:
     problem = _load(args)
     lam = _lambda(problem, args.lambda_name)
     models = enumerate_lambda_stable_models(problem.theory(), lam, problem.domains(), atom_cap)
-    lines = [format_atom_set(m.true_atoms) for m in models]
-    _emit(args, lines, {"models": [_atom_names(m.true_atoms) for m in models]})
+    if args.format == "json":
+        name = functools.cache(format_atom)  # each atom formatted once
+        _emit(args, [], {"models": [_atom_names(m.true_atoms, name) for m in models]})
+    else:
+        _emit(args, [format_atom_set(m.true_atoms) for m in models], {})
     return OK
 
 
@@ -107,9 +113,13 @@ def cmd_ht_models(args: argparse.Namespace) -> int:
     problem = _load(args)
     lam = _lambda(problem, args.lambda_name)
     pairs = ht_models(problem.theory(), lam, problem.domains(), atom_cap)
-    lines = sorted(f"here={format_atom_set(h)} there={format_atom_set(t)}" for h, t in pairs)
-    payload = [{"here": _atom_names(h), "there": _atom_names(t)} for h, t in pairs]
-    _emit(args, lines, {"ht_models": payload})
+    if args.format == "json":
+        name = functools.cache(format_atom)  # each atom formatted once
+        payload = [{"here": _atom_names(h, name), "there": _atom_names(t, name)} for h, t in pairs]
+        _emit(args, [], {"ht_models": payload})
+    else:
+        lines = sorted(f"here={format_atom_set(h)} there={format_atom_set(t)}" for h, t in pairs)
+        _emit(args, lines, {})
     return OK
 
 

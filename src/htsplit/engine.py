@@ -29,7 +29,9 @@ false.  On top of that this module provides:
   :func:`scan` is the one place that knows the space is walked in blocks of
   at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary, the others
   are fixed per block): its callers pass a table per block and get back the
-  true atoms of each kept assignment;
+  true atoms of each kept assignment.  The blocks of one scan share a
+  :class:`ScanStore`, so the test walks a conjunct once per scan for each
+  set of values its fixed atoms take, not once per block;
 * tightness (:func:`is_tight`): when the positive dependency graph has no
   cycle through two atoms, every loop is a singleton, so the survivors of
   the singleton loop test are the stable models and tight problems skip
@@ -703,12 +705,39 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
 # The atoms that vary inside one block of a truth-table space: a table then
-# has 2^20 bits (128 KB), which stays in the cache across the many passes a
-# prefilter makes over it.  On the 26 candidate atoms of the blocks split at
-# 0..3, the `models` prefilter took 0.2 to 0.4 s with blocks of 16 to 20
-# atoms, 0.5 to 0.8 s with 14 or 22, and 1.7 s over the whole space at once,
-# whose 8 MB tables bound it by memory bandwidth (Python 3.11, 2-core Xeon).
-BLOCK_ATOMS = 20
+# has 2^16 bits (8 KB).  A scan keeps the prefilter walks its blocks share
+# (see ScanStore), so a wider block repeats fewer walks but the scan holds
+# larger tables.  On the blocks split at 0..1 to 0..3 (`models` and
+# `split --verify`, the perfbench split-verify workload, three runs per width,
+# Python 3.11, 2-core Xeon), a round took 0.33 to 0.35 s of CPU with 16
+# atoms, 0.37 to 0.39 s with 18, 0.41 to 0.42 s with 20 and 0.46 to 0.48 s
+# with 14; peak RSS was 31 MB with 14, 32 to 33 MB with 16, 35 MB with 18
+# and 52 to 54 MB with 20, whose 128 KB tables the scan keeps.
+BLOCK_ATOMS = 16
+
+
+class ScanStore:
+    """What the blocks of one :func:`scan` over ``atoms`` share, made by the
+    scan and dropped with it: the atom list and its index, the tables of the
+    varying atoms, and for the singleton loop test the plan of each problem
+    and the walks of its conjuncts.
+
+    A conjunct's walk reads only the tables of its own atoms, which are the
+    same in every block for a varying atom and a constant for a fixed one,
+    and which of its atoms are droppable.  So ``walks`` keeps each walk by
+    the conjunct and its droppable atoms, and then by the values the block
+    gives the conjunct's fixed atoms.  A problem's plan holds its formulas,
+    so the identities that key ``plans`` stay unique while the store lives.
+    """
+
+    def __init__(self, atoms: Sequence[GroundAtom]) -> None:
+        self.atoms = list(atoms)
+        self.index = {a: i for i, a in enumerate(self.atoms)}
+        self.low = min(len(self.atoms), BLOCK_ATOMS)
+        self.mask = (1 << (1 << self.low)) - 1
+        self.low_tables: dict[int, int] = {}
+        self.plans: dict[tuple[int, int], _Plan] = {}
+        self.walks: dict[tuple[GF, frozenset[GroundAtom]], dict[int, tuple[int, dict]]] = {}
 
 
 class TableSpace:
@@ -719,22 +748,34 @@ class TableSpace:
     the block number is set.  An assignment's global index has bit ``i`` set
     iff atom ``i`` is true, and a table is a Python int whose bit ``k``
     gives the formula's value under the block's assignment of global index
-    ``base + k``.  :func:`scan` walks the blocks of a space.
+    ``base + k``.  :func:`scan` walks the blocks of a space, and its blocks
+    carry one :class:`ScanStore`, made for the same atoms; a space made
+    alone gets its own.
     """
 
     def __init__(
-        self, atoms: Sequence[GroundAtom], block: int = 0, low_tables: Optional[dict] = None
+        self, atoms: Sequence[GroundAtom], block: int = 0, store: Optional[ScanStore] = None
     ):
-        self.atoms = list(atoms)
-        self.index = {a: i for i, a in enumerate(self.atoms)}
-        self.low = min(len(self.atoms), BLOCK_ATOMS)
+        self.store = ScanStore(atoms) if store is None else store
+        self.atoms, self.index = self.store.atoms, self.store.index
+        self.low, self.mask = self.store.low, self.store.mask
         if not 0 <= block < 1 << (len(self.atoms) - self.low):
             raise ValueError(f"a space over {len(self.atoms)} atoms has no block {block}")
         self.block = block
         self.base = block << self.low
         self.width = 1 << self.low
-        self.mask = (1 << self.width) - 1
-        self._atom_tables: dict[int, int] = {} if low_tables is None else low_tables
+        self._atom_tables = self.store.low_tables
+
+    def fixed_mask(self, atoms: Iterable[GroundAtom]) -> int:
+        """The bits of the block number that give the atoms fixed by the
+        block: ``block & fixed_mask(atoms)`` is the same in two blocks
+        exactly when they give these atoms the same values."""
+        out = 0
+        for a in atoms:
+            i = self.index[a]
+            if i >= self.low:
+                out |= 1 << (i - self.low)
+        return out
 
     def atom_table(self, i: int) -> int:
         if i >= self.low:
@@ -794,16 +835,16 @@ def scan(
     the table ``table_of`` builds for its block, in ascending order of
     global index.
 
-    The blocks come in ascending order and share the tables of the varying
-    atoms.  A block's table is built only once the previous block's
-    assignments have been taken, so no table is wider than
-    ``2 ** BLOCK_ATOMS`` bits and a caller that stops early builds no later
-    table.
+    The blocks come in ascending order and share one :class:`ScanStore`,
+    which the scan drops when it ends.  A block's table is built only once
+    the previous block's assignments have been taken, so no table is wider
+    than ``2 ** BLOCK_ATOMS`` bits and a caller that stops early builds no
+    later table.
     """
-    atoms = list(atoms)
-    low_tables: dict[int, int] = {}
-    for block in range(1 << max(0, len(atoms) - BLOCK_ATOMS)):
-        space = TableSpace(atoms, block, low_tables)
+    store = ScanStore(atoms)
+    atoms = store.atoms
+    for block in range(1 << (len(atoms) - store.low)):
+        space = TableSpace(atoms, block, store)
         table = table_of(space)
         if table:
             for k in space.indices(table):
@@ -1013,6 +1054,45 @@ def candidate_atoms(gfs: Sequence[GF]) -> list[GroundAtom]:
     return sorted(out, key=atom_sort_key)
 
 
+class _Plan:
+    """One problem's singleton loop test, as the blocks of a scan share it.
+
+    The conjuncts that mention no atom the block fixes are walked once, in
+    the block that makes the plan, and folded into ``good`` and ``held``.
+    Each other conjunct is kept with the bits of the block number that give
+    its fixed atoms and its walks by those bits, and each droppable atom
+    with its index and its region formula.
+    """
+
+    __slots__ = ("gfs", "region_gf", "wanted", "good", "held", "variant", "droppable")
+
+    def __init__(self, space: TableSpace, gfs: Sequence[GF], region_gf: dict[GroundAtom, GF]):
+        store = space.store
+        self.gfs, self.region_gf = gfs, region_gf  # keep the identities that key the plan
+        droppable = [a for a in space.atoms if region_gf[a] != FALSE_GF]
+        self.wanted = wanted = frozenset(droppable)
+        # D_a of a conjunction is its table and the D_a of the conjuncts that
+        # track a; good lies inside every table, so only the D_a are kept
+        self.good, self.held = space.mask, {}
+        self.variant: list[tuple[GF, int, dict]] = []
+        for g in conjuncts(gfs):
+            atoms = gf_atoms(g)
+            walks = store.walks.setdefault((g, frozenset(atoms & wanted)), {})
+            fixed = space.fixed_mask(atoms)
+            if fixed:
+                self.variant.append((g, fixed, walks))
+                continue
+            hit = walks.get(0)
+            if hit is None:
+                hit = walks[0] = _singleton_walk(space, wanted, g)
+            self.good &= hit[0]
+            if not self.good:
+                break
+            for a, t in hit[1].items():
+                self.held[a] = self.held.get(a, space.mask) & t
+        self.droppable = [(a, space.index[a], region_gf[a]) for a in droppable]
+
+
 def stable_candidate_table(
     space: TableSpace,
     gfs: Sequence[GF],
@@ -1033,24 +1113,40 @@ def stable_candidate_table(
     (else its excluded-middle sentence would make it a candidate) and has no
     strictly positive occurrence, so X∖{a} satisfies every reduct and no
     survivor makes it true.
+
+    The block-independent work is done once per scan, in the space's
+    :class:`ScanStore`: the first block of a problem (the same ``gfs`` and
+    ``region_gf`` objects) makes its :class:`_Plan`, and a conjunct is
+    walked again only for values of its fixed atoms not seen before.  The
+    conjuncts that mention a fixed atom come first, so a block that one of
+    them refutes costs a few lookups.
     """
-    droppable = [a for a in space.atoms if region_gf[a] != FALSE_GF]
-    wanted = frozenset(droppable)
-    # D_a of a conjunction is its table and the D_a of the conjuncts that
-    # track a; good lies inside every table, so only the D_a are kept
-    good = space.mask
-    held: dict[GroundAtom, int] = {}
-    for g in conjuncts(gfs):
-        sat, d = _singleton_walk(space, wanted, g)
-        good &= sat
+    store = space.store
+    key = (id(gfs), id(region_gf))
+    plan = store.plans.get(key)
+    if plan is None:
+        plan = store.plans[key] = _Plan(space, gfs, region_gf)
+    good = plan.good
+    if not good:
+        return 0
+    block, mask = space.block, space.mask
+    hits = []
+    for g, fixed, walks in plan.variant:
+        hit = walks.get(block & fixed)
+        if hit is None:
+            hit = walks[block & fixed] = _singleton_walk(space, plan.wanted, g)
+        good &= hit[0]
         if not good:
             return 0
+        hits.append(hit[1])
+    held = dict(plan.held)
+    for d in hits:
         for a, t in d.items():
-            held[a] = held.get(a, space.mask) & t
-    for a in droppable:
-        bad = space.atom_table(space.index[a]) & held.get(a, space.mask) & good
+            held[a] = held.get(a, mask) & t
+    for a, i, region in plan.droppable:
+        bad = space.atom_table(i) & held.get(a, mask) & good
         if bad:
-            good ^= bad & space.table(region_gf[a])
+            good ^= bad & space.table(region)
             if not good:
                 break
     return good

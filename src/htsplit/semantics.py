@@ -292,7 +292,10 @@ class GroundProblem:
             models = list(survivors)
         else:
             models = [m for m in survivors if problem.is_stable(m)]
-        models.sort(key=lambda m: sorted(m, key=atom_sort_key))
+        # atom_sort_key is injective and ``atoms`` is in its order, so ranks
+        # in ``atoms`` sort the models as the atoms' keys would
+        rank = {a: i for i, a in enumerate(atoms)}
+        models.sort(key=lambda m: sorted([rank[a] for a in m]))
         return models
 
 

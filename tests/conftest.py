@@ -121,3 +121,29 @@ def reference_ground_formula(structure, f):
             parts.append(ground_formula(structure, inst))
         return gand_all(parts) if isinstance(f, Forall) else gor_all(parts)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_stable_candidate_table(space, gfs, region_gf):
+    """The singleton loop test with no per-scan store, kept as a test oracle
+    for ``engine.stable_candidate_table``: every conjunct is walked again in
+    every block."""
+    from htsplit.engine import FALSE_GF, _singleton_walk, conjuncts
+
+    droppable = [a for a in space.atoms if region_gf[a] != FALSE_GF]
+    wanted = frozenset(droppable)
+    good = space.mask
+    held = {}
+    for g in conjuncts(gfs):
+        sat, d = _singleton_walk(space, wanted, g)
+        good &= sat
+        if not good:
+            return 0
+        for a, t in d.items():
+            held[a] = held.get(a, space.mask) & t
+    for a in droppable:
+        bad = space.atom_table(space.index[a]) & held.get(a, space.mask) & good
+        if bad:
+            good ^= bad & space.table(region_gf[a])
+            if not good:
+                break
+    return good

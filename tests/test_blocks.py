@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from conftest import DATA
+from conftest import DATA, load, reference_stable_candidate_table
 import htsplit
 from htsplit import engine
 from htsplit.cli import main
@@ -21,7 +21,7 @@ from htsplit.selftest import random_split_instance
 from htsplit.semantics import GroundProblem, check_strong_equivalence
 from htsplit.splitting import verify_split
 from htsplit.syntax import TOP, Atom, DomainName, Equality, Or, Variable
-from strategies import DOMAINS, SIG, UNIVERSE, random_sentence
+from strategies import _D1, _D2, DOMAINS, SIG, UNIVERSE, random_sentence
 from test_properties import _member_partition
 
 WIDE = 64  # more atoms than any space here, so one block holds all of it
@@ -168,6 +168,75 @@ def test_each_block_table_is_a_slice_of_the_whole_space_table(monkeypatch, block
             assert table == (whole >> space.base) & space.mask
 
 
+def _shared_scans():
+    """Atom lists with the problems ``verify_split`` filters in one scan over
+    them (the union and each part, restricted to the list): the blocks split
+    at 0..0 and 0..1, the meta-interpreter split, random strategy theories
+    and ``selftest``'s random program splits.  A strategy theory's scan also
+    filters its union under a statement whose regions mention atoms."""
+    for horizon in (0, 1):
+        problem = _blocks_split(horizon)
+        structure = FiniteInterpretation.make(problem.signature, problem.domains())
+        parts = [problem.group("lt"), problem.group("gt")]
+        partition = Partition.of(
+            [problem.part("beta1"), problem.part("beta2")], target=problem.default_lambda
+        )
+        yield list(_split_sides(structure, parts, partition))
+    problem = load("meta.htsplit")
+    structure = FiniteInterpretation.make(problem.signature, problem.domains())
+    parts = [problem.group(name) for name in ("gamma1", "gamma2", "gamma3")]
+    partition = Partition.of([problem.part(name) for name in ("g1", "g2", "g3")])
+    yield list(_split_sides(structure, parts, partition))
+    # and under a statement whose regions mention u(d1) and u(d2), the
+    # atoms that blocks of 2 or 3 atoms fix
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    x1, u1, u2 = Variable("X1", "s"), Atom("u", (_D1,)), Atom("u", (_D2,))
+    regions = {("a", 0): ((), u2), ("b", 0): ((), u1), ("u", 1): ((x1,), Or(Equality(x1, _D1), u2))}
+    lam = IntensionalityStatement.make(SIG, regions)
+    for parts, partition, _lam in _strategy_cases(20, seed=7):
+        sides = list(_split_sides(structure, parts, partition))
+        allowed = frozenset(sides[0][1])
+        union = GroundProblem.ground(structure, parts[0] + parts[1], lam).restrict(allowed)
+        yield sides + [(union, sides[0][1], None)]
+    rng = random.Random(3)
+    for _ in range(20):
+        instance = random_split_instance(rng)
+        structure = FiniteInterpretation.make(instance.signature, {})
+        yield list(_split_sides(structure, instance.parts, instance.partition))
+
+
+@pytest.mark.parametrize("block_atoms", [2, 3, 4])
+def test_the_per_scan_store_gives_every_block_the_oracle_table(monkeypatch, block_atoms):
+    # every problem alone in its scan, then all of them in one scan, where a
+    # problem skips some blocks (as verify_split skips a part once the other
+    # side is empty), so a plan can be made in any block
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
+    seen = {"blocks": 0, "bits": 0, "shared": 0}
+
+    def checked(problems, skip):
+        def table_of(space):
+            for k, problem in enumerate(problems):
+                if skip and (space.block * 7 + k) % 3 == 0:
+                    continue
+                table = engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
+                expected = reference_stable_candidate_table(space, problem.gfs, problem.region_gf)
+                assert table == expected, (space.block, k)
+                seen["bits"] += table.bit_count()
+            seen["blocks"] += 1
+            return 0
+
+        return table_of
+
+    for sides in _shared_scans():
+        atoms = sides[0][1]
+        problems = [problem for problem, _atoms, _non_candidates in sides]
+        for problem in problems:
+            list(engine.scan(atoms, checked([problem], skip=False)))
+        list(engine.scan(atoms, checked(problems, skip=True)))
+        seen["shared"] += len(atoms) > block_atoms
+    assert seen["shared"] >= 3 and seen["bits"] >= 1000, seen
+
+
 @pytest.mark.parametrize("block_atoms", [2, 3])
 def test_no_survivor_makes_a_non_candidate_true(monkeypatch, block_atoms):
     # a non-candidate atom has no excluded-middle sentence and no strictly
@@ -264,3 +333,39 @@ def test_no_table_is_wider_than_a_block(monkeypatch, tmp_path, capsys):
     assert "verification: verified" in capsys.readouterr().out
     assert len(widths) >= 2 * (1 << (14 - 4))  # both commands ran block by block
     assert max(widths) == 1 << 4
+
+
+def _top_level_walks(monkeypatch) -> list:
+    """Wrap ``engine._singleton_walk``, which calls itself through the module,
+    and record each call that is not made from inside another walk, with its
+    space and conjunct."""
+    calls, depth = [], [0]
+    walk = engine._singleton_walk
+
+    def counted(space, wanted, gf):
+        if not depth[0]:
+            calls.append((space, gf))
+        depth[0] += 1
+        try:
+            return walk(space, wanted, gf)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(engine, "_singleton_walk", counted)
+    return calls
+
+
+def test_models_walks_each_conjunct_once_per_value_of_its_fixed_atoms(monkeypatch, capsys):
+    calls = _top_level_walks(monkeypatch)
+    assert main(["models", str(DATA / "blocks_split.htsplit"), "--format", "json"]) == 0
+    capsys.readouterr()
+    blocks = {space.block for space, _gf in calls}
+    assert len(blocks) > 1  # 26 candidate atoms span several blocks
+    keys = [
+        (gf, space.block & space.fixed_mask(engine.gf_atoms(gf))) for space, gf in calls
+    ]
+    assert len(keys) == len(set(keys))  # the one problem walks no key twice
+    invariant = [gf for space, gf in calls if not space.fixed_mask(engine.gf_atoms(gf))]
+    assert invariant and len(invariant) == len(set(invariant))  # once per scan
+    conjuncts = {gf for _space, gf in calls}
+    assert len(calls) < len(blocks) * len(conjuncts) / 4

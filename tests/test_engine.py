@@ -558,20 +558,36 @@ def test_models_on_the_data_files_make_no_find_model_call(monkeypatch, capsys):
 
 
 def test_no_table_space_outlives_models_without_the_cycle_collector(monkeypatch, capsys):
-    # a space holds its block's tables: a reference cycle through it would
-    # keep them alive until the cyclic collector runs
-    spaces = []
+    # a space holds its block's tables, and a scan's store the tables its
+    # blocks share: a reference cycle through either would keep them alive
+    # until the cyclic collector runs
+    spaces, stores = [], []
 
-    class Recorded(engine.TableSpace):
+    class RecordedSpace(engine.TableSpace):
         def __init__(self, *args):
             super().__init__(*args)
             spaces.append(weakref.ref(self))
 
-    monkeypatch.setattr(engine, "TableSpace", Recorded)
+    class RecordedStore(engine.ScanStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "TableSpace", RecordedSpace)
+    monkeypatch.setattr(engine, "ScanStore", RecordedStore)
+    split = ["split", str(DATA / "blocks_split.htsplit"), "--parts", "lt,gt"]
+    commands = [
+        ["models", str(DATA / "four_models.htsplit")],
+        ["models", str(DATA / "blocks_split.htsplit"), "--format", "json"],
+        split + ["--partition", "beta1,beta2", "--verify"],
+    ]
     gc.disable()
     try:
-        assert main(["models", str(DATA / "four_models.htsplit")]) == 0
-        assert spaces and all(space() is None for space in spaces)
+        for argv in commands:
+            del spaces[:], stores[:]
+            assert main(argv) == 0, argv
+            assert spaces and all(space() is None for space in spaces), argv
+            assert stores and all(store() is None for store in stores), argv
     finally:
         gc.enable()
     capsys.readouterr()
