@@ -84,7 +84,7 @@ def bounded_sat(
     """
     structure = FiniteInterpretation.make(signature, domains)
     gfs = engine.ground_theory(structure, theory_sentences(theory))
-    status, atoms = engine.find_model(gfs, engine.DEFAULT_NODE_CAP)
+    status, atoms = engine.find_model(gfs)
     if status == "sat":
         return SatVerdict("sat", structure.with_atoms(atoms or frozenset()))
     return SatVerdict(status, None)

@@ -638,15 +638,15 @@ def pos_syn_atoms(gf: GF) -> set[GroundAtom]:
 # backtracking model search
 
 
-def find_model(gfs: Sequence[GF], node_cap: int) -> tuple[str, Optional[frozenset[GroundAtom]]]:
+def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """Search for a classical model of the ground theory.
 
     Returns ``("sat", atoms)``, ``("unsat", None)``, or ``("unknown", None)``
-    when the search passes ``node_cap`` nodes (callers pass
-    ``DEFAULT_NODE_CAP`` as it reads when they call).  Atoms absent from the
-    theory stay false in the witness.  The search decides the first
-    unassigned atom, in :func:`~htsplit.interpretations.atom_sort_key` order,
-    of the first sentence whose value is unknown.  It serves the side path
+    when the search passes ``DEFAULT_NODE_CAP`` nodes (read at call time).
+    Atoms absent from the theory stay false in the witness.  The search
+    decides the first unassigned atom, in
+    :func:`~htsplit.interpretations.atom_sort_key` order, of the first
+    sentence whose value is unknown.  It serves the side path
     (bounded satisfiability, occurrence transforms, validity checks);
     stability is decided by :func:`is_stable_ground` on truth tables.
     """
@@ -666,7 +666,7 @@ def find_model(gfs: Sequence[GF], node_cap: int) -> tuple[str, Optional[frozense
 
     # one entry per decision: the atom, and whether False is still to try
     decisions: list[tuple[GroundAtom, bool]] = []
-    nodes = 0
+    nodes, node_cap = 0, DEFAULT_NODE_CAP
     while True:
         nodes += 1
         if nodes > node_cap:
@@ -726,8 +726,8 @@ class ScanStore:
     same in every block for a varying atom and a constant for a fixed one,
     and which of its atoms are droppable.  So ``walks`` keeps each walk by
     the conjunct and its droppable atoms, and then by the values the block
-    gives the conjunct's fixed atoms.  A problem's plan holds its formulas,
-    so the identities that key ``plans`` stay unique while the store lives.
+    gives the conjunct's fixed atoms.  A problem's plan holds the objects
+    whose identities key ``plans``, so they stay unique while the store lives.
     """
 
     def __init__(self, atoms: Sequence[GroundAtom]) -> None:
@@ -1010,21 +1010,24 @@ def strongly_connected_components(
 def is_stable_ground(
     gfs: Sequence[GF],
     true_atoms: frozenset[GroundAtom],
-    removable: frozenset[GroundAtom],
+    droppable: frozenset[GroundAtom],
 ) -> tuple[bool, Optional[frozenset[GroundAtom]]]:
     """Minimality check via the reduct, one :func:`scan` over the here-worlds.
 
-    ``removable`` (a subset of ``true_atoms``) lists the true atoms a proper
-    here-world may drop; every here-world keeps the other true atoms.  The
-    here-worlds are the assignments to the removable atoms, in
-    :func:`~htsplit.interpretations.atom_sort_key` order, and the true atoms
-    themselves are the all-ones assignment, which comes last.  So they are
-    stable exactly when the first here-world that satisfies the reduct is
-    the last one.  Returns ``(True, None)``; ``(False, H)`` with H the
+    A proper here-world may drop the true atoms in ``droppable`` and keeps
+    the others.  ``gfs`` must hold each atom's excluded-middle sentence, as
+    ``GroundProblem.ground`` builds it: where a droppable atom's region is
+    false, that sentence's reduct is the atom, which every here-world then
+    keeps.  The here-worlds are the assignments to the true droppable atoms
+    in :func:`~htsplit.interpretations.atom_sort_key` order, and the true
+    atoms themselves are the all-ones assignment, which comes last.  So they
+    are stable exactly when the first here-world that satisfies the reduct
+    is the last one.  Returns ``(True, None)``; ``(False, H)`` with H the
     lowest proper here-world that satisfies the reduct; or ``(False, None)``
     when the true atoms do not even satisfy ``gfs``.  Raises
     :class:`ResourceCapExceeded` beyond ``DEFAULT_ATOM_CAP`` removable atoms.
     """
+    removable = true_atoms & droppable
     reducts = []
     for g in gfs:
         value, r = reduct_eval(g, true_atoms, removable)
@@ -1060,17 +1063,17 @@ class _Plan:
     The conjuncts that mention no atom the block fixes are walked once, in
     the block that makes the plan, and folded into ``good`` and ``held``.
     Each other conjunct is kept with the bits of the block number that give
-    its fixed atoms and its walks by those bits, and each droppable atom
-    with its index and its region formula.
+    its fixed atoms and its walks by those bits, and each droppable atom of
+    the space with its index.
     """
 
-    __slots__ = ("gfs", "region_gf", "wanted", "good", "held", "variant", "droppable")
+    __slots__ = ("problem", "wanted", "good", "held", "variant", "droppable")
 
-    def __init__(self, space: TableSpace, gfs: Sequence[GF], region_gf: dict[GroundAtom, GF]):
+    def __init__(self, space: TableSpace, gfs: Sequence[GF], droppable: frozenset[GroundAtom]):
         store = space.store
-        self.gfs, self.region_gf = gfs, region_gf  # keep the identities that key the plan
-        droppable = [a for a in space.atoms if region_gf[a] != FALSE_GF]
-        self.wanted = wanted = frozenset(droppable)
+        self.problem = (gfs, droppable)  # keep the identities that key the plan
+        self.droppable = [(a, space.index[a]) for a in space.atoms if a in droppable]
+        self.wanted = wanted = frozenset(a for a, _i in self.droppable)
         # D_a of a conjunction is its table and the D_a of the conjuncts that
         # track a; good lies inside every table, so only the D_a are kept
         self.good, self.held = space.mask, {}
@@ -1090,42 +1093,42 @@ class _Plan:
                 break
             for a, t in hit[1].items():
                 self.held[a] = self.held.get(a, space.mask) & t
-        self.droppable = [(a, space.index[a], region_gf[a]) for a in droppable]
 
 
 def stable_candidate_table(
     space: TableSpace,
     gfs: Sequence[GF],
-    region_gf: dict[GroundAtom, GF],
+    droppable: frozenset[GroundAtom],
 ) -> int:
     """The singleton loop test, bit-parallel over one block of the space;
     callers hand it to :func:`scan`, which walks the blocks.
 
-    Keeps the classical models X of the theory in which no true atom a
-    inside the droppable region has X∖{a} ⊨ Γ^X; the atoms fixed by the
-    block are checked like the varying ones.  X∖{a} is then a proper
-    here-world that satisfies the reduct, so every stable model passes.  On
-    a tight problem (:func:`is_tight`) every loop is a singleton and the
-    survivors are the stable models; on any other a survivor still needs the
-    exact check.  The formulas in ``gfs`` and ``region_gf`` may mention only
-    atoms of the space (see ``GroundProblem.restrict``).  An atom of the
-    space that is none of the problem's candidates lies inside the region
-    (else its excluded-middle sentence would make it a candidate) and has no
-    strictly positive occurrence, so X∖{a} satisfies every reduct and no
-    survivor makes it true.
+    Keeps the classical models X of the theory in which no true atom a in
+    ``droppable`` has X∖{a} ⊨ Γ^X; the atoms fixed by the block are checked
+    like the varying ones.  X∖{a} is then a proper here-world that
+    satisfies the reduct, so every stable model passes.  ``gfs`` must hold
+    each atom's excluded-middle sentence (see :func:`is_stable_ground`), so
+    no X∖{a} satisfies Γ^X where a's region is false at X.  On a tight
+    problem (:func:`is_tight`) every loop is a singleton and the survivors
+    are the stable models; on any other a survivor still needs the exact
+    check.  The formulas in ``gfs`` may mention only atoms of the space (see
+    ``GroundProblem.restrict``).  An atom of the space that is none of the
+    problem's candidates is droppable (else its excluded-middle sentence
+    would make it a candidate) and has no strictly positive occurrence, so
+    X∖{a} satisfies every reduct and no survivor makes it true.
 
     The block-independent work is done once per scan, in the space's
     :class:`ScanStore`: the first block of a problem (the same ``gfs`` and
-    ``region_gf`` objects) makes its :class:`_Plan`, and a conjunct is
+    ``droppable`` objects) makes its :class:`_Plan`, and a conjunct is
     walked again only for values of its fixed atoms not seen before.  The
     conjuncts that mention a fixed atom come first, so a block that one of
     them refutes costs a few lookups.
     """
     store = space.store
-    key = (id(gfs), id(region_gf))
+    key = (id(gfs), id(droppable))
     plan = store.plans.get(key)
     if plan is None:
-        plan = store.plans[key] = _Plan(space, gfs, region_gf)
+        plan = store.plans[key] = _Plan(space, gfs, droppable)
     good = plan.good
     if not good:
         return 0
@@ -1143,10 +1146,10 @@ def stable_candidate_table(
     for d in hits:
         for a, t in d.items():
             held[a] = held.get(a, mask) & t
-    for a, i, region in plan.droppable:
+    for a, i in plan.droppable:
         bad = space.atom_table(i) & held.get(a, mask) & good
         if bad:
-            good ^= bad & space.table(region)
+            good ^= bad
             if not good:
                 break
     return good

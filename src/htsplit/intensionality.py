@@ -191,7 +191,7 @@ def join_all(statements: Sequence[IntensionalityStatement]) -> IntensionalitySta
 def _valid_on(structure: FiniteInterpretation, sentence: Formula) -> bool:
     """Validity over the declared domains, by refuting the negation."""
     counter = engine.ground_formula(structure, neg(sentence))
-    status, _ = engine.find_model([counter], engine.DEFAULT_NODE_CAP)
+    status, _ = engine.find_model([counter])
     if status == "unknown":
         raise engine.ResourceCapExceeded("validity check exceeded its search cap")
     return status == "unsat"

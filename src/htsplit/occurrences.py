@@ -146,7 +146,7 @@ class TransformContext:
             return hit
         closed = exists_over(free_variables(f), f)
         gf = engine.ground_formula(self.structure, closed)
-        status, _ = engine.find_model(self.psi_gfs + [gf], engine.DEFAULT_NODE_CAP)
+        status, _ = engine.find_model(self.psi_gfs + [gf])
         result = status != "unsat"
         self._sat_cache[f] = result
         return result

@@ -7,9 +7,9 @@ cross-checks the two on small instances; callers pick with the ``method``
 argument.
 
 :class:`GroundProblem` grounds a theory under a statement once, together
-with the statement's region and the candidate atoms.  Enumeration, split
-verification and the one-direction check ask it about many interpretations
-instead of grounding again for each.
+with the atoms the statement lets a here-world drop and the candidate
+atoms.  Enumeration, split verification and the one-direction check ask it
+about many interpretations instead of grounding again for each.
 """
 
 from __future__ import annotations
@@ -211,17 +211,18 @@ class GroundProblem:
     structure for pointwise stability checks.
 
     ``gfs`` holds the ground theory together with the statement's
-    excluded-middle sentences, ``region_gf`` the statement's condition as a
-    ground formula for every atom of the universe (whether the atom may be
-    dropped from the here-world), both from :func:`ground_region`, and
-    ``atoms`` the candidate atoms: the atoms of the universe with a strictly
-    positive occurrence, the only ones that can be true in a stable model.
-    The ground formulas do not depend on the structure's true atoms, so one
-    problem answers for every interpretation over its domains.
+    excluded-middle sentences from :func:`ground_region`, ``droppable`` the
+    atoms of the universe whose ground region is not ⊥, and ``atoms`` the
+    candidate atoms: the atoms of the universe with a strictly positive
+    occurrence, the only ones that can be true in a stable model.  Where a
+    droppable atom's region is false, its excluded-middle sentence keeps it
+    in every here-world.  The ground formulas do not depend on the
+    structure's true atoms, so one problem answers for every interpretation
+    over its domains.
     """
 
     gfs: list[engine.GF]
-    region_gf: dict[GroundAtom, engine.GF]
+    droppable: frozenset[GroundAtom]
     atoms: frozenset[GroundAtom]
 
     @cached_property
@@ -240,27 +241,20 @@ class GroundProblem:
     ) -> "GroundProblem":
         region_gf, em_gfs = ground_region(structure, lam)
         gfs = engine.ground_theory(structure, theory_sentences(theory)) + em_gfs
+        droppable = frozenset(a for a, g in region_gf.items() if g != engine.FALSE_GF)
         atoms = frozenset(engine.candidate_atoms(gfs))
-        return cls(gfs, region_gf, atoms)
+        return cls(gfs, droppable, atoms)
 
     def restrict(self, allowed: frozenset[GroundAtom]) -> "GroundProblem":
         """The same problem with every atom outside ``allowed`` folded to
         false, for interpretations whose true atoms lie inside ``allowed``."""
         return GroundProblem(
-            [engine.restrict_false(g, allowed) for g in self.gfs],
-            {a: engine.restrict_false(self.region_gf[a], allowed) for a in allowed},
-            self.atoms,
-        )
-
-    def removable(self, true_atoms: frozenset[GroundAtom]) -> frozenset[GroundAtom]:
-        """The true atoms inside the statement's region."""
-        return frozenset(
-            a for a in true_atoms if engine.eval_gf(self.region_gf[a], true_atoms)
+            [engine.restrict_false(g, allowed) for g in self.gfs], self.droppable, self.atoms
         )
 
     def is_stable(self, true_atoms: frozenset[GroundAtom]) -> bool:
         # a reduct collapsing to false doubles as the classical-model check
-        stable, _ = engine.is_stable_ground(self.gfs, true_atoms, self.removable(true_atoms))
+        stable, _ = engine.is_stable_ground(self.gfs, true_atoms, self.droppable)
         return stable
 
     def stable_models(
@@ -270,7 +264,7 @@ class GroundProblem:
 
         The search covers the candidate atoms only: :func:`engine.scan`
         lists the survivors of the singleton loop test, the classical models
-        from which no true atom in the region can be dropped alone.  On a
+        from which no droppable true atom can be dropped alone.  On a
         tight problem they are the stable models; on any other the exact
         check decides them.  Raises :class:`engine.ResourceCapExceeded`
         beyond ``atom_cap`` candidate atoms.
@@ -286,7 +280,7 @@ class GroundProblem:
 
         survivors = engine.scan(
             atoms,
-            lambda space: engine.stable_candidate_table(space, problem.gfs, problem.region_gf),
+            lambda space: engine.stable_candidate_table(space, problem.gfs, problem.droppable),
         )
         if problem.tight:
             models = list(survivors)

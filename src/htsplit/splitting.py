@@ -266,12 +266,12 @@ def verify_split(
     tight = union_side.tight and all(side.tight for side in part_sides)
 
     def either_side(space) -> int:
-        table_a = engine.stable_candidate_table(space, union_side.gfs, union_side.region_gf)
+        table_a = engine.stable_candidate_table(space, union_side.gfs, union_side.droppable)
         table_b = space.theory_table(psi_restricted)
         for side in part_sides:
             if not table_b:
                 break
-            table_b &= engine.stable_candidate_table(space, side.gfs, side.region_gf)
+            table_b &= engine.stable_candidate_table(space, side.gfs, side.droppable)
         return table_a ^ table_b if tight else table_a | table_b
 
     for true_atoms in engine.scan(space_atoms, either_side):

@@ -126,7 +126,8 @@ def reference_ground_formula(structure, f):
 def reference_stable_candidate_table(space, gfs, region_gf):
     """The singleton loop test with no per-scan store, kept as a test oracle
     for ``engine.stable_candidate_table``: every conjunct is walked again in
-    every block."""
+    every block, the droppable atoms are those whose region is not ⊥, and a
+    droppable atom's bits are cleared only inside its region's table."""
     from htsplit.engine import FALSE_GF, _singleton_walk, conjuncts
 
     droppable = [a for a in space.atoms if region_gf[a] != FALSE_GF]

@@ -18,7 +18,7 @@ from htsplit.interpretations import FiniteInterpretation, atom_sort_key
 from htsplit.intensionality import IntensionalityStatement, Partition
 from htsplit.parser import parse_problem
 from htsplit.selftest import random_split_instance
-from htsplit.semantics import GroundProblem, check_strong_equivalence
+from htsplit.semantics import GroundProblem, check_strong_equivalence, ground_region
 from htsplit.splitting import verify_split
 from htsplit.syntax import TOP, Atom, DomainName, Equality, Or, Variable
 from strategies import _D1, _D2, DOMAINS, SIG, UNIVERSE, random_sentence
@@ -99,18 +99,27 @@ def test_block_results_equal_the_one_block_results_on_the_blocks_split(monkeypat
     assert _outcomes(parts, partition, lam, problem.domains()) == whole
 
 
+def _restricted_region(structure, lam, allowed):
+    """The statement's region formula of every atom in ``allowed``, from
+    ``ground_region``, with the atoms outside ``allowed`` folded to false as
+    ``GroundProblem.restrict`` folds its formulas."""
+    region_gf, _em_gfs = ground_region(structure, lam)
+    return {a: engine.restrict_false(region_gf[a], allowed) for a in allowed}
+
+
 def _split_sides(structure, parts, partition):
     """The union and part problems of a split, restricted to the atom list
-    ``verify_split`` scans, each with that list and the list's atoms that
-    are not the problem's candidates."""
+    ``verify_split`` scans, each with that list, the list's atoms that are
+    not the problem's candidates and its restricted region formulas."""
     union = GroundProblem.ground(structure, [s for p in parts for s in p], partition.target)
     sides = [
         GroundProblem.ground(structure, list(p), m) for p, m in zip(parts, partition.members)
     ]
     allowed = union.atoms | frozenset.intersection(*(side.atoms for side in sides))
     atoms = sorted(allowed, key=atom_sort_key)
-    for side in [union] + sides:
-        yield side.restrict(allowed), atoms, allowed - side.atoms
+    for side, lam in zip([union] + sides, [partition.target, *partition.members]):
+        region_gf = _restricted_region(structure, lam, allowed)
+        yield side.restrict(allowed), atoms, allowed - side.atoms, region_gf
 
 
 def _candidate_problems():
@@ -128,7 +137,9 @@ def _candidate_problems():
     for parts, _partition, lam in _strategy_cases(20, seed=5):
         union = GroundProblem.ground(structure, parts[0] + parts[1], lam)
         allowed = frozenset(UNIVERSE)
-        yield union.restrict(allowed), sorted(allowed, key=atom_sort_key), allowed - union.atoms
+        region_gf = _restricted_region(structure, lam, allowed)
+        atoms = sorted(allowed, key=atom_sort_key)
+        yield union.restrict(allowed), atoms, allowed - union.atoms, region_gf
 
 
 def _selftest_problems(count: int):
@@ -154,10 +165,10 @@ def _assignment(atoms, k: int) -> frozenset:
 
 @pytest.mark.parametrize("block_atoms", [2, 3])
 def test_each_block_table_is_a_slice_of_the_whole_space_table(monkeypatch, block_atoms):
-    for problem, atoms, _non_candidates in _candidate_problems():
+    for problem, atoms, _non_candidates, _region_gf in _candidate_problems():
 
         def candidates(space):
-            return engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
+            return engine.stable_candidate_table(space, problem.gfs, problem.droppable)
 
         monkeypatch.setattr(engine, "BLOCK_ATOMS", WIDE)
         ((_whole_space, whole),) = _block_tables(atoms, candidates)
@@ -170,10 +181,11 @@ def test_each_block_table_is_a_slice_of_the_whole_space_table(monkeypatch, block
 
 def _shared_scans():
     """Atom lists with the problems ``verify_split`` filters in one scan over
-    them (the union and each part, restricted to the list): the blocks split
-    at 0..0 and 0..1, the meta-interpreter split, random strategy theories
-    and ``selftest``'s random program splits.  A strategy theory's scan also
-    filters its union under a statement whose regions mention atoms."""
+    them (the union and each part, restricted to the list), as
+    :func:`_split_sides` gives them: the blocks split at 0..0 and 0..1, the
+    meta-interpreter split, random strategy theories and ``selftest``'s
+    random program splits.  A strategy theory's scan also filters its union
+    under a statement whose regions mention atoms."""
     for horizon in (0, 1):
         problem = _blocks_split(horizon)
         structure = FiniteInterpretation.make(problem.signature, problem.domains())
@@ -195,9 +207,10 @@ def _shared_scans():
     lam = IntensionalityStatement.make(SIG, regions)
     for parts, partition, _lam in _strategy_cases(20, seed=7):
         sides = list(_split_sides(structure, parts, partition))
-        allowed = frozenset(sides[0][1])
+        atoms = sides[0][1]
+        allowed = frozenset(atoms)
         union = GroundProblem.ground(structure, parts[0] + parts[1], lam).restrict(allowed)
-        yield sides + [(union, sides[0][1], None)]
+        yield sides + [(union, atoms, None, _restricted_region(structure, lam, allowed))]
     rng = random.Random(3)
     for _ in range(20):
         instance = random_split_instance(rng)
@@ -209,17 +222,20 @@ def _shared_scans():
 def test_the_per_scan_store_gives_every_block_the_oracle_table(monkeypatch, block_atoms):
     # every problem alone in its scan, then all of them in one scan, where a
     # problem skips some blocks (as verify_split skips a part once the other
-    # side is empty), so a plan can be made in any block
+    # side is empty), so a plan can be made in any block.  The oracle clears
+    # a droppable atom's bits only inside its region's table, the prefilter
+    # reads no region: their agreement shows that the excluded-middle
+    # sentences in the problem's formulas already keep each bit outside it
     monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
     seen = {"blocks": 0, "bits": 0, "shared": 0}
 
     def checked(problems, skip):
         def table_of(space):
-            for k, problem in enumerate(problems):
+            for k, (problem, region_gf) in enumerate(problems):
                 if skip and (space.block * 7 + k) % 3 == 0:
                     continue
-                table = engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
-                expected = reference_stable_candidate_table(space, problem.gfs, problem.region_gf)
+                table = engine.stable_candidate_table(space, problem.gfs, problem.droppable)
+                expected = reference_stable_candidate_table(space, problem.gfs, region_gf)
                 assert table == expected, (space.block, k)
                 seen["bits"] += table.bit_count()
             seen["blocks"] += 1
@@ -229,7 +245,7 @@ def test_the_per_scan_store_gives_every_block_the_oracle_table(monkeypatch, bloc
 
     for sides in _shared_scans():
         atoms = sides[0][1]
-        problems = [problem for problem, _atoms, _non_candidates in sides]
+        problems = [(problem, region_gf) for problem, _atoms, _non_candidates, region_gf in sides]
         for problem in problems:
             list(engine.scan(atoms, checked([problem], skip=False)))
         list(engine.scan(atoms, checked(problems, skip=True)))
@@ -243,11 +259,14 @@ def test_no_survivor_makes_a_non_candidate_true(monkeypatch, block_atoms):
     # positive occurrence, so the support condition alone makes it false
     monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
     seen = 0
-    for problem, atoms, non_candidates in [*_candidate_problems(), *_selftest_problems(60)]:
+    for problem, atoms, non_candidates, region_gf in [
+        *_candidate_problems(),
+        *_selftest_problems(60),
+    ]:
         for name in non_candidates:
-            assert problem.region_gf[name] == engine.TRUE_GF
+            assert region_gf[name] == engine.TRUE_GF and name in problem.droppable
         survivors = engine.scan(
-            atoms, lambda space: engine.stable_candidate_table(space, problem.gfs, problem.region_gf)
+            atoms, lambda space: engine.stable_candidate_table(space, problem.gfs, problem.droppable)
         )
         for true_atoms in survivors:
             assert not true_atoms & non_candidates

@@ -397,7 +397,7 @@ def test_singleton_loop_test_keeps_the_stable_models_and_only_them_when_tight():
                 engine.scan(
                     atoms,
                     lambda space: engine.stable_candidate_table(
-                        space, restricted.gfs, restricted.region_gf
+                        space, restricted.gfs, restricted.droppable
                     ),
                 )
             )
@@ -414,6 +414,41 @@ def test_singleton_loop_test_keeps_the_stable_models_and_only_them_when_tight():
             fast = {m.true_atoms for m in enumerate_lambda_stable_models(theory, lam, DOMAINS)}
             assert fast == stable, text
     assert all(seen.values()), seen
+
+
+def test_ground_stability_keeps_a_droppable_atom_whose_region_is_false():
+    # GroundProblem.is_stable scans the here-worlds over every droppable true
+    # atom, also u(d2) where b is false and its region reads false; only its
+    # excluded-middle sentence, whose reduct there is u(d2) itself, keeps it
+    # in every here-world.  The definitional check fixes it by atoms_of_lambda
+    import random
+
+    from htsplit.intensionality import IntensionalityStatement
+    from htsplit.interpretations import FiniteInterpretation, all_interpretations
+    from htsplit.semantics import GroundProblem
+    from htsplit.syntax import Equality as Eq
+    from strategies import random_sentence
+
+    x1 = Variable("X1", "s")
+    region = Or(Eq(x1, DomainName("d1", "s")), Atom("b", ()))  # d1 always, d2 iff b
+    lam = IntensionalityStatement.make(SIG, {("u", 1): ((x1,), region), ("a", 0): ((), TOP)})
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    interps = list(all_interpretations(SIG, DOMAINS))
+    rng = random.Random(31)
+    seen = {"region false": 0, "region false and stable": 0}
+    for _ in range(150):
+        theory = [random_sentence(rng, depth=2) for _ in range(rng.randint(1, 3))]
+        problem = GroundProblem.ground(structure, theory, lam)
+        for interp in interps:
+            stable = is_lambda_stable(interp, theory, lam, method="direct-full")
+            assert problem.is_stable(interp.true_atoms) == stable, (
+                [format_formula(f) for f in theory],
+                sorted(interp.true_atoms),
+            )
+            outside = interp.true_atoms & problem.droppable - atoms_of_lambda(interp, lam)
+            seen["region false"] += bool(outside)
+            seen["region false and stable"] += bool(outside) and stable
+    assert seen["region false"] >= 300 and seen["region false and stable"] >= 40, seen
 
 
 def test_enumeration_matches_brute_force_where_the_condition_leaves_the_range():
