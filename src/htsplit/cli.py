@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import engine
 from .depgraph import graph_to_dot, graph_to_json, is_separable, program_dep_graph, theory_dep_graph
-from .intensionality import IntensionalityStatement, Partition
+from .intensionality import IntensionalityStatement, Partition, validate_condition_predicates
 from .interpretations import GroundAtom, format_atom, format_atom_set
 from .occurrences import PolarityError, TransformContext, atom_occurrences_with_polarity, fresh_variables
 from .parser import ParseError, ProblemFile, parse_problem, print_problem
@@ -54,15 +54,16 @@ def _names(text: str) -> tuple[str, ...]:
 
 
 def _lambda(problem: ProblemFile, name: str) -> IntensionalityStatement:
-    if name == "default":
-        return problem.default_lambda
-    return problem.part(name)
+    """The named statement; ``ValueError`` if a condition mentions a non-extensional predicate."""
+    lam = problem.default_lambda if name == "default" else problem.part(name)
+    validate_condition_predicates(lam, problem.domains())
+    return lam
 
 
 def _partition(problem: ProblemFile, names: Sequence[str]) -> Partition:
     if not names:
         raise KeyError("a --partition with member names is required")
-    return Partition.of([problem.part(name) for name in names])
+    return Partition.of([_lambda(problem, name) for name in names])
 
 
 def _context(problem: ProblemFile, name: Optional[str]) -> list:

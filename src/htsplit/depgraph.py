@@ -20,6 +20,7 @@ from .interpretations import (
     satisfies_all,
 )
 from .occurrences import (
+    SatVerdict,  # re-exported: bounded_sat's result
     TransformContext,
     atom_occurrences_with_polarity,
     fresh_variables,
@@ -35,6 +36,7 @@ from .syntax import (
     Rule,
     Signature,
     Statement,
+    TOP,
     Term,
     conj,
     exists_over,
@@ -55,22 +57,6 @@ Domains = Mapping[str, tuple[Element, ...]]
 # bounded satisfiability
 
 
-@dataclass(frozen=True)
-class SatVerdict:
-    """Result of an exhaustive model search over the declared finite domains."""
-
-    status: str  # "sat" | "unsat" | "unknown"
-    witness: Optional[FiniteInterpretation] = None
-
-    @property
-    def satisfiable(self) -> bool:
-        return self.status == "sat"
-
-    @property
-    def decisive(self) -> bool:
-        return self.status != "unknown"
-
-
 def bounded_sat(
     theory: Sequence[Statement],
     signature: Signature,
@@ -82,12 +68,7 @@ def bounded_sat(
     ``engine.DEFAULT_NODE_CAP`` nodes (read at call time), in which case the
     verdict is unknown.
     """
-    structure = FiniteInterpretation.make(signature, domains)
-    gfs = engine.ground_theory(structure, theory_sentences(theory))
-    status, atoms = engine.find_model(gfs)
-    if status == "sat":
-        return SatVerdict("sat", structure.with_atoms(atoms or frozenset()))
-    return SatVerdict(status, None)
+    return TransformContext(signature, domains, theory_sentences(theory)).solve(TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -215,36 +196,39 @@ def _predicates_in(statements: Sequence[Statement], signature: Signature) -> set
 
 
 def _member_vertices(
-    partition: Partition,
-    signature: Signature,
-    domains: Domains,
-    psi: Sequence[Formula],
-    predicates: Optional[set],
+    partition: Partition, ctx: TransformContext, predicates: Optional[set]
 ) -> tuple[list[Vertex], dict[Vertex, str]]:
     """Pairs (p, i) whose member condition is satisfiable together with psi."""
     vertices: list[Vertex] = []
     labels: dict[Vertex, str] = {}
-    keys = sorted(predicates if predicates is not None else signature.predicates)
+    keys = sorted(predicates if predicates is not None else ctx.signature.predicates)
     for key in keys:
         for i, member in enumerate(partition.members):
             variables, condition = member.entry(key)
-            closed = exists_over(variables, condition)
-            verdict = bounded_sat(list(psi) + [closed], signature, domains)
-            if verdict.status != "unsat":
+            if ctx.solve(exists_over(variables, condition)).status != "unsat":
                 vertex = (key, i)
                 vertices.append(vertex)
                 labels[vertex] = f"{key[0]}@{partition.member_name(i)}"
     return vertices, labels
 
 
+def _checked_context(
+    partition: Partition, psi_sentences: Sequence[Formula], domains: Domains, check_partition: bool
+) -> TransformContext:
+    """The one oracle of a graph check, built once the partition is found
+    valid, so an invalid partition is reported before psi is grounded."""
+    problems = partition_problems(partition, domains) if check_partition else []
+    if problems:
+        raise ValueError("invalid partition: " + "; ".join(problems))
+    return TransformContext(partition.members[0].signature, domains, psi_sentences)
+
+
 def _dependency_graph(
     kind: str,
     rules: Iterable[_RuleOccurrences],
     partition: Partition,
-    psi_sentences: Sequence[Formula],
-    domains: Domains,
+    ctx: TransformContext,
     predicates: Optional[set],
-    check_partition: bool,
 ) -> DependencyGraph:
     """The edge loop of the program and theory graphs.
 
@@ -254,11 +238,7 @@ def _dependency_graph(
     occurrences' arguments is satisfiable; inconclusive searches keep the
     edge.  ``predicates`` limits the vertices (None: every declared one).
     """
-    signature = partition.members[0].signature
-    problems = partition_problems(partition, domains) if check_partition else []
-    if problems:
-        raise ValueError("invalid partition: " + "; ".join(problems))
-    vertices, labels = _member_vertices(partition, signature, domains, psi_sentences, predicates)
+    vertices, labels = _member_vertices(partition, ctx, predicates)
     vertex_set = set(vertices)
     edge_map: dict[tuple[Vertex, Vertex], list[EdgeWitness]] = {}
 
@@ -280,7 +260,7 @@ def _dependency_graph(
                             ]
                         )
                         closed = exists_over(free_variables(condition), condition)
-                        verdict = bounded_sat(list(psi_sentences) + [closed], signature, domains)
+                        verdict = ctx.solve(closed)
                         if verdict.status == "unsat":
                             continue
                         edge = ((head.key, i), (body.key, j))
@@ -310,12 +290,10 @@ def program_dep_graph(
     conditions) is satisfiable; inconclusive searches keep the edge.
     Occurrence paths are positions in the rule's head and body.
     """
-    signature = partition.members[0].signature
-    rules = (_program_rule(rule, signature) for rule in program)
-    occurring = _predicates_in(list(program), signature)
-    return _dependency_graph(
-        "program", rules, partition, (), domains, occurring, check_partition
-    )
+    ctx = _checked_context(partition, (), domains, check_partition)
+    rules = (_program_rule(rule, ctx.signature) for rule in program)
+    occurring = _predicates_in(list(program), ctx.signature)
+    return _dependency_graph("program", rules, partition, ctx, occurring)
 
 
 def theory_dep_graph(
@@ -331,20 +309,16 @@ def theory_dep_graph(
     condition conjoins the two occurrence transforms with both member
     conditions over fresh argument tuples, under the context.
     """
-    signature = partition.members[0].signature
-    psi_sentences = theory_sentences(psi)
+    ctx = _checked_context(partition, theory_sentences(psi), domains, check_partition)
 
     def rules() -> Iterator[_RuleOccurrences]:
-        ctx = TransformContext(signature, domains, psi_sentences)
         for occ_rule in rules_of(theory_sentences(theory)):
             heads = list(_transformed(ctx, occ_rule.consequent, "pos", "$z"))
             if heads:
                 bodies = list(_transformed(ctx, occ_rule.antecedent, "pnn", "$y"))
                 yield format_formula(occ_rule.sentence), heads, bodies
 
-    return _dependency_graph(
-        "theory", rules(), partition, psi_sentences, domains, None, check_partition
-    )
+    return _dependency_graph("theory", rules(), partition, ctx, None)
 
 
 def grounded_dep_graph(
@@ -473,8 +447,7 @@ class NegativityResult:
 def _negativity(
     occurrences: Iterable[tuple[str, _Occurrence]],
     lam: IntensionalityStatement,
-    psi_sentences: Sequence[Formula],
-    domains: Domains,
+    ctx: TransformContext,
 ) -> NegativityResult:
     """The negativity loop of programs and theories: for every (rule text,
     occurrence) pair, the context plus the existential closure of the
@@ -484,7 +457,7 @@ def _negativity(
     for rule_text, occ in occurrences:
         condition = conj([occ.formula, lam.condition(occ.key, occ.args)])
         closed = exists_over(free_variables(condition), condition)
-        verdict = bounded_sat(list(psi_sentences) + [closed], lam.signature, domains)
+        verdict = ctx.solve(closed)
         if verdict.status == "sat":
             return NegativityResult(
                 "fail",
@@ -510,7 +483,7 @@ def is_negative_program(
             for h in heads:
                 yield text, replace(h, formula=conj([body, h.formula]))
 
-    return _negativity(occurrences(), lam, (), domains)
+    return _negativity(occurrences(), lam, TransformContext(lam.signature, domains))
 
 
 def is_psi_negative(
@@ -529,16 +502,15 @@ def is_psi_negative(
     condition, since there every strictly positive occurrence is a head atom
     with the body folded in by the transform.
     """
-    psi_sentences = theory_sentences(psi)
+    ctx = TransformContext(lam.signature, domains, theory_sentences(psi))
 
     def occurrences() -> Iterator[tuple[str, _Occurrence]]:
-        ctx = TransformContext(lam.signature, domains, psi_sentences)
         for sentence in theory_sentences(theory):
             text = format_formula(sentence)
             for occ in _transformed(ctx, sentence, "pos", "$y"):
                 yield text, occ
 
-    return _negativity(occurrences(), lam, psi_sentences, domains)
+    return _negativity(occurrences(), lam, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ false.  On top of that this module provides:
   (:func:`find_model`, a loop over an explicit stack of decisions, so its
   depth is not bounded by the interpreter's recursion limit), which serves
   the side path: bounded satisfiability, occurrence transforms and validity
-  checks;
+  checks.  Its one caller is
+  :meth:`htsplit.occurrences.TransformContext.solve`, which grounds the
+  context once per check;
 * the one-world reduct of a ground formula with respect to an interpretation,
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
@@ -647,7 +649,8 @@ def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]
     decides the first unassigned atom, in
     :func:`~htsplit.interpretations.atom_sort_key` order, of the first
     sentence whose value is unknown.  It serves the side path
-    (bounded satisfiability, occurrence transforms, validity checks);
+    (bounded satisfiability, occurrence transforms, validity checks), whose
+    one caller is :meth:`htsplit.occurrences.TransformContext.solve`;
     stability is decided by :func:`is_stable_ground` on truth tables.
     """
     sentences = [g for g in gfs if g != TRUE_GF]

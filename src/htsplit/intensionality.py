@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import engine
-from .interpretations import Element, FiniteInterpretation
+from .interpretations import Element
+from .occurrences import TransformContext
 from .syntax import (
     And,
     Atom,
@@ -188,10 +189,9 @@ def join_all(statements: Sequence[IntensionalityStatement]) -> IntensionalitySta
 # bounded validity checks
 
 
-def _valid_on(structure: FiniteInterpretation, sentence: Formula) -> bool:
-    """Validity over the declared domains, by refuting the negation."""
-    counter = engine.ground_formula(structure, neg(sentence))
-    status, _ = engine.find_model([counter])
+def _valid_on(ctx: TransformContext, sentence: Formula) -> bool:
+    """Validity over the context's domains, by refuting the negation."""
+    status = ctx.solve(neg(sentence)).status
     if status == "unknown":
         raise engine.ResourceCapExceeded("validity check exceeded its search cap")
     return status == "unsat"
@@ -203,11 +203,11 @@ def equivalent(
     domains: Mapping[str, tuple[Element, ...]],
 ) -> bool:
     """Pointwise equivalence of two statements over the declared domains."""
-    structure = FiniteInterpretation.make(lam1.signature, domains)
+    ctx = TransformContext(lam1.signature, domains)
     for key in lam1.signature.predicates:
         variables, f1 = lam1.entry(key)
         f2 = lam2.condition(key, variables)
-        if not _valid_on(structure, forall_over(variables, iff(f1, f2))):
+        if not _valid_on(ctx, forall_over(variables, iff(f1, f2))):
             return False
     return True
 
@@ -216,16 +216,14 @@ def is_purely_intensional(
     lam: IntensionalityStatement, key: PredKey, domains: Mapping[str, tuple[Element, ...]]
 ) -> bool:
     variables, f = lam.entry(key)
-    structure = FiniteInterpretation.make(lam.signature, domains)
-    return _valid_on(structure, forall_over(variables, f))
+    return _valid_on(TransformContext(lam.signature, domains), forall_over(variables, f))
 
 
 def is_purely_extensional(
     lam: IntensionalityStatement, key: PredKey, domains: Mapping[str, tuple[Element, ...]]
 ) -> bool:
     variables, f = lam.entry(key)
-    structure = FiniteInterpretation.make(lam.signature, domains)
-    return _valid_on(structure, forall_over(variables, neg(f)))
+    return _valid_on(TransformContext(lam.signature, domains), forall_over(variables, neg(f)))
 
 
 def disjoint(

@@ -118,9 +118,26 @@ def atom_occurrences_with_polarity(
 # context-aware transforms
 
 
+@dataclass(frozen=True)
+class SatVerdict:
+    """Result of an exhaustive model search over the declared finite domains."""
+
+    status: str  # "sat" | "unsat" | "unknown"
+    witness: Optional[FiniteInterpretation] = None
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.status == "sat"
+
+    @property
+    def decisive(self) -> bool:
+        return self.status != "unknown"
+
+
 class TransformContext:
-    """Shared state for transform construction: the context theory, grounded
-    once, plus a satisfiability cache for subformulas."""
+    """The side path's one satisfiability oracle (transforms, graph and
+    negativity conditions, validity checks): the context theory, grounded
+    once, and the verdict of every closed sentence asked under it."""
 
     def __init__(
         self,
@@ -132,24 +149,28 @@ class TransformContext:
         self.structure = FiniteInterpretation.make(signature, domains)
         self.psi = list(psi)
         self.psi_gfs = engine.ground_theory(self.structure, self.psi)
-        self._sat_cache: dict[Formula, bool] = {}
+        self._verdicts: dict[Formula, SatVerdict] = {}
+
+    def solve(self, sentence: Formula) -> SatVerdict:
+        """Whether the context plus a closed sentence has a model, with the
+        first model found as witness: the one call of :func:`engine.find_model`,
+        unknown past ``engine.DEFAULT_NODE_CAP`` nodes (read at the sentence's
+        first call; later calls reuse its verdict)."""
+        verdict = self._verdicts.get(sentence)
+        if verdict is None:
+            gf = engine.ground_formula(self.structure, sentence)
+            status, atoms = engine.find_model(self.psi_gfs + [gf])
+            witness = self.structure.with_atoms(atoms) if atoms is not None else None
+            verdict = self._verdicts[sentence] = SatVerdict(status, witness)
+        return verdict
 
     def satisfiable_with_context(self, f: Formula) -> bool:
         """Whether the context plus the existential closure of f has a model.
 
-        An inconclusive search, past ``engine.DEFAULT_NODE_CAP`` nodes (read
-        at call time), counts as satisfiable, which over-approximates
+        An inconclusive search counts as satisfiable, which over-approximates
         dependencies and keeps downstream verdicts sound.
         """
-        hit = self._sat_cache.get(f)
-        if hit is not None:
-            return hit
-        closed = exists_over(free_variables(f), f)
-        gf = engine.ground_formula(self.structure, closed)
-        status, _ = engine.find_model(self.psi_gfs + [gf])
-        result = status != "unsat"
-        self._sat_cache[f] = result
-        return result
+        return self.solve(exists_over(free_variables(f), f)).status != "unsat"
 
     def restrict(self, f: Formula) -> Formula:
         return f if self.satisfiable_with_context(f) else BOT
@@ -213,19 +234,6 @@ class TransformContext:
         raise PolarityError(f"no occurrence below a leaf at {prefix}")
 
 
-def _run_transform(
-    variant: str,
-    f: Formula,
-    occ: OccurrencePath,
-    psi: Sequence[Formula],
-    fresh: Sequence[Variable],
-    signature: Signature,
-    domains: Mapping[str, tuple[Element, ...]],
-) -> Formula:
-    ctx = TransformContext(signature, domains, psi)
-    return ctx.transform(f, occ, variant, fresh)
-
-
 def restrict_formula(
     f: Formula,
     psi: Sequence[Formula],
@@ -238,17 +246,17 @@ def restrict_formula(
 
 def pos_formula(f, occ, psi, fresh, signature, domains) -> Formula:
     """Transform for a strictly positive occurrence."""
-    return _run_transform("pos", f, occ, psi, fresh, signature, domains)
+    return TransformContext(signature, domains, psi).transform(f, occ, "pos", fresh)
 
 
 def pnn_formula(f, occ, psi, fresh, signature, domains) -> Formula:
     """Transform for a positive nonnegated occurrence."""
-    return _run_transform("pnn", f, occ, psi, fresh, signature, domains)
+    return TransformContext(signature, domains, psi).transform(f, occ, "pnn", fresh)
 
 
 def nnn_formula(f, occ, psi, fresh, signature, domains) -> Formula:
     """Transform for a negative nonnegated occurrence."""
-    return _run_transform("nnn", f, occ, psi, fresh, signature, domains)
+    return TransformContext(signature, domains, psi).transform(f, occ, "nnn", fresh)
 
 
 def fresh_variables(prefix: str, atom: Atom) -> tuple[Variable, ...]:

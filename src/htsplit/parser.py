@@ -396,6 +396,10 @@ class _Parser:
             self.expect("sym", ".")
         elif tok.value == "#part":
             name = self.expect("ident").value
+            if name == "default":  # --lambda and --partition read it as the #intensional statement
+                raise ParseError(
+                    "the name default is reserved for the #intensional statement", tok.line, tok.column
+                )
             self.check_fresh_name(name, tok)
             entries: dict[PredKey, tuple[tuple[Variable, ...], Formula]] = {}
             self.expect("sym", "{")

@@ -69,6 +69,30 @@ def test_models_past_the_stability_atom_cap_is_exit_3(capsys, monkeypatch, tmp_p
     assert "removable atoms, cap is 1" in err
 
 
+CONDITION_ON_AN_INTENSIONAL_PREDICATE = (
+    "pred p. pred q. p :- q. #intensional p : q. #intensional q : #true.\n"
+    "#part bad { p : q ; q : #true }.\n#group all { p :- q. }.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models"],
+        ["ht-models", "--lambda", "bad"],
+        ["graph", "--partition", "bad"],
+        ["split", "--parts", "all", "--partition", "bad"],
+    ],
+)
+def test_a_condition_on_an_intensional_predicate_is_exit_2(capsys, tmp_path, argv):
+    # a condition may mention only predicates its statement leaves extensional
+    source = tmp_path / "condition.htsplit"
+    source.write_text(CONDITION_ON_AN_INTENSIONAL_PREDICATE)
+    code, out, err = run(capsys, argv[0], source, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: condition for p/0 mentions q/0, which is not extensional\n"
+
+
 def test_parse_error_is_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.htsplit"
     bad.write_text("pred p(unknown_sort).\n")

@@ -1,8 +1,11 @@
 """Bounded satisfiability, the three dependency graphs, separability,
 negativity, and approximator checks, against the worked examples."""
 
+import pathlib
+
 import pytest
 
+import htsplit
 from htsplit import engine
 from htsplit.depgraph import (
     bounded_sat,
@@ -32,6 +35,7 @@ from htsplit.syntax import (
     Variable,
     int_name,
     neg,
+    theory_sentences,
 )
 
 
@@ -352,3 +356,44 @@ def test_theory_graph_witnesses_replay_with_the_context(meta_problem):
         for w in witnesses:
             assert w.witness is not None and w.condition is not None
             assert satisfies_all(w.witness, psi_sentences + [w.condition])
+
+
+# ---------------------------------------------------------------------------
+# one oracle on the side path
+
+
+def test_only_the_context_oracle_calls_find_model():
+    src = pathlib.Path(htsplit.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "occurrences.py":
+            assert text.count("find_model(") == 1, path.name  # in TransformContext.solve
+        elif path.name != "engine.py":
+            assert "find_model" not in text, path.name
+
+
+def test_a_theory_graph_makes_one_structure_and_grounds_the_context_once(meta_problem, monkeypatch):
+    problem = meta_problem
+    partition = Partition.of([problem.part(name) for name in ("g1", "g2", "g3")])
+    theory = problem.group("gamma1") + problem.group("gamma2") + problem.group("gamma3")
+    psi = problem.context("psi3")
+    psi_sentences = theory_sentences(psi)
+    makes, psi_groundings = [], []
+    make, ground_theory = FiniteInterpretation.make, engine.ground_theory
+
+    def counted_make(*args, **kwargs):
+        makes.append(args)
+        return make(*args, **kwargs)
+
+    def counted_ground_theory(structure, sentences):
+        sentences = list(sentences)
+        if any(s in psi_sentences for s in sentences):
+            psi_groundings.append(sentences)
+        return ground_theory(structure, sentences)
+
+    monkeypatch.setattr(FiniteInterpretation, "make", staticmethod(counted_make))
+    monkeypatch.setattr(engine, "ground_theory", counted_ground_theory)
+    graph = theory_dep_graph(theory, partition, psi, problem.domains(), check_partition=False)
+    assert graph.edges
+    assert len(makes) == 1
+    assert psi_groundings == [psi_sentences]

@@ -4,7 +4,6 @@ import pytest
 
 from htsplit import engine
 from htsplit.depgraph import bounded_sat
-from htsplit.interpretations import FiniteInterpretation
 from htsplit.intensionality import (
     IntensionalityStatement,
     Partition,
@@ -22,6 +21,7 @@ from htsplit.intensionality import (
     partition_problems,
     validate_condition_predicates,
 )
+from htsplit.occurrences import TransformContext
 from htsplit.parser import parse_problem
 from htsplit.syntax import (
     And,
@@ -183,13 +183,13 @@ def test_join_all_matches_pairwise(blocks):
 
 
 def test_validity_checks_read_the_node_cap_at_call_time(monkeypatch):
+    # a context keeps its verdicts, so each side of the cap asks a fresh one
     problem = parse_problem("int range 0..3. pred p(int).\np(X) | p(X+1) :- X >= 0.\n")
-    structure = FiniteInterpretation.make(problem.signature, problem.domains())
     p1 = Atom("p", (int_name(1),))
     excluded_middle = Or(p1, neg(p1))
     assert bounded_sat(problem.theory(), problem.signature, problem.domains()).status == "sat"
-    assert _valid_on(structure, excluded_middle)
+    assert _valid_on(TransformContext(problem.signature, problem.domains()), excluded_middle)
     monkeypatch.setattr(engine, "DEFAULT_NODE_CAP", 1)
     assert bounded_sat(problem.theory(), problem.signature, problem.domains()).status == "unknown"
     with pytest.raises(engine.ResourceCapExceeded, match="validity check"):
-        _valid_on(structure, excluded_middle)
+        _valid_on(TransformContext(problem.signature, problem.domains()), excluded_middle)

@@ -163,6 +163,11 @@ def test_undeclared_symbols_are_rejected():
         parse_problem("sort s. domain s = {e}.\npred q(s).\nq(f).\n")
 
 
+def test_a_part_named_default_is_rejected():
+    with pytest.raises(ParseError, match="default is reserved"):
+        parse_problem("pred p.\n#intensional p : #true.\n#part default { p : #true }.\n")
+
+
 def test_duplicate_declarations_are_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse_problem("sort s. sort s.")
