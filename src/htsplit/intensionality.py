@@ -14,18 +14,14 @@ from .syntax import (
     And,
     Atom,
     BOT,
-    Bottom,
-    Equality,
-    Exists,
-    Forall,
     Formula,
-    Implies,
     Or,
     PredKey,
     Signature,
     TOP,
     Term,
     Variable,
+    _substitute_by_name,
     fold_constants,
     forall_over,
     free_variables,
@@ -85,59 +81,13 @@ class IntensionalityStatement:
         variables, formula = self.entry(key)
         if len(args) != len(variables):
             raise ValueError(f"{key[0]}/{key[1]} applied to {len(args)} arguments")
-        return substitute_free(formula, dict(zip(variables, args)))
+        return _substitute_by_name(formula, {v.name: t for v, t in zip(variables, args)})
 
     def keys(self) -> list[PredKey]:
         return sorted(self.signature.predicates)
 
     def with_name(self, name: str) -> "IntensionalityStatement":
         return IntensionalityStatement(self.signature, self.entries, name)
-
-
-def substitute_free(f: Formula, binding: Mapping[Variable, Term]) -> Formula:
-    """Substitution that tolerates non-ground replacement terms.
-
-    Quantified variables clashing with a free variable of a replacement term
-    are renamed first, so the substitution cannot capture.
-    """
-    from .syntax import Func, term_variables
-
-    by_name = {v.name: t for v, t in binding.items()}
-    incoming = {w.name for t in binding.values() for w in term_variables(t)}
-
-    def walk(g: Formula, env: dict[str, Term]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(_sub_term(t, env) for t in g.args))
-        if isinstance(g, Equality):
-            return Equality(_sub_term(g.lhs, env), _sub_term(g.rhs, env))
-        if isinstance(g, Bottom):
-            return g
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, (Forall, Exists)):
-            var = g.var
-            inner = dict(env)
-            if var.name in incoming:
-                fresh = var
-                n = 0
-                taken = incoming | set(inner)
-                while fresh.name in taken:
-                    fresh = Variable(f"{var.name}_{n}", var.sort)
-                    n += 1
-                inner[var.name] = fresh
-                return type(g)(fresh, walk(g.body, inner))
-            inner.pop(var.name, None)
-            return type(g)(var, walk(g.body, inner))
-        raise TypeError(f"not a formula: {g!r}")
-
-    def _sub_term(t: Term, env: Mapping[str, Term]) -> Term:
-        if isinstance(t, Variable):
-            return env.get(t.name, t)
-        if isinstance(t, Func):
-            return Func(t.name, tuple(_sub_term(a, env) for a in t.args), t.sort)
-        return t
-
-    return walk(f, dict(by_name))
 
 
 def lambda_top(signature: Signature) -> IntensionalityStatement:

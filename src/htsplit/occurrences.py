@@ -19,7 +19,6 @@ from .syntax import (
     And,
     Atom,
     BOT,
-    Bottom,
     COMPARISON_PREDICATES,
     Equality,
     Exists,
@@ -34,6 +33,7 @@ from .syntax import (
     exists_over,
     fold_constants,
     free_variables,
+    polarity_walk,
     subformula_at,
 )
 
@@ -95,23 +95,13 @@ def atom_occurrences_with_polarity(
 ) -> list[tuple[OccurrencePath, Atom, Polarity]]:
     """Predicate-atom occurrences in pre-order with their polarities; builtin
     comparison atoms are skipped."""
-    out = []
-
-    def walk(g: Formula, path: OccurrencePath, depth: int, negated: bool) -> None:
-        if isinstance(g, Atom):
-            if g.pred not in COMPARISON_PREDICATES and (pred is None or g.pred == pred):
-                out.append((path, g, Polarity(depth, negated)))
-        elif isinstance(g, (And, Or)):
-            walk(g.lhs, path + (0,), depth, negated)
-            walk(g.rhs, path + (1,), depth, negated)
-        elif isinstance(g, Implies):
-            walk(g.lhs, path + (0,), depth + 1, negated or g.rhs == BOT)
-            walk(g.rhs, path + (1,), depth, negated)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, path + (0,), depth, negated)
-
-    walk(f, (), 0, False)
-    return out
+    return [
+        (path, g, Polarity(depth, negated))
+        for path, g, depth, negated in polarity_walk(f)
+        if isinstance(g, Atom)
+        and g.pred not in COMPARISON_PREDICATES
+        and (pred is None or g.pred == pred)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,61 +274,45 @@ def _atom_value(interp: FiniteInterpretation, atom: Atom) -> Optional[GroundAtom
     return (atom.pred, tuple(values))
 
 
+def _satisfied_atoms(
+    interp: FiniteInterpretation, f: Formula, variant: str
+) -> frozenset[GroundAtom]:
+    """The ``pos``, ``pnn`` or ``nnn`` atoms of a ground sentence: the atoms
+    of that polarity reached through satisfied subformulas only.  Entering a
+    satisfied implication's antecedent flips pnn and nnn; pos admits nothing
+    there."""
+    out: set[GroundAtom] = set()
+    stack = [(f, variant)]
+    while stack:
+        g, variant = stack.pop()
+        if not satisfies(interp, g):
+            continue
+        if isinstance(g, Atom):
+            v = _atom_value(interp, g)
+            if v is not None and variant != "nnn":
+                out.add(v)
+        elif isinstance(g, (And, Or)):
+            stack += [(g.lhs, variant), (g.rhs, variant)]
+        elif isinstance(g, Implies):
+            if satisfies(interp, g.lhs):
+                stack.append((g.rhs, variant))
+                if variant != "pos":
+                    stack.append((g.lhs, "nnn" if variant == "pnn" else "pnn"))
+        elif isinstance(g, (Forall, Exists)):
+            stack += [(inst, variant) for inst in _quantifier_instances(interp, g)]
+    return frozenset(out)
+
+
 def pos_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
     """Strictly positive atoms of a satisfied ground sentence; empty otherwise."""
-    if not satisfies(interp, f):
-        return frozenset()
-    if isinstance(f, Atom):
-        v = _atom_value(interp, f)
-        return frozenset() if v is None else frozenset([v])
-    if isinstance(f, (Equality, Bottom)):
-        return frozenset()
-    if isinstance(f, (And, Or)):
-        return pos_atoms(interp, f.lhs) | pos_atoms(interp, f.rhs)
-    if isinstance(f, Implies):
-        if satisfies(interp, f.lhs):
-            return pos_atoms(interp, f.rhs)
-        return frozenset()
-    out: frozenset[GroundAtom] = frozenset()
-    for inst in _quantifier_instances(interp, f):
-        out |= pos_atoms(interp, inst)
-    return out
+    return _satisfied_atoms(interp, f, "pos")
 
 
 def pnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
     """Positive nonnegated atoms of a satisfied ground sentence."""
-    if not satisfies(interp, f):
-        return frozenset()
-    if isinstance(f, Atom):
-        v = _atom_value(interp, f)
-        return frozenset() if v is None else frozenset([v])
-    if isinstance(f, (Equality, Bottom)):
-        return frozenset()
-    if isinstance(f, (And, Or)):
-        return pnn_atoms(interp, f.lhs) | pnn_atoms(interp, f.rhs)
-    if isinstance(f, Implies):
-        if satisfies(interp, f.lhs):
-            return nnn_atoms(interp, f.lhs) | pnn_atoms(interp, f.rhs)
-        return frozenset()
-    out: frozenset[GroundAtom] = frozenset()
-    for inst in _quantifier_instances(interp, f):
-        out |= pnn_atoms(interp, inst)
-    return out
+    return _satisfied_atoms(interp, f, "pnn")
 
 
 def nnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
     """Negative nonnegated atoms of a satisfied ground sentence."""
-    if not satisfies(interp, f):
-        return frozenset()
-    if isinstance(f, (Atom, Equality, Bottom)):
-        return frozenset()
-    if isinstance(f, (And, Or)):
-        return nnn_atoms(interp, f.lhs) | nnn_atoms(interp, f.rhs)
-    if isinstance(f, Implies):
-        if satisfies(interp, f.lhs):
-            return pnn_atoms(interp, f.lhs) | nnn_atoms(interp, f.rhs)
-        return frozenset()
-    out: frozenset[GroundAtom] = frozenset()
-    for inst in _quantifier_instances(interp, f):
-        out |= nnn_atoms(interp, inst)
-    return out
+    return _satisfied_atoms(interp, f, "nnn")

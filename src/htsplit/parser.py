@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .intensionality import IntensionalityStatement
 from .syntax import (
@@ -403,14 +403,17 @@ class _Parser:
             self.check_fresh_name(name, tok)
             entries: dict[PredKey, tuple[tuple[Variable, ...], Formula]] = {}
             self.expect("sym", "{")
-            while True:
-                key, entry = self.intensional_entry()
-                if key in entries:
-                    raise ParseError(f"duplicate entry for {key[0]}/{key[1]}", tok.line, tok.column)
-                entries[key] = entry
-                if not self.accept("sym", ";"):
-                    break
-            self.expect("sym", "}")
+            if not self.accept("sym", "}"):  # an empty body is the all-#false statement
+                while True:
+                    key, entry = self.intensional_entry()
+                    if key in entries:
+                        raise ParseError(
+                            f"duplicate entry for {key[0]}/{key[1]}", tok.line, tok.column
+                        )
+                    entries[key] = entry
+                    if not self.accept("sym", ";"):
+                        break
+                self.expect("sym", "}")
             self.expect("sym", ".")
             self.parts.append(
                 (name, IntensionalityStatement.make(self.signature(), entries, name=name))
@@ -711,8 +714,7 @@ class _Parser:
         new_body = tuple(
             Literal(self._rebuild(f, {}, lookup), n) for n, f in body
         )
-        for g in new_heads + tuple(lit.atom for lit in new_body):
-            self._validate_sorts(g)
+        self._validate_sorts(new_heads + tuple(lit.atom for lit in new_body))
         return Rule(new_heads, new_body)
 
     def resolve(
@@ -724,7 +726,7 @@ class _Parser:
         slots = self._collect(raw, {}, seed_sorts)
         lookup = self._solve(slots)
         resolved = self._rebuild(raw, {}, lookup)
-        self._validate_sorts(resolved)
+        self._validate_sorts([resolved])
         if close:
             resolved = forall_over(free_variables(resolved), resolved)
         return resolved
@@ -736,70 +738,38 @@ class _Parser:
         seed_sorts: Optional[dict[str, str]] = None,
     ) -> dict[tuple, dict]:
         slots: dict[tuple, dict] = {}
-
-        def slot(key: tuple) -> dict:
-            if key not in slots:
-                slots[key] = {"sorts": set(), "eq": set(), "tok": None}
-            return slots[key]
-
         if seed_sorts:
             for name, sort in seed_sorts.items():
-                slot(("free", name))["sorts"].add(sort)
-
-        def term_key(t: Term, env: dict[str, tuple]) -> Optional[tuple]:
-            if isinstance(t, Variable):
-                return env.get(t.name, ("free", t.name))
-            return None
-
-        def constrain_term(t: Term, expected: Optional[str], env: dict[str, tuple]) -> None:
-            if isinstance(t, Variable):
-                if expected is not None:
-                    slot(env.get(t.name, ("free", t.name)))["sorts"].add(expected)
-                else:
-                    slot(env.get(t.name, ("free", t.name)))
-            elif isinstance(t, Func):
-                for a in t.args:
-                    constrain_term(a, INT_SORT, env)
-
-        def term_sort(t: Term, env: dict[str, tuple]) -> Optional[str]:
-            if isinstance(t, (Func,)):
-                return INT_SORT
-            if isinstance(t, DomainName):
-                return t.sort
-            return None
-
-        def walk(g: Formula, path: tuple, env: dict[str, tuple]) -> None:
+                _slot(slots, ("free", name))["sorts"].add(sort)
+        stack: list[tuple[Formula, tuple, dict[str, tuple]]] = [(f, (), env)]
+        while stack:
+            g, path, env = stack.pop()
             if isinstance(g, Atom):
                 if g.pred in COMPARISON_PREDICATES:
-                    for t in g.args:
-                        constrain_term(t, INT_SORT, env)
-                    return
-                arg_sorts = self.predicates[(g.pred, len(g.args))]
+                    arg_sorts: tuple[str, ...] = (INT_SORT,) * len(g.args)
+                else:
+                    arg_sorts = self.predicates[(g.pred, len(g.args))]
                 for t, s in zip(g.args, arg_sorts):
-                    constrain_term(t, s, env)
+                    _constrain_term(slots, t, s, env)
             elif isinstance(g, Equality):
                 for t in (g.lhs, g.rhs):
-                    constrain_term(t, None, env)
-                lk, rk = term_key(g.lhs, env), term_key(g.rhs, env)
-                ls, rs = term_sort(g.lhs, env), term_sort(g.rhs, env)
+                    _constrain_term(slots, t, None, env)
+                lk, rk = _term_key(g.lhs, env), _term_key(g.rhs, env)
+                ls, rs = _literal_sort(g.lhs), _literal_sort(g.rhs)
                 if lk is not None and rs is not None:
-                    slot(lk)["sorts"].add(rs)
+                    _slot(slots, lk)["sorts"].add(rs)
                 if rk is not None and ls is not None:
-                    slot(rk)["sorts"].add(ls)
+                    _slot(slots, rk)["sorts"].add(ls)
                 if lk is not None and rk is not None:
-                    slot(lk)["eq"].add(rk)
-                    slot(rk)["eq"].add(lk)
+                    _slot(slots, lk)["eq"].add(rk)
+                    _slot(slots, rk)["eq"].add(lk)
             elif isinstance(g, (And, Or, Implies)):
-                walk(g.lhs, path + (0,), env)
-                walk(g.rhs, path + (1,), env)
+                stack.append((g.rhs, path + (1,), env))
+                stack.append((g.lhs, path + (0,), env))
             elif isinstance(g, (Forall, Exists)):
                 key = ("bound", path)
-                slot(key)
-                inner = dict(env)
-                inner[g.var.name] = key
-                walk(g.body, path + (0,), inner)
-
-        walk(f, (), env)
+                _slot(slots, key)
+                stack.append((g.body, path + (0,), {**env, g.var.name: key}))
         return slots
 
     def _where(self) -> tuple[int, int]:
@@ -833,64 +803,50 @@ class _Parser:
             out[key] = minimal[0]
         return out
 
-    def _validate_sorts(self, f: Formula) -> None:
-        """Well-sortedness of a resolved formula: argument sorts are subsorts
+    def _validate_sorts(self, formulas: Sequence[Formula]) -> None:
+        """Well-sortedness of resolved formulas: argument sorts are subsorts
         of the declared ones, equality operands share a supersort."""
         sig = self.signature()
-
-        def term_sort(t: Term) -> str:
-            return t.sort
-
-        def check_term(t: Term, expected: str) -> None:
-            if not sig.is_subsort(term_sort(t), expected):
-                line, column = self._where()
-                raise ParseError(
-                    f"term of sort {term_sort(t)} where {expected} is expected", line, column
-                )
-            if isinstance(t, Func):
-                for a in t.args:
-                    check_term(a, INT_SORT)
-
-        def walk(g: Formula) -> None:
+        stack = list(reversed(formulas))
+        while stack:
+            g = stack.pop()
             if isinstance(g, Atom):
                 if g.pred in COMPARISON_PREDICATES:
-                    for t in g.args:
-                        check_term(t, INT_SORT)
-                    return
-                for t, s in zip(g.args, self.predicates[(g.pred, len(g.args))]):
-                    check_term(t, s)
+                    arg_sorts: tuple[str, ...] = (INT_SORT,) * len(g.args)
+                else:
+                    arg_sorts = self.predicates[(g.pred, len(g.args))]
+                for t, s in zip(g.args, arg_sorts):
+                    self._check_term(sig, t, s)
             elif isinstance(g, Equality):
-                if sig.common_supersort(term_sort(g.lhs), term_sort(g.rhs)) is None:
+                if sig.common_supersort(g.lhs.sort, g.rhs.sort) is None:
                     line, column = self._where()
                     raise ParseError(
-                        f"equality between unrelated sorts {term_sort(g.lhs)} and {term_sort(g.rhs)}",
+                        f"equality between unrelated sorts {g.lhs.sort} and {g.rhs.sort}",
                         line,
                         column,
                     )
                 for t in (g.lhs, g.rhs):
                     if isinstance(t, Func):
-                        check_term(t, INT_SORT)
+                        self._check_term(sig, t, INT_SORT)
             elif isinstance(g, (And, Or, Implies)):
-                walk(g.lhs)
-                walk(g.rhs)
+                stack.append(g.rhs)
+                stack.append(g.lhs)
             elif isinstance(g, (Forall, Exists)):
-                walk(g.body)
+                stack.append(g.body)
 
-        walk(f)
+    def _check_term(self, sig: Signature, t: Term, expected: str) -> None:
+        if not sig.is_subsort(t.sort, expected):
+            line, column = self._where()
+            raise ParseError(f"term of sort {t.sort} where {expected} is expected", line, column)
+        if isinstance(t, Func):
+            for a in t.args:
+                self._check_term(sig, a, INT_SORT)
 
     def _rebuild(self, f: Formula, env: dict, lookup: dict, path: tuple = ()) -> Formula:
-        def fix_term(t: Term, env: dict) -> Term:
-            if isinstance(t, Variable):
-                key = env.get(t.name, ("free", t.name))
-                return Variable(t.name, lookup[key])
-            if isinstance(t, Func):
-                return Func(t.name, tuple(fix_term(a, env) for a in t.args), t.sort)
-            return t
-
         if isinstance(f, Atom):
-            return Atom(f.pred, tuple(fix_term(t, env) for t in f.args))
+            return Atom(f.pred, tuple(_fix_term(t, env, lookup) for t in f.args))
         if isinstance(f, Equality):
-            return Equality(fix_term(f.lhs, env), fix_term(f.rhs, env))
+            return Equality(_fix_term(f.lhs, env, lookup), _fix_term(f.rhs, env, lookup))
         if isinstance(f, Bottom):
             return f
         if isinstance(f, (And, Or, Implies)):
@@ -907,6 +863,52 @@ class _Parser:
                 self._rebuild(f.body, inner, lookup, path + (0,)),
             )
         raise TypeError(f"not a formula: {f!r}")
+
+
+# sort inference: a slot per free variable name and per quantifier, keyed
+# ("free", name) or ("bound", path), holding its candidate sorts and the
+# slots an equality ties it to
+
+
+def _slot(slots: dict[tuple, dict], key: tuple) -> dict:
+    if key not in slots:
+        slots[key] = {"sorts": set(), "eq": set(), "tok": None}
+    return slots[key]
+
+
+def _term_key(t: Term, env: dict[str, tuple]) -> Optional[tuple]:
+    if isinstance(t, Variable):
+        return env.get(t.name, ("free", t.name))
+    return None
+
+
+def _literal_sort(t: Term) -> Optional[str]:
+    """The sort a term has before inference: None for a variable."""
+    if isinstance(t, Func):
+        return INT_SORT
+    if isinstance(t, DomainName):
+        return t.sort
+    return None
+
+
+def _constrain_term(
+    slots: dict[tuple, dict], t: Term, expected: Optional[str], env: dict[str, tuple]
+) -> None:
+    if isinstance(t, Variable):
+        slot = _slot(slots, env.get(t.name, ("free", t.name)))
+        if expected is not None:
+            slot["sorts"].add(expected)
+    elif isinstance(t, Func):
+        for a in t.args:
+            _constrain_term(slots, a, INT_SORT, env)
+
+
+def _fix_term(t: Term, env: dict, lookup: dict) -> Term:
+    if isinstance(t, Variable):
+        return Variable(t.name, lookup[env.get(t.name, ("free", t.name))])
+    if isinstance(t, Func):
+        return Func(t.name, tuple(_fix_term(a, env, lookup) for a in t.args), t.sort)
+    return t
 
 
 def parse_problem(text: str) -> ProblemFile:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal as LiteralType, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Literal as LiteralType, Mapping, Optional, Sequence
 
 from . import engine
 from .intensionality import IntensionalityStatement
@@ -101,23 +101,34 @@ def ground_region(
     region_gf: dict[GroundAtom, engine.GF] = {}
     em_gfs: list[engine.GF] = []
     for key in sorted(signature.predicates):
-        pred, arity = key
-        arg_sorts = signature.pred_arg_sorts(pred, arity)
+        arg_sorts = signature.pred_arg_sorts(*key)
         variables, formula = lam.entry(key)
         condition = engine.compile_formula(structure, formula, variables)
-
-        def conjunction(values: tuple[Element, ...]) -> engine.GF:
-            if len(values) < arity:
-                domain = structure.domain(arg_sorts[len(values)])
-                return engine.gand_all([conjunction(values + (d,)) for d in domain])
-            region = condition(values)
-            region_gf[(pred, values)] = region
-            a = ("atom", (pred, values))
-            excluded_middle = engine.gor(a, engine.gimp(a, engine.FALSE_GF))
-            return engine.gimp(engine.gimp(region, engine.FALSE_GF), excluded_middle)
-
-        em_gfs.append(conjunction(()))
+        em_gfs.append(_em_conjunction(structure, key[0], arg_sorts, condition, region_gf, ()))
     return region_gf, em_gfs
+
+
+def _em_conjunction(
+    structure: FiniteInterpretation,
+    pred: str,
+    arg_sorts: tuple[str, ...],
+    condition: Callable[[Sequence[Element]], engine.GF],
+    region_gf: dict[GroundAtom, engine.GF],
+    values: tuple[Element, ...],
+) -> engine.GF:
+    """``¬region → (a ∨ ¬a)`` over the atoms a of ``pred`` whose arguments
+    start with ``values``, one ``gand_all`` per remaining argument; each
+    atom's region goes into ``region_gf``."""
+    if len(values) < len(arg_sorts):
+        domain = structure.domain(arg_sorts[len(values)])
+        return engine.gand_all(
+            [_em_conjunction(structure, pred, arg_sorts, condition, region_gf, values + (d,)) for d in domain]
+        )
+    region = condition(values)
+    region_gf[(pred, values)] = region
+    a = ("atom", (pred, values))
+    excluded_middle = engine.gor(a, engine.gimp(a, engine.FALSE_GF))
+    return engine.gimp(engine.gimp(region, engine.FALSE_GF), excluded_middle)
 
 
 def em_atoms(

@@ -278,14 +278,29 @@ def subformula_at(f: Formula, path: OccurrencePath) -> Formula:
     return f
 
 
+def polarity_walk(f: Formula) -> Iterator[tuple[OccurrencePath, Formula, int, bool]]:
+    """All subformula occurrences of f in pre-order: each one's path, the
+    subformula, how many antecedents enclose it, and whether one of those
+    antecedents belongs to a negation (an implication into #false)."""
+    stack: list[tuple[OccurrencePath, Formula, int, bool]] = [((), f, 0, False)]
+    while stack:
+        item = stack.pop()
+        yield item
+        path, g, depth, negated = item
+        if isinstance(g, Implies):
+            stack.append((path + (1,), g.rhs, depth, negated))
+            stack.append((path + (0,), g.lhs, depth + 1, negated or g.rhs == BOT))
+        elif isinstance(g, (And, Or)):
+            stack.append((path + (1,), g.rhs, depth, negated))
+            stack.append((path + (0,), g.lhs, depth, negated))
+        elif isinstance(g, (Forall, Exists)):
+            stack.append((path + (0,), g.body, depth, negated))
+
+
 def subformulas(f: Formula) -> Iterator[tuple[OccurrencePath, Formula]]:
     """All subformula occurrences of f in pre-order, with their paths."""
-    stack: list[tuple[OccurrencePath, Formula]] = [((), f)]
-    while stack:
-        path, g = stack.pop()
+    for path, g, _depth, _negated in polarity_walk(f):
         yield path, g
-        for i, kid in reversed(list(enumerate(children(g)))):
-            stack.append((path + (i,), kid))
 
 
 def atom_occurrences(f: Formula, pred: Optional[str] = None) -> list[OccurrencePath]:
@@ -303,29 +318,20 @@ def atom_occurrences(f: Formula, pred: Optional[str] = None) -> list[OccurrenceP
 
 def free_variables(f: Formula) -> tuple[Variable, ...]:
     """Free variables in order of first occurrence."""
-    out: list[Variable] = []
-    seen: set[Variable] = set()
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            for t in g.args:
-                for v in term_variables(t):
-                    if v.name not in bound and v not in seen:
-                        seen.add(v)
-                        out.append(v)
-        elif isinstance(g, Equality):
-            for t in (g.lhs, g.rhs):
-                for v in term_variables(t):
-                    if v.name not in bound and v not in seen:
-                        seen.add(v)
-                        out.append(v)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.lhs, bound)
-            walk(g.rhs, bound)
+    out: dict[Variable, None] = {}
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, (And, Or, Implies)):
+            stack.append((g.rhs, bound))
+            stack.append((g.lhs, bound))
         elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var.name})
-
-    walk(f, frozenset())
+            stack.append((g.body, bound | {g.var.name}))
+        elif isinstance(g, (Atom, Equality)):
+            for t in g.args if isinstance(g, Atom) else (g.lhs, g.rhs):
+                for v in term_variables(t):
+                    if v.name not in bound:
+                        out.setdefault(v)
     return tuple(out)
 
 
@@ -366,7 +372,26 @@ def substitute(f: Formula, binding: Mapping[Variable, Term]) -> Formula:
 
 
 def _substitute_by_name(f: Formula, binding: Mapping[str, Term]) -> Formula:
+    """Substitute terms for free variables, given by name.
+
+    A quantified variable ``Y`` that occurs in a replacement term is renamed
+    first, to the first of ``Y_0``, ``Y_1``, ... that no replacement term
+    mentions and no binding substitutes for, so the substitution cannot
+    capture.
+    """
     if not binding:
+        return f
+    incoming = frozenset(
+        v.name
+        for t in binding.values()
+        if not isinstance(t, DomainName)
+        for v in term_variables(t)
+    )
+    return _substitute(f, binding, incoming)
+
+
+def _substitute(f: Formula, binding: Mapping[str, Term], incoming: frozenset[str]) -> Formula:
+    if not binding and not incoming:
         return f
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(substitute_term(t, binding) for t in f.args))
@@ -375,10 +400,18 @@ def _substitute_by_name(f: Formula, binding: Mapping[str, Term]) -> Formula:
     if isinstance(f, Bottom):
         return f
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(_substitute_by_name(f.lhs, binding), _substitute_by_name(f.rhs, binding))
+        return type(f)(_substitute(f.lhs, binding, incoming), _substitute(f.rhs, binding, incoming))
     if isinstance(f, (Forall, Exists)):
-        inner = {k: v for k, v in binding.items() if k != f.var.name}
-        return type(f)(f.var, _substitute_by_name(f.body, inner))
+        var = f.var
+        if var.name in incoming:
+            taken = incoming | set(binding)
+            fresh, n = var, 0
+            while fresh.name in taken:
+                fresh = Variable(f"{var.name}_{n}", var.sort)
+                n += 1
+            return type(f)(fresh, _substitute(f.body, {**binding, var.name: fresh}, incoming))
+        inner = {k: v for k, v in binding.items() if k != var.name}
+        return type(f)(var, _substitute(f.body, inner, incoming))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -504,28 +537,12 @@ def rules_of(theory: Sequence[Formula]) -> list[RuleOccurrence]:
 
     For the sentences of a disjunctive program this yields exactly its rules.
     """
-    out: list[RuleOccurrence] = []
-    for idx, sentence in enumerate(theory):
-        _collect_rules(sentence, sentence, idx, (), out)
-    return out
-
-
-def _collect_rules(
-    root: Formula,
-    f: Formula,
-    idx: int,
-    path: OccurrencePath,
-    out: list[RuleOccurrence],
-) -> None:
-    if isinstance(f, Implies):
-        out.append(RuleOccurrence(root, idx, path, f.lhs, f.rhs))
-        # only the consequent stays strictly positive
-        _collect_rules(root, f.rhs, idx, path + (1,), out)
-    elif isinstance(f, (And, Or)):
-        _collect_rules(root, f.lhs, idx, path + (0,), out)
-        _collect_rules(root, f.rhs, idx, path + (1,), out)
-    elif isinstance(f, (Forall, Exists)):
-        _collect_rules(root, f.body, idx, path + (0,), out)
+    return [
+        RuleOccurrence(sentence, idx, path, g.lhs, g.rhs)
+        for idx, sentence in enumerate(theory)
+        for path, g, depth, _negated in polarity_walk(sentence)
+        if depth == 0 and isinstance(g, Implies)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,24 @@ from htsplit.intensionality import (
     partition_problems,
     validate_condition_predicates,
 )
+from htsplit.interpretations import all_interpretations, satisfies
 from htsplit.occurrences import TransformContext
 from htsplit.parser import parse_problem
 from htsplit.syntax import (
     And,
     Atom,
+    DomainName,
     Equality,
+    Exists,
     INT_SORT,
     Or,
     Signature,
     TOP,
     Variable,
+    format_formula,
     int_name,
     neg,
+    substitute,
 )
 
 X1, X2, X3 = Variable("X1", "block"), Variable("X2", "loc"), Variable("X3", INT_SORT)
@@ -193,3 +198,23 @@ def test_validity_checks_read_the_node_cap_at_call_time(monkeypatch):
     assert bounded_sat(problem.theory(), problem.signature, problem.domains()).status == "unknown"
     with pytest.raises(engine.ResourceCapExceeded, match="validity check"):
         _valid_on(TransformContext(problem.signature, problem.domains()), excluded_middle)
+
+
+def test_condition_renames_a_quantifier_that_would_capture_its_argument():
+    problem = parse_problem(
+        "sort s. domain s = {a, b}. pred p(s). pred q(s, s).\n"
+        "#part m { p(X) : exists Y (q(X, Y)) }.\n"
+    )
+    lam = problem.part("m")
+    y, y0 = Variable("Y", "s"), Variable("Y_0", "s")
+    condition = lam.condition(("p", 1), (y,))
+    assert condition == Exists(y0, Atom("q", (y, y0)))
+    assert format_formula(condition) == "exists Y_0 (q(Y, Y_0))"
+    # at every value of Y the instance means what the entry means there
+    (x,), entry = lam.entry(("p", 1))
+    for interp in all_interpretations(problem.signature, problem.domains()):
+        for d in ("a", "b"):
+            name = DomainName(d, "s")
+            assert satisfies(interp, substitute(condition, {y: name})) == satisfies(
+                interp, substitute(entry, {x: name})
+            ), (interp, d)
