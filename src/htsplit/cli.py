@@ -43,9 +43,11 @@ def _load(args: argparse.Namespace) -> ProblemFile:
 
 def _atom_cap(args: argparse.Namespace) -> int:
     """The most atoms whose interpretations, 2 ** atoms, fit ``--cap``."""
-    if args.cap <= 0:
+    # the default follows engine.DEFAULT_ATOM_CAP at call time
+    cap = 1 << engine.DEFAULT_ATOM_CAP if args.cap is None else args.cap
+    if cap <= 0:
         raise ValueError("the enumeration cap must be positive")
-    return args.cap.bit_length() - 1
+    return cap.bit_length() - 1
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -309,59 +311,64 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name: str, run, help_text: str, formats=("text", "json"), with_file=True, capped=False):
+    def command(name: str, help_text: str, formats=("text", "json"), with_file=True, capped=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
         if with_file:
             p.add_argument("file", help="input .htsplit file")
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         if capped:
-            p.add_argument("--cap", type=int, default=1 << engine.DEFAULT_ATOM_CAP,
+            p.add_argument("--cap", type=int, default=None,
                            help="search-space cap (number of interpretations)")
         return p
 
-    command("parse", cmd_parse, "parse and reprint the file canonically", formats=())
+    command("parse", "parse and reprint the file canonically", formats=())
 
-    p = command("models", cmd_models, "enumerate stable models under a statement", capped=True)
+    p = command("models", "enumerate stable models under a statement", capped=True)
     p.add_argument("--lambda", dest="lambda_name", default="default",
                    help="intensionality statement name (default: the #intensional one)")
 
-    p = command("ht-models", cmd_ht_models, "list two-world models of the extended theory", capped=True)
+    p = command("ht-models", "list two-world models of the extended theory", capped=True)
     p.add_argument("--lambda", dest="lambda_name", default="default")
 
-    p = command("strong-eq", cmd_strong_eq, "bounded strong-equivalence check of two groups", capped=True)
+    p = command("strong-eq", "bounded strong-equivalence check of two groups", capped=True)
     p.add_argument("--left", required=True, help="group name")
     p.add_argument("--right", required=True, help="group name")
     p.add_argument("--lambda", dest="lambda_name", default="default")
 
-    p = command("transform", cmd_transform, "print an occurrence transform")
+    p = command("transform", "print an occurrence transform")
     p.add_argument("--formula", required=True, help="#formula name")
     p.add_argument("--occurrence", required=True, help="selector like p or p#2")
     p.add_argument("--variant", required=True, choices=("pos", "pnn", "nnn"))
     p.add_argument("--context", dest="context_name")
 
-    p = command("graph", cmd_graph, "build a dependency graph", formats=("text", "json", "dot-like"))
+    p = command("graph", "build a dependency graph", formats=("text", "json", "dot-like"))
     p.add_argument("--partition", required=True, type=_names, help="comma-separated #part names")
     p.add_argument("--context", dest="context_name")
 
-    p = command("split", cmd_split, "check the splitting hypotheses", capped=True)
+    p = command("split", "check the splitting hypotheses", capped=True)
     p.add_argument("--parts", required=True, type=_names, help="comma-separated #group names")
     p.add_argument("--partition", required=True, type=_names, help="comma-separated #part names")
     p.add_argument("--context", dest="context_name")
     p.add_argument("--verify", action="store_true")
 
-    p = command("selftest", cmd_selftest, "randomized library self-checks", with_file=False)
+    p = command("selftest", "randomized library self-checks", with_file=False)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
+# built on the first call and kept, as parsing leaves it unchanged
+_arg_parser = functools.cache(build_arg_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function is the one run
+    run = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.run(args)
+        return run(args)
     except (OSError, ParseError, KeyError, ValueError, PolarityError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -10,11 +10,14 @@ outside, grounds only the instance x = t (the one-point rule: every other
 instance folds to false).  An atom outside the atom universe grounds to
 false.  On top of that this module provides:
 
-* classical and three-valued evaluation, and backtracking model search
-  (:func:`find_model`, a loop over an explicit stack of decisions, so its
-  depth is not bounded by the interpreter's recursion limit), which serves
-  the side path: bounded satisfiability, occurrence transforms and validity
-  checks.  Its one caller is
+* classical evaluation, and backtracking model search (:func:`find_model`,
+  a loop over an explicit stack of decisions, so its depth is not bounded
+  by the interpreter's recursion limit), which serves the side path:
+  bounded satisfiability, occurrence transforms and validity checks.  It
+  evaluates incrementally: the sentences are flattened once per call, and
+  each decision updates only the three-valued values it changes, with the
+  same decisions, node count and witness as evaluating every sentence from
+  its root at every node.  Its one caller is
   :meth:`htsplit.occurrences.TransformContext.solve`, which grounds the
   context once per check;
 * the one-world reduct of a ground formula with respect to an interpretation,
@@ -540,41 +543,6 @@ def eval_gf(gf: GF, true_atoms: frozenset[GroundAtom]) -> bool:
     return not eval_gf(gf[1], true_atoms) or eval_gf(gf[2], true_atoms)
 
 
-def eval3_gf(gf: GF, assign: dict[GroundAtom, bool]) -> Optional[bool]:
-    """Three-valued evaluation under a partial assignment (None = unknown)."""
-    tag = gf[0]
-    if tag == "t":
-        return True
-    if tag == "f":
-        return False
-    if tag == "atom":
-        return assign.get(gf[1])
-    a = eval3_gf(gf[1], assign)
-    if tag == "and":
-        if a is False:
-            return False
-        b = eval3_gf(gf[2], assign)
-        if b is False:
-            return False
-        return True if (a is True and b is True) else None
-    if tag == "or":
-        if a is True:
-            return True
-        b = eval3_gf(gf[2], assign)
-        if b is True:
-            return True
-        return False if (a is False and b is False) else None
-    # implication
-    if a is False:
-        return True
-    b = eval3_gf(gf[2], assign)
-    if b is True:
-        return True
-    if a is True and b is False:
-        return False
-    return None
-
-
 # ---------------------------------------------------------------------------
 # reducts
 
@@ -639,6 +607,110 @@ def pos_syn_atoms(gf: GF) -> set[GroundAtom]:
 # ---------------------------------------------------------------------------
 # backtracking model search
 
+class _Circuit:
+    """The sentences of one :func:`find_model` call, flattened into arrays.
+
+    A node is a distinct subtree, keyed by identity, except that each atom
+    has one leaf.  Each node has its op and two children (-1 at a leaf or a
+    constant), its parents and its value under the partial assignment:
+    0 (false), 1 (true) or 2 (unknown).  Assigning an atom sets its leaf
+    and recomputes the nodes above it only while a value changes, and every
+    changed node goes on the trail.  The connectives are monotone, so a
+    node's value goes only from unknown to known as atoms are assigned:
+    undoing to a trail mark sets the nodes above it back to unknown.
+    """
+
+    __slots__ = ("op", "left", "right", "parents", "value", "is_root", "roots", "leaf", "trail")
+
+    # Kleene's strong three-valued and, or and implication, indexed by
+    # op + 3 * left + right
+    KLEENE = (
+        0, 0, 0, 0, 1, 2, 0, 2, 2,  # and
+        0, 1, 2, 1, 1, 1, 2, 1, 2,  # or
+        1, 1, 1, 0, 1, 2, 2, 1, 2,  # implication
+    )
+    OPS = {"and": 0, "or": 9, "imp": 18}
+
+    def __init__(self, sentences: Sequence[GF]) -> None:
+        node_of: dict[int, int] = {}  # id of a subtree -> its node
+        leaf: dict[GroundAtom, int] = {}
+        subtrees: list[GF] = []
+        stack = list(sentences)
+        while stack:  # each distinct subtree once, in pre-order
+            g = stack.pop()
+            if id(g) in node_of:
+                continue
+            if g[0] == "atom":  # one leaf per atom
+                n = leaf.setdefault(g[1], len(subtrees))
+                if n == len(subtrees):
+                    subtrees.append(g)
+                node_of[id(g)] = n
+                continue
+            node_of[id(g)] = len(subtrees)
+            subtrees.append(g)
+            if len(g) == 3:
+                stack.append(g[2])
+                stack.append(g[1])
+        size = len(subtrees)
+        op, left, right = [-1] * size, [-1] * size, [-1] * size
+        parents: list[list[int]] = [[] for _ in subtrees]
+        constants = []
+        for n, g in enumerate(subtrees):
+            tag = g[0]
+            if tag in self.OPS:
+                op[n] = self.OPS[tag]
+                left[n] = l = node_of[id(g[1])]
+                right[n] = r = node_of[id(g[2])]
+                parents[l].append(n)
+                parents[r].append(n)
+            elif tag != "atom":
+                constants.append(n)
+        self.op, self.left, self.right, self.parents = op, left, right, parents
+        self.value = [2] * size
+        self.leaf = leaf
+        self.roots = [node_of[id(g)] for g in sentences]
+        self.is_root = [False] * size
+        for n in self.roots:
+            self.is_root[n] = True
+        self.trail: list[int] = []
+        # every node starts unknown; the constants' values then go up as an
+        # assignment's do, which leaves each node at its value under no atom
+        for n in constants:
+            if self.assign(n, int(subtrees[n][0] == "t")):
+                break  # a sentence is false: the search stops at once
+        self.trail.clear()
+
+    def assign(self, node: int, v: int) -> bool:
+        """Set the leaf or constant ``node`` to ``v`` and update the nodes
+        above it.  True as soon as a sentence becomes false; the rest of
+        the update is then skipped, as the caller undoes it."""
+        op, left, right, parents, value = self.op, self.left, self.right, self.parents, self.value
+        is_root, trail, kleene = self.is_root, self.trail, self.KLEENE
+        value[node] = v
+        trail.append(node)
+        if v == 0 and is_root[node]:
+            return True
+        stack = [node]
+        while stack:
+            for p in parents[stack.pop()]:
+                if value[p] != 2:  # a known value stays known
+                    continue
+                new = kleene[op[p] + 3 * value[left[p]] + value[right[p]]]
+                if new != 2:
+                    value[p] = new
+                    trail.append(p)
+                    if new == 0 and is_root[p]:
+                        return True
+                    stack.append(p)
+        return False
+
+    def undo(self, mark: int) -> None:
+        """Set every node changed since the trail had ``mark`` entries back to unknown."""
+        value, trail = self.value, self.trail
+        for n in trail[mark:]:
+            value[n] = 2
+        del trail[mark:]
+
 
 def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """Search for a classical model of the ground theory.
@@ -648,10 +720,15 @@ def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]
     Atoms absent from the theory stay false in the witness.  The search
     decides the first unassigned atom, in
     :func:`~htsplit.interpretations.atom_sort_key` order, of the first
-    sentence whose value is unknown.  It serves the side path
-    (bounded satisfiability, occurrence transforms, validity checks), whose
-    one caller is :meth:`htsplit.occurrences.TransformContext.solve`;
-    stability is decided by :func:`is_stable_ground` on truth tables.
+    sentence whose value is unknown, True first, and backtracks
+    chronologically.  The sentences are flattened once per call
+    (:class:`_Circuit`), and a decision updates only the values it changes,
+    so no sentence is evaluated again from its root; the decisions, the
+    node count and the witness are those of evaluating every sentence at
+    every node.  It serves the side path (bounded satisfiability,
+    occurrence transforms, validity checks), whose one caller is
+    :meth:`htsplit.occurrences.TransformContext.solve`; stability is
+    decided by :func:`is_stable_ground` on truth tables.
     """
     sentences = [g for g in gfs if g != TRUE_GF]
     if any(g == FALSE_GF for g in sentences):
@@ -659,45 +736,46 @@ def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]
     if not sentences:
         return ("sat", frozenset())
 
-    assign: dict[GroundAtom, bool] = {}
-    order_cache: dict[int, Sequence[GroundAtom]] = {}
-
-    def atom_order(i: int) -> Sequence[GroundAtom]:
-        if i not in order_cache:
-            order_cache[i] = sorted(gf_atoms(sentences[i]), key=atom_sort_key)
-        return order_cache[i]
-
-    # one entry per decision: the atom, and whether False is still to try
-    decisions: list[tuple[GroundAtom, bool]] = []
+    circuit = _Circuit(sentences)
+    roots, value, trail = circuit.roots, circuit.value, circuit.trail
+    # each sentence's leaves in atom_sort_key order, built when first needed
+    order_cache: dict[int, list[int]] = {}
+    # one entry per decision: its leaf, whether False is still to try, the
+    # trail's length before it, the sentence it came from (every sentence
+    # before that one is true) and the leaf's place in that sentence's order
+    decisions: list[tuple[int, bool, int, int, int]] = []
+    conflict = any(value[r] == 0 for r in roots)
+    first = 0
     nodes, node_cap = 0, DEFAULT_NODE_CAP
     while True:
         nodes += 1
         if nodes > node_cap:
             return ("unknown", None)
-        conflict = False
-        unknown_index = None
-        for i, g in enumerate(sentences):
-            v = eval3_gf(g, assign)
-            if v is False:
-                conflict = True
-                break
-            if v is None and unknown_index is None:
-                unknown_index = i
         if not conflict:
-            if unknown_index is None:
-                return ("sat", frozenset(k for k, v in assign.items() if v))
-            pick = next(a for a in atom_order(unknown_index) if a not in assign)
-            assign[pick] = True
-            decisions.append((pick, True))
+            while first < len(roots) and value[roots[first]] == 1:
+                first += 1
+            if first == len(roots):
+                return ("sat", frozenset(a for a, n in circuit.leaf.items() if value[n] == 1))
+            order = order_cache.get(first)
+            if order is None:
+                atoms = sorted(gf_atoms(sentences[first]), key=atom_sort_key)
+                order = order_cache[first] = [circuit.leaf[a] for a in atoms]
+            # the leaves before the last decision's, in its sentence, are set
+            k = decisions[-1][4] + 1 if decisions and decisions[-1][3] == first else 0
+            while value[order[k]] != 2:
+                k += 1
+            decisions.append((order[k], True, len(trail), first, k))
+            conflict = circuit.assign(order[k], 1)
             continue
         # backtrack to the latest decision whose False branch is untried
         while decisions and not decisions[-1][1]:
-            del assign[decisions.pop()[0]]
+            decisions.pop()
         if not decisions:
             return ("unsat", None)
-        atom, _ = decisions[-1]
-        decisions[-1] = (atom, False)
-        assign[atom] = False
+        pick, _, mark, first, k = decisions[-1]
+        decisions[-1] = (pick, False, mark, first, k)
+        circuit.undo(mark)
+        conflict = circuit.assign(pick, 0)
 
 
 # ---------------------------------------------------------------------------

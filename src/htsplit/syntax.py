@@ -376,8 +376,8 @@ def _substitute_by_name(f: Formula, binding: Mapping[str, Term]) -> Formula:
 
     A quantified variable ``Y`` that occurs in a replacement term is renamed
     first, to the first of ``Y_0``, ``Y_1``, ... that no replacement term
-    mentions and no binding substitutes for, so the substitution cannot
-    capture.
+    mentions, no binding substitutes for and the quantifier's body does not
+    mention, so the substitution cannot capture.
     """
     if not binding:
         return f
@@ -388,6 +388,18 @@ def _substitute_by_name(f: Formula, binding: Mapping[str, Term]) -> Formula:
         for v in term_variables(t)
     )
     return _substitute(f, binding, incoming)
+
+
+def _variable_names(f: Formula) -> set[str]:
+    """The names of every variable in f, free or bound."""
+    out: set[str] = set()
+    for _path, g in subformulas(f):
+        if isinstance(g, (Forall, Exists)):
+            out.add(g.var.name)
+        elif isinstance(g, (Atom, Equality)):
+            for t in g.args if isinstance(g, Atom) else (g.lhs, g.rhs):
+                out.update(v.name for v in term_variables(t))
+    return out
 
 
 def _substitute(f: Formula, binding: Mapping[str, Term], incoming: frozenset[str]) -> Formula:
@@ -404,7 +416,7 @@ def _substitute(f: Formula, binding: Mapping[str, Term], incoming: frozenset[str
     if isinstance(f, (Forall, Exists)):
         var = f.var
         if var.name in incoming:
-            taken = incoming | set(binding)
+            taken = incoming | set(binding) | _variable_names(f.body)
             fresh, n = var, 0
             while fresh.name in taken:
                 fresh = Variable(f"{var.name}_{n}", var.sort)

@@ -123,6 +123,98 @@ def reference_ground_formula(structure, f):
     raise TypeError(f"not a formula: {f!r}")
 
 
+def reference_eval3_gf(gf, assign):
+    """Three-valued evaluation under a partial assignment (None = unknown)."""
+    tag = gf[0]
+    if tag == "t":
+        return True
+    if tag == "f":
+        return False
+    if tag == "atom":
+        return assign.get(gf[1])
+    a = reference_eval3_gf(gf[1], assign)
+    if tag == "and":
+        if a is False:
+            return False
+        b = reference_eval3_gf(gf[2], assign)
+        if b is False:
+            return False
+        return True if (a is True and b is True) else None
+    if tag == "or":
+        if a is True:
+            return True
+        b = reference_eval3_gf(gf[2], assign)
+        if b is True:
+            return True
+        return False if (a is False and b is False) else None
+    # implication
+    if a is False:
+        return True
+    b = reference_eval3_gf(gf[2], assign)
+    if b is True:
+        return True
+    if a is True and b is False:
+        return False
+    return None
+
+
+def reference_find_model(gfs):
+    """The model search that ``engine.find_model`` replaced, kept as a test
+    oracle: every sentence is evaluated again from its root at every node.
+    It reads ``engine.DEFAULT_NODE_CAP`` at call time, so a patched cap
+    applies to both searches."""
+    from htsplit import engine
+    from htsplit.engine import FALSE_GF, TRUE_GF, gf_atoms
+    from htsplit.interpretations import atom_sort_key
+
+    eval3_gf = reference_eval3_gf
+    sentences = [g for g in gfs if g != TRUE_GF]
+    if any(g == FALSE_GF for g in sentences):
+        return ("unsat", None)
+    if not sentences:
+        return ("sat", frozenset())
+
+    assign = {}
+    order_cache = {}
+
+    def atom_order(i):
+        if i not in order_cache:
+            order_cache[i] = sorted(gf_atoms(sentences[i]), key=atom_sort_key)
+        return order_cache[i]
+
+    # one entry per decision: the atom, and whether False is still to try
+    decisions = []
+    nodes, node_cap = 0, engine.DEFAULT_NODE_CAP
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            return ("unknown", None)
+        conflict = False
+        unknown_index = None
+        for i, g in enumerate(sentences):
+            v = eval3_gf(g, assign)
+            if v is False:
+                conflict = True
+                break
+            if v is None and unknown_index is None:
+                unknown_index = i
+        if not conflict:
+            if unknown_index is None:
+                return ("sat", frozenset(k for k, v in assign.items() if v))
+            pick = next(a for a in atom_order(unknown_index) if a not in assign)
+            assign[pick] = True
+            decisions.append((pick, True))
+            continue
+        # backtrack to the latest decision whose False branch is untried
+        while decisions and not decisions[-1][1]:
+            del assign[decisions.pop()[0]]
+        if not decisions:
+            return ("unsat", None)
+        atom, _ = decisions[-1]
+        decisions[-1] = (atom, False)
+        assign[atom] = False
+
+
 def reference_stable_candidate_table(space, gfs, region_gf):
     """The singleton loop test with no per-scan store, kept as a test oracle
     for ``engine.stable_candidate_table``: every conjunct is walked again in

@@ -4,7 +4,10 @@ Each call runs with the cyclic garbage collector off; the objects that
 ``gc.collect()`` then finds unreachable are the cycles the call left.  A
 closure that calls itself is the usual source: its cell points back at the
 function, and every call leaves one such cycle together with what it holds.
-The CLI is not tested here: argparse leaves cycles of its own.
+The CLI builds its argument parser once per process, on its first call,
+which leaves argparse's own cycles; every later call is tested, in text
+form: indented JSON goes through the json module's pure-Python encoder,
+whose nested functions leave a cycle per call.
 """
 
 import gc
@@ -12,6 +15,7 @@ import gc
 import pytest
 
 from conftest import DATA, load
+from htsplit import cli
 from htsplit.depgraph import grounded_dep_graph
 from htsplit.intensionality import Partition
 from htsplit.occurrences import TransformContext, atom_occurrences_with_polarity, fresh_variables
@@ -104,3 +108,25 @@ def test_every_admitted_transform_leaves_no_cycles(transforms_problem):
 
 def test_selftest_leaves_no_cycles():
     assert cyclic_garbage(lambda: run_selftest(0, 20)) == 0
+
+
+CLI_CALLS = [
+    ["parse", DATA / "meta.htsplit"],
+    ["models", DATA / "four_models.htsplit"],
+    ["ht-models", DATA / "four_models.htsplit"],
+    ["strong-eq", DATA / "strong_eq.htsplit", "--left", "plain", "--right", "guarded"],
+    ["transform", DATA / "transforms.htsplit", "--formula", "f1", "--occurrence", "p",
+     "--variant", "pnn"],
+    ["graph", DATA / "blocks_graph.htsplit", "--partition", "beta1,beta2"],
+    ["split", DATA / "meta.htsplit", "--parts", "gamma1,gamma2,gamma3",
+     "--partition", "g1,g2,g3", "--context", "psi3", "--verify"],
+    ["selftest", "--count", "5"],
+    ["models", DATA / "four_models.htsplit", "--cap", "0"],  # exit 2
+]
+
+
+def test_cli_calls_after_the_first_leave_no_cycles(capsys):
+    cli.main(["parse", str(DATA / "meta.htsplit")])
+    for argv in CLI_CALLS:
+        assert cyclic_garbage(lambda: cli.main([str(a) for a in argv])) == 0, argv[0]
+    capsys.readouterr()

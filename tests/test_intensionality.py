@@ -201,20 +201,30 @@ def test_validity_checks_read_the_node_cap_at_call_time(monkeypatch):
 
 
 def test_condition_renames_a_quantifier_that_would_capture_its_argument():
-    problem = parse_problem(
-        "sort s. domain s = {a, b}. pred p(s). pred q(s, s).\n"
-        "#part m { p(X) : exists Y (q(X, Y)) }.\n"
-    )
-    lam = problem.part("m")
-    y, y0 = Variable("Y", "s"), Variable("Y_0", "s")
-    condition = lam.condition(("p", 1), (y,))
-    assert condition == Exists(y0, Atom("q", (y, y0)))
-    assert format_formula(condition) == "exists Y_0 (q(Y, Y_0))"
-    # at every value of Y the instance means what the entry means there
-    (x,), entry = lam.entry(("p", 1))
-    for interp in all_interpretations(problem.signature, problem.domains()):
-        for d in ("a", "b"):
-            name = DomainName(d, "s")
-            assert satisfies(interp, substitute(condition, {y: name})) == satisfies(
-                interp, substitute(entry, {x: name})
-            ), (interp, d)
+    y, y0, y1 = Variable("Y", "s"), Variable("Y_0", "s"), Variable("Y_1", "s")
+    for q_sorts, entry_text, expected, printed in [
+        ("s, s", "exists Y (q(X, Y))", Exists(y0, Atom("q", (y, y0))), "exists Y_0 (q(Y, Y_0))"),
+        # Y_0 is bound in the body, so the renamed Y skips it too
+        (
+            "s, s, s",
+            "exists Y (exists Y_0 (q(X, Y, Y_0)))",
+            Exists(y1, Exists(y0, Atom("q", (y, y1, y0)))),
+            "exists Y_1 Y_0 (q(Y, Y_1, Y_0))",
+        ),
+    ]:
+        problem = parse_problem(
+            f"sort s. domain s = {{a, b}}. pred p(s). pred q({q_sorts}).\n"
+            f"#part m {{ p(X) : {entry_text} }}.\n"
+        )
+        lam = problem.part("m")
+        condition = lam.condition(("p", 1), (y,))
+        assert condition == expected
+        assert format_formula(condition) == printed
+        # at every value of Y the instance means what the entry means there
+        (x,), entry = lam.entry(("p", 1))
+        for interp in all_interpretations(problem.signature, problem.domains()):
+            for d in ("a", "b"):
+                name = DomainName(d, "s")
+                assert satisfies(interp, substitute(condition, {y: name})) == satisfies(
+                    interp, substitute(entry, {x: name})
+                ), (entry_text, interp, d)
