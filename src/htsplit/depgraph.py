@@ -17,7 +17,6 @@ from .interpretations import (
     atom_sort_key,
     format_atom,
     has_undefined_ground_term,
-    satisfies_all,
 )
 from .occurrences import (
     SatVerdict,  # re-exported: bounded_sat's result
@@ -341,15 +340,14 @@ def grounded_dep_graph(
             binding = {
                 v.name: DomainName(d, v.sort) for v, d in zip(variables, values)
             }
+            # ground terms rename no bound variable: lhs and rhs are the instances
             instance = _substitute_by_name(matrix, binding)
             if has_undefined_ground_term(interp, instance):
                 continue
-            antecedent = _substitute_by_name(occ_rule.antecedent, binding)
-            consequent = _substitute_by_name(occ_rule.consequent, binding)
-            heads = pos_atoms(interp, consequent) & kept_set
+            heads = pos_atoms(interp, instance.rhs) & kept_set
             if not heads:
                 continue
-            bodies = pnn_atoms(interp, antecedent) & kept_set
+            bodies = pnn_atoms(interp, instance.lhs) & kept_set
             for v in heads:
                 for w in bodies:
                     edge_map.setdefault((v, w), []).append(
@@ -533,12 +531,16 @@ def is_approximator(
     domains: Domains,
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> ApproximatorResult:
-    """Every stable model of the theory under the statement satisfies psi."""
+    """Every stable model of the theory under the statement satisfies psi,
+    grounded once as :func:`htsplit.splitting.verify_split` grounds it; else
+    the first model that fails it is the counterexample."""
     from .semantics import enumerate_lambda_stable_models
 
-    psi_sentences = theory_sentences(psi)
-    for model in enumerate_lambda_stable_models(theory, lam, domains, atom_cap):
-        if not satisfies_all(model, psi_sentences):
+    models = enumerate_lambda_stable_models(theory, lam, domains, atom_cap)
+    structure = FiniteInterpretation.make(lam.signature, domains)
+    psi_gfs = engine.ground_theory(structure, theory_sentences(psi))
+    for model in models:
+        if not all(engine.eval_gf(g, model.true_atoms) for g in psi_gfs):
             return ApproximatorResult(False, model)
     return ApproximatorResult(True)
 

@@ -1,14 +1,15 @@
 """Ground-level machinery shared by the semantic checkers.
 
 Sentences are grounded into ground formulas (nested tuples), with builtin
-comparisons and arithmetic folded away.  Each sentence is compiled once into
-closures over an environment of variable slots: a quantifier sets its slot
-to each domain element and grounds its body, whose terms read their values
-from the slots, so no instance is built by substitution.  An existential
-whose body has a conjunct ``x = t``, with t a literal or a variable bound
-outside, grounds only the instance x = t (the one-point rule: every other
-instance folds to false).  An atom outside the atom universe grounds to
-false.  On top of that this module provides:
+comparisons and arithmetic folded away; terms apply only the arithmetic of
+:data:`htsplit.syntax.ARITHMETIC_FUNCTIONS`, so evaluating one never raises.
+Each sentence is compiled once into closures over an environment of variable
+slots: a quantifier sets its slot to each domain element and grounds its
+body, whose terms read their values from the slots, so no instance is built
+by substitution.  An existential whose body has a conjunct ``x = t``, with t
+a literal or a variable bound outside, grounds only the instance x = t (the
+one-point rule: every other instance folds to false).  An atom outside the
+atom universe grounds to false.  On top of that this module provides:
 
 * classical evaluation, and backtracking model search (:func:`find_model`,
   a loop over an explicit stack of decisions, so its depth is not bounded
@@ -77,6 +78,7 @@ from .interpretations import (
     atom_sort_key,
 )
 from .syntax import (
+    ARITHMETIC_FUNCTIONS,
     And,
     Atom,
     Bottom,
@@ -172,8 +174,6 @@ def _balanced(op, parts: Sequence[GF], unit: GF) -> GF:
 Env = list
 Compiled = Union[GF, Callable[[Env], GF]]  # a GF when no slot is read
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
 
 def ground_formula(structure: FiniteInterpretation, f: Formula) -> GF:
     """Compile a sentence to a folded ground formula.
@@ -216,18 +216,18 @@ class _Compiler:
     list of the quantifier that binds it (None for a slot given to
     :func:`compile_formula`).
 
-    A term that can be undefined is checked by the quantifier whose
-    instances first make it ground: the innermost binder among its
-    variables, or the outermost enclosing quantifier when no quantifier
-    binds it.  A failed check drops the instance, which is what substituting
-    the instance and looking for an undefined ground term in it would
-    decide.  Terms are evaluated where the substituting grounder evaluated
-    them, so a missing function table raises in the same places, with three
-    exceptions: the right operand of a connective whose left operand
-    decides the fold (see :func:`_connective`), and an atom the universe
-    makes false at compile time (an undeclared predicate, or a literal
-    outside its argument's domain), whose arguments are still read by the
-    quantifiers' checks; and a pinned existential (see
+    A term that can be undefined, an arithmetic term whose value can leave
+    the integer range, is checked by the quantifier whose instances first
+    make it ground: the innermost binder among its variables, or the
+    outermost enclosing quantifier when no quantifier binds it.  A failed
+    check drops the instance, which is what substituting the instance and
+    looking for an undefined ground term in it would decide.  Evaluating a
+    term never raises, so a term left unevaluated changes no result.  Three
+    places leave terms so: the right operand of a connective whose left
+    operand decides the fold (see :func:`_connective`); an atom the
+    universe makes false at compile time (an undeclared predicate, or a
+    literal outside its argument's domain), whose arguments only the
+    quantifiers' checks read; and a pinned existential (see
     :func:`_pinning_term`), whose checks and body run for its one instance
     only, since every other instance folds to false.
     """
@@ -263,9 +263,8 @@ class _Compiler:
             return (lambda env: value), False
         if isinstance(t, Func):
             args = [self.term(a, scope)[0] for a in t.args]
-            if t.name in _ARITHMETIC:
-                return self._arithmetic(_ARITHMETIC[t.name], args, self.domain_set(t.sort)), True
-            return self._table(t.name, args), True
+            op = ARITHMETIC_FUNCTIONS[t.name][0]
+            return self._arithmetic(op, args, self.domain_set(t.sort)), True
         raise TypeError(f"not a term: {t!r}")
 
     @staticmethod
@@ -279,23 +278,6 @@ class _Compiler:
                 return None
             v = op(a, b)
             return v if v in domain else None
-
-        return value
-
-    def _table(self, name: str, args) -> Callable[[Env], Any]:
-        table: dict = {}
-        for (fname, fargs), fvalue in self.structure.function_tables:
-            if fname == name:
-                table.setdefault(fargs, fvalue)
-
-        def value(env):
-            values = tuple([g(env) for g in args])
-            if None in values:
-                return None
-            try:
-                return table[values]
-            except KeyError:
-                raise ValueError(f"no table for function {name}") from None
 
         return value
 
@@ -439,8 +421,7 @@ _DECIDED_BY_LHS = {gand: (FALSE_GF, FALSE_GF), gor: (TRUE_GF, TRUE_GF), gimp: (F
 def _connective(op, lhs: Callable[[Env], GF], rhs: Callable[[Env], GF]) -> Compiled:
     """``op`` of the operands' ground formulas.  When the left operand
     decides the fold, the right one is not grounded: its ground formula
-    could not change the result, and an error grounding it (a missing
-    function table) is not raised."""
+    could not change the result."""
     decisive, result = _DECIDED_BY_LHS[op]
 
     def connective(env):

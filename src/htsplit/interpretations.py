@@ -14,10 +14,12 @@ atomic formula written with an undefined term is false.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .syntax import (
+    ARITHMETIC_FUNCTIONS,
     And,
     Atom,
     Bottom,
@@ -48,7 +50,7 @@ _COMPARE = {
 }
 
 
-class DomainError(Exception):
+class DomainError(ValueError):
     """Domains are missing, empty, or violate subsort containment."""
 
 
@@ -64,14 +66,12 @@ class FiniteInterpretation:
     signature: Signature
     domains: tuple[tuple[str, tuple[Element, ...]], ...]
     true_atoms: frozenset[GroundAtom]
-    function_tables: tuple[tuple[tuple[str, tuple[Element, ...]], Element], ...] = ()
 
     @staticmethod
     def make(
         signature: Signature,
         domains: Mapping[str, Iterable[Element]],
         true_atoms: Iterable[GroundAtom] = (),
-        function_tables: Optional[Mapping[tuple[str, tuple[Element, ...]], Element]] = None,
     ) -> "FiniteInterpretation":
         doms = {s: tuple(es) for s, es in domains.items()}
         for s in signature.sorts:
@@ -80,11 +80,7 @@ class FiniteInterpretation:
         for s1, s2 in signature.subsort_closure:
             if s1 != s2 and not set(doms[s1]) <= set(doms[s2]):
                 raise DomainError(f"domain of {s1} must be contained in domain of {s2}")
-        atoms = frozenset(true_atoms)
-        tables = tuple(sorted((function_tables or {}).items()))
-        return FiniteInterpretation(
-            signature, tuple(sorted(doms.items())), atoms, tables
-        )
+        return FiniteInterpretation(signature, tuple(sorted(doms.items())), frozenset(true_atoms))
 
     def domain(self, sort: str) -> tuple[Element, ...]:
         for s, es in self.domains:
@@ -96,9 +92,7 @@ class FiniteInterpretation:
         return dict(self.domains)
 
     def with_atoms(self, true_atoms: Iterable[GroundAtom]) -> "FiniteInterpretation":
-        return FiniteInterpretation(
-            self.signature, self.domains, frozenset(true_atoms), self.function_tables
-        )
+        return FiniteInterpretation(self.signature, self.domains, frozenset(true_atoms))
 
     def __repr__(self) -> str:  # keep pytest output readable
         return f"FiniteInterpretation({format_atom_set(self.true_atoms)})"
@@ -143,17 +137,11 @@ def eval_term(interp: FiniteInterpretation, t: Term) -> Optional[Element]:
     if isinstance(t, DomainName):
         return t.value
     if isinstance(t, Func):
-        args = [eval_term(interp, a) for a in t.args]
-        if any(a is None for a in args):
+        a, b = [eval_term(interp, u) for u in t.args]
+        if a is None or b is None:
             return None
-        if t.name in ("+", "-", "*"):
-            a, b = args
-            value = {"+": a + b, "-": a - b, "*": a * b}[t.name]  # type: ignore[operator]
-            return value if value in interp.domain(t.sort) else None
-        for (fname, fargs), fvalue in interp.function_tables:
-            if fname == t.name and fargs == tuple(args):
-                return fvalue
-        raise ValueError(f"no table for function {t.name}")
+        value = ARITHMETIC_FUNCTIONS[t.name][0](a, b)
+        return value if value in interp.domain(t.sort) else None
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -274,6 +262,13 @@ def ht_satisfies_all(ht: HTInterpretation, theory: Iterable[Formula]) -> bool:
 def atoms_of(interp: FiniteInterpretation) -> frozenset[GroundAtom]:
     """The true ground atoms of the interpretation (builtins excluded)."""
     return interp.true_atoms
+
+
+def universe_size(signature: Signature, domains: Mapping[str, tuple[Element, ...]]) -> int:
+    """``len(atom_universe(signature, domains))``, without listing the atoms."""
+    return sum(
+        math.prod(len(domains[s]) for s in arg_sorts) for arg_sorts in signature.predicates.values()
+    )
 
 
 def atom_universe(

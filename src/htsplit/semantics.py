@@ -33,6 +33,7 @@ from .interpretations import (
     satisfies,
     satisfies_all,
     ht_satisfies_all,
+    universe_size,
 )
 from .syntax import (
     Atom,
@@ -347,7 +348,8 @@ def check_strong_equivalence(
     """Compare the HT-models of the two theories extended with the
     excluded-middle sentences of the statement, over the declared domains.
 
-    The cap applies to the atom universe, before anything is grounded.  The
+    The cap applies to the atom universe, whose size is computed from the
+    signature and the domains before the universe is listed.  The
     ground theories are compared by their :func:`engine.conjuncts`: S, the
     conjuncts they share, and A and B, those of the first and of the second
     theory only.  HT conjunction is idempotent and commutative, so where A
@@ -363,11 +365,12 @@ def check_strong_equivalence(
     """
     signature = lam.signature
     structure = FiniteInterpretation.make(signature, domains)
-    universe = atom_universe(signature, structure.domain_map())
-    if len(universe) > atom_cap:
+    size = universe_size(signature, structure.domain_map())
+    if size > atom_cap:
         raise engine.ResourceCapExceeded(
-            f"strong-equivalence space has {len(universe)} atoms, cap is {atom_cap}"
+            f"strong-equivalence space has {size} atoms, cap is {atom_cap}"
         )
+    universe = atom_universe(signature, structure.domain_map())
     _region, em_gfs = ground_region(structure, lam)
     first = engine.conjuncts(engine.ground_theory(structure, theory_sentences(theory1)) + em_gfs)
     second = engine.conjuncts(engine.ground_theory(structure, theory_sentences(theory2)) + em_gfs)
@@ -444,12 +447,14 @@ def ht_models(
     their atoms in reverse, so the first atom is the most significant bit
     and the pairs come in lexicographic order: T over the atom universe,
     then H over T's atoms.  A pair of worlds over n atoms takes 2n atoms of
-    ``atom_cap``, checked before anything is grounded.
+    ``atom_cap``, checked on the universe's size before the universe is
+    listed.
     """
     structure = FiniteInterpretation.make(lam.signature, domains)
+    size = universe_size(lam.signature, structure.domain_map())
+    if 2 * size > atom_cap:
+        raise engine.ResourceCapExceeded(f"ht-model space over {size} atoms exceeds the cap")
     universe = atom_universe(lam.signature, structure.domain_map())
-    if 2 * len(universe) > atom_cap:
-        raise engine.ResourceCapExceeded(f"ht-model space over {len(universe)} atoms exceeds the cap")
     gfs = GroundProblem.ground(structure, theory, lam).gfs
     out = []
     for there in engine.scan(universe[::-1], lambda space: space.theory_table(gfs)):

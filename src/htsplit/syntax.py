@@ -8,11 +8,18 @@ with bottom, conjunction, disjunction, implication, and the two quantifiers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 INT_SORT = "int"
-ARITHMETIC_FUNCTIONS = ("+", "-", "*")
+#: The only function symbols: the integer sort's binary arithmetic, each
+#: with its operation and the precedence the printer gives it.
+ARITHMETIC_FUNCTIONS: dict[str, tuple[Callable[[int, int], int], int]] = {
+    "+": (operator.add, 1),
+    "-": (operator.sub, 1),
+    "*": (operator.mul, 2),
+}
 COMPARISON_PREDICATES = ("<", "<=", ">", ">=")
 
 #: (predicate name, arity) pair used as the key of a predicate symbol.
@@ -118,11 +125,17 @@ class Variable:
 
 @dataclass(frozen=True)
 class Func:
-    """Function application; in practice only the arithmetic builtins."""
+    """An arithmetic term: one of :data:`ARITHMETIC_FUNCTIONS` applied to two
+    integer terms.  Any other name, arity or sort raises ``ValueError``, so
+    every ``Func`` can be evaluated."""
 
     name: str
     args: tuple["Term", ...]
     sort: str
+
+    def __post_init__(self) -> None:
+        if self.name not in ARITHMETIC_FUNCTIONS or len(self.args) != 2 or self.sort != INT_SORT:
+            raise ValueError(f"{self.name}/{len(self.args)} of sort {self.sort} is not arithmetic")
 
 
 @dataclass(frozen=True)
@@ -561,9 +574,6 @@ def rules_of(theory: Sequence[Formula]) -> list[RuleOccurrence]:
 # plain-text rendering (the parser's printer reuses these)
 
 
-_TERM_PREC = {"+": 1, "-": 1, "*": 2}
-
-
 def format_term(t: Term) -> str:
     if isinstance(t, Variable):
         return t.name
@@ -575,7 +585,7 @@ def format_term(t: Term) -> str:
 def _format_func(t: Term, parent_prec: int) -> str:
     if not isinstance(t, Func):
         return format_term(t)
-    prec = _TERM_PREC.get(t.name, 3)
+    prec = ARITHMETIC_FUNCTIONS[t.name][1]
     lhs = _format_func(t.args[0], prec)
     # right operand of - at equal precedence needs parens: a-(b-c)
     rhs = _format_func(t.args[1], prec + (1 if t.name in ("-", "*") else 0))

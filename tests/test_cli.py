@@ -1,8 +1,9 @@
 """Command-line surface: subcommands, output determinism, exit codes."""
 
 import json
-
 import pathlib
+import random
+import re
 
 import pytest
 
@@ -91,6 +92,34 @@ def test_a_condition_on_an_intensional_predicate_is_exit_2(capsys, tmp_path, arg
     code, out, err = run(capsys, argv[0], source, *argv[1:])
     assert (code, out) == (2, "")
     assert err == "error: condition for p/0 mentions q/0, which is not extensional\n"
+
+
+SORT_WITHOUT_ELEMENTS = (
+    "sort s.\npred p(s).\np(X) :- p(X).\n"
+    "#part m { p(X) : #true }.\n#group g { p(X) :- p(X). }.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models"],
+        ["ht-models"],
+        ["graph", "--partition", "m"],
+        ["split", "--parts", "g", "--partition", "m", "--verify"],
+        ["strong-eq", "--left", "g", "--right", "g"],
+    ],
+)
+def test_a_sort_without_elements_is_exit_2(capsys, tmp_path, argv):
+    # no `domain s` line: every subcommand that builds a structure rejects it
+    source = tmp_path / "empty_sort.htsplit"
+    source.write_text(SORT_WITHOUT_ELEMENTS)
+    code, out, err = run(capsys, argv[0], source, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: sort s needs a non-empty finite domain\n"
+    # the file itself parses and prints
+    code, out, _err = run(capsys, "parse", source)
+    assert code == 0 and "pred p(s)." in out
 
 
 def test_parse_error_is_exit_2(capsys, tmp_path):
@@ -505,3 +534,61 @@ def test_a_mixed_cycle_through_an_inconclusive_edge_is_exit_3(capsys, monkeypatc
     assert code == 3
     assert err == "warning: some edges are present only because a search was inconclusive\n"
     assert "separable: no" in out.splitlines()
+
+
+# ---------------------------------------------------------------------------
+# mutated data files: no input makes an exception escape the CLI
+
+_MUTATIONS_PER_FILE = 5
+_FUZZ_FILES = sorted(DATA.glob("*.htsplit"))
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One seeded edit of a file: delete a line, swap two tokens of a line,
+    drop a character, or insert a declaration."""
+    lines = text.splitlines()
+    kind = rng.choice(("delete", "swap", "drop", "insert"))
+    i = rng.randrange(len(lines))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "swap":
+        spans = [m.span() for m in re.finditer(r"\w+|[^\w\s]+", lines[i])]
+        if len(spans) >= 2:
+            (a, b), (c, d) = sorted(rng.sample(spans, 2))
+            line = lines[i]
+            lines[i] = line[:a] + line[c:d] + line[b:c] + line[a:b] + line[d:]
+    elif kind == "drop":
+        j = rng.randrange(len(text))
+        return text[:j] + text[j + 1 :]
+    else:
+        lines.insert(i, rng.choice(("sort z.", "pred z.", "pred z(int).", "int range 0..1.")))
+    return "\n".join(lines) + "\n"
+
+
+def _fuzz_argvs(problem) -> list[list[str]]:
+    """The five subcommands, with the original file's group, part and
+    context names, so that a mutation that keeps them reaches the checks."""
+    groups = [name for name, _ in problem.groups] or ["none"]
+    parts = ",".join(name for name, _ in problem.parts) or "none"
+    context = ["--context", problem.contexts[0][0]] if problem.contexts else []
+    split_groups = ",".join(groups[: max(1, len(problem.parts))])
+    cap = ["--cap", "4096"]
+    return [
+        ["models"] + cap,
+        ["ht-models"] + cap,
+        ["graph", "--partition", parts] + context,
+        ["strong-eq", "--left", groups[0], "--right", groups[-1]] + cap,
+        ["split", "--parts", split_groups, "--partition", parts, "--verify"] + context + cap,
+    ]
+
+
+@pytest.mark.parametrize("index", range(_MUTATIONS_PER_FILE))
+@pytest.mark.parametrize("path", _FUZZ_FILES, ids=lambda p: p.name)
+def test_a_mutated_data_file_gets_an_exit_code(capsys, monkeypatch, tmp_path, path, index):
+    text = path.read_text()
+    source = tmp_path / path.name
+    source.write_text(_mutate(text, random.Random(f"{path.name}:{index}")))
+    monkeypatch.setattr(engine, "DEFAULT_NODE_CAP", 20_000)
+    for argv in _fuzz_argvs(load(path.name)):
+        code, _out, _err = run(capsys, argv[0], source, *argv[1:])
+        assert code in (0, 1, 2, 3), (argv, source.read_text())

@@ -157,39 +157,6 @@ def test_grounding_makes_no_substitution(monkeypatch):
     assert calls["substitute"] > 0 and calls["undefined"] > 0  # the patches were live
 
 
-def test_function_table_terms_ground_like_the_reference():
-    sig = Signature.make(sorts=["s"], predicates={("u", 1): ("s",)})
-    # f flips the two elements; h has a table at d1 only, g none at all
-    tables = {("f", ("d1",)): "d2", ("f", ("d2",)): "d1", ("h", ("d1",)): "d2"}
-    structure = FiniteInterpretation.make(sig, {"s": ("d1", "d2")}, function_tables=tables)
-    x = Variable("X", "s")
-    sentence = Forall(x, Implies(Atom("u", (x,)), Atom("u", (Func("f", (x,), "s"),))))
-    _assert_grounds_like_the_reference(structure, sentence)
-    with pytest.raises(ValueError, match="no table for function g"):
-        engine.ground_formula(structure, Forall(x, Atom("u", (Func("g", (x,), "s"),))))
-    # a left operand that decides the fold spares the right one, errors
-    # included: where the reference grounds the consequent and raises, the
-    # compiled grounder reads the implication as true
-    d1, d2 = DomainName("d1", "s"), DomainName("d2", "s")
-    guarded = Implies(Equality(x, d1), Atom("u", (Func("g", (x,), "s"),)))
-    with pytest.raises(ValueError, match="no table for function g"):
-        reference_ground_formula(structure, syntax.substitute(guarded, {x: d2}))
-    assert engine.compile_formula(structure, guarded, [x])(("d2",)) == engine.TRUE_GF
-    # under a quantifier, the quantifier's check still reads the term
-    with pytest.raises(ValueError, match="no table for function g"):
-        engine.ground_formula(structure, Forall(x, guarded))
-    # a pinned existential checks its one instance only: where the reference
-    # reads h(d2) and raises, the compiled grounder grounds X = d1 alone,
-    # and the universal dual keeps its loop and its error
-    h_of_x = Atom("u", (Func("h", (x,), "s"),))
-    pinned = Exists(x, And(Equality(x, d1), h_of_x))
-    with pytest.raises(ValueError, match="no table for function h"):
-        reference_ground_formula(structure, pinned)
-    assert engine.ground_formula(structure, pinned) == ("atom", ("u", ("d2",)))
-    with pytest.raises(ValueError, match="no table for function h"):
-        engine.ground_formula(structure, Forall(x, Implies(Equality(x, d1), h_of_x)))
-
-
 _PIN_CASES = {
     # case: whether X's quantifier is pinned
     "literal inside the sort": True,

@@ -426,6 +426,28 @@ def test_enumeration_resource_guard():
         )
 
 
+def test_the_universe_cap_is_checked_before_the_universe_is_listed(monkeypatch, strong_eq_problem):
+    from htsplit import semantics
+    from htsplit.engine import ResourceCapExceeded
+    from htsplit.interpretations import atom_universe, universe_size
+
+    problem = strong_eq_problem
+    domains = problem.domains()
+    assert universe_size(problem.signature, domains) == len(atom_universe(problem.signature, domains))
+
+    def unlisted(*_args):
+        raise AssertionError("the universe was listed before the cap was read")
+
+    monkeypatch.setattr(semantics, "atom_universe", unlisted)
+    # 301^3 = 27,270,901 atoms: listing them would take gigabytes
+    sig = Signature.make(predicates={("p", 3): (INT_SORT,) * 3}, has_int=True)
+    huge = {INT_SORT: tuple(range(301))}
+    with pytest.raises(ResourceCapExceeded, match="has 27270901 atoms, cap is 26"):
+        check_strong_equivalence([], [], lambda_top(sig), huge)
+    with pytest.raises(ResourceCapExceeded, match="over 27270901 atoms exceeds the cap"):
+        semantics.ht_models([], lambda_top(sig), huge)
+
+
 # ---------------------------------------------------------------------------
 # strong equivalence
 

@@ -189,3 +189,17 @@ def test_format_formula_spells_the_abbreviations():
     assert format_formula(neg(a)) == "not a"
     assert format_formula(TOP) == "#true"
     assert format_formula(neg(Equality(T, int_name(0)))) == "T != 0"
+
+
+@pytest.mark.parametrize(
+    "name, args, sort",
+    [
+        ("f", (T, int_name(1)), INT_SORT),  # not an arithmetic name
+        ("-", (T,), INT_SORT),  # unary
+        ("+", (T, int_name(1), int_name(2)), INT_SORT),  # ternary
+        ("*", (T, int_name(1)), "block"),  # another sort
+    ],
+)
+def test_a_func_is_binary_integer_arithmetic(name, args, sort):
+    with pytest.raises(ValueError, match="is not arithmetic"):
+        Func(name, args, sort)
