@@ -58,8 +58,8 @@ class DomainError(ValueError):
 class FiniteInterpretation:
     """Explicit finite domains plus the set of true ground atoms.
 
-    ``domains`` maps each sort to its ordered element tuple; ``true_atoms``
-    holds the extension of every user predicate.  Both are hashable so
+    ``domains`` maps each sort to its ordered elements, a tuple or a
+    ``range``; ``true_atoms`` holds the extension of every user predicate.  Both are hashable so
     interpretations can be collected into sets and compared exactly.
     """
 
@@ -73,7 +73,8 @@ class FiniteInterpretation:
         domains: Mapping[str, Iterable[Element]],
         true_atoms: Iterable[GroundAtom] = (),
     ) -> "FiniteInterpretation":
-        doms = {s: tuple(es) for s, es in domains.items()}
+        # a range keeps its length without listing its elements
+        doms = {s: es if isinstance(es, range) else tuple(es) for s, es in domains.items()}
         for s in signature.sorts:
             if s not in doms or not doms[s]:
                 raise DomainError(f"sort {s} needs a non-empty finite domain")

@@ -20,20 +20,23 @@ lists rules, first-order sentences, and named objects:
 
 Variables are upper-case identifiers, constants lower-case; ``not`` binds to
 the following atomic formula; ``not not`` is allowed in rule bodies.  Variable
-sorts are inferred from predicate and arithmetic positions; a variable whose
-sort cannot be pinned down is rejected.  Rule heads list predicate atoms.
-Parenthesised arithmetic terms are not needed: ``X+1 = 2`` already parses with
-the comparison binding loosest.
+sorts are inferred from predicate and arithmetic positions: a variable gets
+the least sort among those its positions and its equality ties ask for, and
+a variable whose sort cannot be pinned down is rejected.  Rule heads list
+predicate atoms.  Parenthesised arithmetic terms are not needed: ``X+1 = 2``
+already parses with the comparison binding loosest.
 
 Parsing is all-or-nothing: any problem raises :class:`ParseError` with a
-source location and no partial file is ever returned.
+``line:column`` location and no partial file is ever returned.  Tokens carry
+only their offset in the text; the line and column are computed from it when
+an error is raised.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .intensionality import IntensionalityStatement
 from .syntax import (
@@ -78,16 +81,20 @@ class ParseError(Exception):
         self.column = column
 
 
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """The error at ``offset`` of ``text``, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 # ---------------------------------------------------------------------------
 # lexer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    column: int
+    offset: int
 
 
 _TOKEN_RE = re.compile(
@@ -99,33 +106,30 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[a-z][A-Za-z0-9_]*)
   | (?P<var>[A-Z_$][A-Za-z0-9_]*)
   | (?P<sym>:-|\.\.|<->|->|<=|>=|!=|[.,;:(){}|&<>=+\-*])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, comments and white space dropped, ending with
+    an ``eof`` token at ``len(text)``.  Each token keeps its kind, its text
+    and its offset; a character no token starts with raises
+    :class:`ParseError`."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
+    # every character starts a match, the last alternative catching the rest
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         value = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "ident" and value in RESERVED:
-                kind = "keyword"
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {value!r}")
+        if kind == "ident" and value in RESERVED:
+            kind = "keyword"
+        tokens.append(Token(kind, value, m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -150,7 +154,9 @@ class ProblemFile:
     contexts: tuple[tuple[str, tuple[Statement, ...]], ...] = ()
     formulas: tuple[tuple[str, Formula], ...] = ()
 
-    def domains(self) -> dict[str, tuple]:
+    def domains(self) -> dict[str, Sequence]:
+        """Each sort's elements in order; the integers as a ``range``, so
+        their count is known before any element is listed."""
         out: dict[str, list] = {s: [] for s in self.sort_order}
         for name, sort in self.constants:
             out[sort].append(name)
@@ -159,10 +165,10 @@ class ProblemFile:
             for t in self.sort_order:
                 if s != t and self.signature.is_subsort(s, t):
                     out[t].extend(c for c in out[s] if c not in out[t])
-        result = {s: tuple(es) for s, es in out.items()}
+        result: dict[str, Sequence] = {s: tuple(es) for s, es in out.items()}
         if self.int_range is not None:
             lo, hi = self.int_range
-            result[INT_SORT] = tuple(range(lo, hi + 1))
+            result[INT_SORT] = range(lo, hi + 1)
         return result
 
     def theory(self) -> list[Statement]:
@@ -172,28 +178,23 @@ class ProblemFile:
         return out
 
     def group(self, name: str) -> list[Statement]:
-        for n, statements in self.groups:
-            if n == name:
-                return list(statements)
-        raise KeyError(f"no group named {name!r}")
+        return list(_named(self.groups, name, "group"))
 
     def part(self, name: str) -> IntensionalityStatement:
-        for n, lam in self.parts:
-            if n == name:
-                return lam
-        raise KeyError(f"no intensionality statement named {name!r}")
+        return _named(self.parts, name, "intensionality statement")
 
     def context(self, name: str) -> list[Statement]:
-        for n, statements in self.contexts:
-            if n == name:
-                return list(statements)
-        raise KeyError(f"no context named {name!r}")
+        return list(_named(self.contexts, name, "context"))
 
     def formula(self, name: str) -> Formula:
-        for n, f in self.formulas:
-            if n == name:
-                return f
-        raise KeyError(f"no formula named {name!r}")
+        return _named(self.formulas, name, "formula")
+
+
+def _named(entries: Sequence[tuple[str, Any]], name: str, what: str) -> Any:
+    for n, value in entries:
+        if n == name:
+            return value
+    raise KeyError(f"no {what} named {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +203,11 @@ class ProblemFile:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        # sort-resolution errors point at the first token of the statement
+        self._statement_token = self.tokens[0]
         self.sorts: list[str] = []
         self.subsorts: list[tuple[str, str]] = []
         self.has_int = False
@@ -233,7 +237,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.value or 'end of input'!r}", tok.line, tok.column)
+            raise self.error(f"expected {want!r}, found {tok.value or 'end of input'!r}", tok)
         return self.next()
 
     def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
@@ -243,8 +247,8 @@ class _Parser:
         return None
 
     def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column)
+        """The error at ``tok``, by default the next token."""
+        return _error(self.text, (tok or self.peek()).offset, message)
 
     # signature helpers -----------------------------------------------------
 
@@ -253,14 +257,14 @@ class _Parser:
 
     def declare_sort(self, name: str, tok: Token) -> None:
         if name in self.sorts or (name == INT_SORT and self.has_int):
-            raise ParseError(f"duplicate sort {name}", tok.line, tok.column)
+            raise self.error(f"duplicate sort {name}", tok)
         self.sorts.append(name)
 
     def check_sort(self, name: str, tok: Token) -> None:
         if name == INT_SORT and self.has_int:
             return
         if name not in self.sorts:
-            raise ParseError(f"undeclared sort {name}", tok.line, tok.column)
+            raise self.error(f"undeclared sort {name}", tok)
 
     def sort_name(self) -> Token:
         tok = self.peek()
@@ -323,9 +327,9 @@ class _Parser:
         hi = self.integer_literal()
         tok = self.expect("sym", ".")
         if self.int_range is not None:
-            raise ParseError("duplicate int range declaration", tok.line, tok.column)
+            raise self.error("duplicate int range declaration", tok)
         if lo > hi:
-            raise ParseError("empty integer range", tok.line, tok.column)
+            raise self.error("empty integer range", tok)
         self.has_int = True
         self.int_range = (lo, hi)
 
@@ -350,12 +354,11 @@ class _Parser:
         self.expect("sym", ".")
         key = (tok.value, len(arg_sorts))
         if key in self.predicates:
-            raise ParseError(f"duplicate predicate {key[0]}/{key[1]}", tok.line, tok.column)
+            raise self.error(f"duplicate predicate {key[0]}/{key[1]}", tok)
         if len(arg_sorts) == 0 and tok.value in self.constants:
-            raise ParseError(
+            raise self.error(
                 f"{tok.value} is already a constant; a 0-ary predicate of the same name would be ambiguous",
-                tok.line,
-                tok.column,
+                tok,
             )
         self.predicates[key] = tuple(arg_sorts)
 
@@ -368,12 +371,11 @@ class _Parser:
         while True:
             c = self.expect("ident")
             if c.value in self.constants:
-                raise ParseError(f"duplicate constant {c.value}", c.line, c.column)
+                raise self.error(f"duplicate constant {c.value}", c)
             if (c.value, 0) in self.predicates:
-                raise ParseError(
+                raise self.error(
                     f"{c.value} is already a 0-ary predicate; a constant of the same name would be ambiguous",
-                    c.line,
-                    c.column,
+                    c,
                 )
             self.constants[c.value] = sort_tok.value
             self.constant_order.append((c.value, sort_tok.value))
@@ -389,17 +391,13 @@ class _Parser:
         if tok.value == "#intensional":
             key, entry = self.intensional_entry()
             if key in self.intensional_entries:
-                raise ParseError(
-                    f"duplicate intensionality declaration for {key[0]}/{key[1]}", tok.line, tok.column
-                )
+                raise self.error(f"duplicate intensionality declaration for {key[0]}/{key[1]}", tok)
             self.intensional_entries[key] = entry
             self.expect("sym", ".")
         elif tok.value == "#part":
             name = self.expect("ident").value
             if name == "default":  # --lambda and --partition read it as the #intensional statement
-                raise ParseError(
-                    "the name default is reserved for the #intensional statement", tok.line, tok.column
-                )
+                raise self.error("the name default is reserved for the #intensional statement", tok)
             self.check_fresh_name(name, tok)
             entries: dict[PredKey, tuple[tuple[Variable, ...], Formula]] = {}
             self.expect("sym", "{")
@@ -407,9 +405,7 @@ class _Parser:
                 while True:
                     key, entry = self.intensional_entry()
                     if key in entries:
-                        raise ParseError(
-                            f"duplicate entry for {key[0]}/{key[1]}", tok.line, tok.column
-                        )
+                        raise self.error(f"duplicate entry for {key[0]}/{key[1]}", tok)
                     entries[key] = entry
                     if not self.accept("sym", ";"):
                         break
@@ -449,7 +445,7 @@ class _Parser:
             | {n for n, _ in self.formulas}
         )
         if name in taken:
-            raise ParseError(f"duplicate name {name}", tok.line, tok.column)
+            raise self.error(f"duplicate name {name}", tok)
 
     def intensional_entry(self) -> tuple[PredKey, tuple[tuple[Variable, ...], Formula]]:
         tok = self.expect("ident")
@@ -465,9 +461,9 @@ class _Parser:
                 self.expect("sym", ")")
         key = (tok.value, len(args))
         if key not in self.predicates:
-            raise ParseError(f"undeclared predicate {key[0]}/{key[1]}", tok.line, tok.column)
+            raise self.error(f"undeclared predicate {key[0]}/{key[1]}", tok)
         if len(set(args)) != len(args):
-            raise ParseError("argument variables must be pairwise distinct", tok.line, tok.column)
+            raise self.error("argument variables must be pairwise distinct", tok)
         self.expect("sym", ":")
         raw = self.formula()
         arg_sorts = self.predicates[key]
@@ -644,7 +640,7 @@ class _Parser:
             self.expect("sym", ")")
         key = (tok.value, len(args))
         if key not in self.predicates:
-            raise ParseError(f"undeclared predicate {key[0]}/{key[1]}", tok.line, tok.column)
+            raise self.error(f"undeclared predicate {key[0]}/{key[1]}", tok)
         nxt = self.peek()
         if nxt.kind == "sym" and nxt.value in ("=", "!=") + COMPARISON_PREDICATES:
             raise self.error("predicates cannot be compared as terms", nxt)
@@ -688,7 +684,7 @@ class _Parser:
         if tok.kind == "int" or (tok.kind == "sym" and tok.value == "-"):
             value = self.integer_literal()
             if not self.has_int:
-                raise ParseError("integers need an 'int range' declaration", tok.line, tok.column)
+                raise self.error("integers need an 'int range' declaration", tok)
             return DomainName(value, INT_SORT)
         if tok.kind == "var":
             self.next()
@@ -697,24 +693,25 @@ class _Parser:
             self.next()
             sort = self.constants.get(tok.value)
             if sort is None:
-                raise ParseError(f"undeclared constant {tok.value}", tok.line, tok.column)
+                raise self.error(f"undeclared constant {tok.value}", tok)
             return DomainName(tok.value, sort)
         raise self.error("expected a term", tok)
 
     # sort resolution -----------------------------------------------------------
+    # Two walks per statement: _collect gathers the sorts each variable's
+    # positions ask for, _solve gives every variable the least sort of its
+    # component of equality ties, and _rebuild puts the sorts in and checks
+    # each term as it goes.  A sort error points at the statement.
 
     def resolve_rule(self, heads: list[Formula], body: list[tuple[int, Formula]]) -> Rule:
         # infer over the whole rule at once so shared variables agree
         matrix: Formula = TOP
         for f in heads + [f for _n, f in body]:
             matrix = And(matrix, f)
-        slots = self._collect(matrix, {})
-        lookup = self._solve(slots)
-        new_heads = tuple(self._rebuild(h, {}, lookup) for h in heads)
-        new_body = tuple(
-            Literal(self._rebuild(f, {}, lookup), n) for n, f in body
-        )
-        self._validate_sorts(new_heads + tuple(lit.atom for lit in new_body))
+        sig = self.signature()
+        lookup = self._solve(sig, *self._collect(matrix))
+        new_heads = tuple(self._rebuild(sig, h, {}, lookup) for h in heads)
+        new_body = tuple(Literal(self._rebuild(sig, f, {}, lookup), n) for n, f in body)
         return Rule(new_heads, new_body)
 
     def resolve(
@@ -723,33 +720,33 @@ class _Parser:
         close: bool,
         seed_sorts: Optional[dict[str, str]] = None,
     ) -> Formula:
-        slots = self._collect(raw, {}, seed_sorts)
-        lookup = self._solve(slots)
-        resolved = self._rebuild(raw, {}, lookup)
-        self._validate_sorts([resolved])
+        sig = self.signature()
+        lookup = self._solve(sig, *self._collect(raw, seed_sorts))
+        resolved = self._rebuild(sig, raw, {}, lookup)
         if close:
             resolved = forall_over(free_variables(resolved), resolved)
         return resolved
 
+    def _arg_sorts(self, atom: Atom) -> tuple[str, ...]:
+        if atom.pred in COMPARISON_PREDICATES:
+            return (INT_SORT,) * len(atom.args)
+        return self.predicates[(atom.pred, len(atom.args))]
+
     def _collect(
-        self,
-        f: Formula,
-        env: dict[str, tuple],
-        seed_sorts: Optional[dict[str, str]] = None,
-    ) -> dict[tuple, dict]:
-        slots: dict[tuple, dict] = {}
+        self, f: Formula, seed_sorts: Optional[dict[str, str]] = None
+    ) -> tuple[dict[tuple, set[str]], list[tuple[tuple, tuple]]]:
+        """The slots of ``f`` in the order they are first met, each with the
+        sorts asked of it, and the pairs of slots that an equality ties."""
+        slots: dict[tuple, set[str]] = {}
+        ties: list[tuple[tuple, tuple]] = []
         if seed_sorts:
             for name, sort in seed_sorts.items():
-                _slot(slots, ("free", name))["sorts"].add(sort)
-        stack: list[tuple[Formula, tuple, dict[str, tuple]]] = [(f, (), env)]
+                slots.setdefault(("free", name), set()).add(sort)
+        stack: list[tuple[Formula, tuple, dict[str, tuple]]] = [(f, (), {})]
         while stack:
             g, path, env = stack.pop()
             if isinstance(g, Atom):
-                if g.pred in COMPARISON_PREDICATES:
-                    arg_sorts: tuple[str, ...] = (INT_SORT,) * len(g.args)
-                else:
-                    arg_sorts = self.predicates[(g.pred, len(g.args))]
-                for t, s in zip(g.args, arg_sorts):
+                for t, s in zip(g.args, self._arg_sorts(g)):
                     _constrain_term(slots, t, s, env)
             elif isinstance(g, Equality):
                 for t in (g.lhs, g.rhs):
@@ -757,102 +754,73 @@ class _Parser:
                 lk, rk = _term_key(g.lhs, env), _term_key(g.rhs, env)
                 ls, rs = _literal_sort(g.lhs), _literal_sort(g.rhs)
                 if lk is not None and rs is not None:
-                    _slot(slots, lk)["sorts"].add(rs)
+                    slots[lk].add(rs)
                 if rk is not None and ls is not None:
-                    _slot(slots, rk)["sorts"].add(ls)
+                    slots[rk].add(ls)
                 if lk is not None and rk is not None:
-                    _slot(slots, lk)["eq"].add(rk)
-                    _slot(slots, rk)["eq"].add(lk)
+                    ties.append((lk, rk))
             elif isinstance(g, (And, Or, Implies)):
                 stack.append((g.rhs, path + (1,), env))
                 stack.append((g.lhs, path + (0,), env))
             elif isinstance(g, (Forall, Exists)):
                 key = ("bound", path)
-                _slot(slots, key)
+                slots.setdefault(key, set())
                 stack.append((g.body, path + (0,), {**env, g.var.name: key}))
-        return slots
+        return slots, ties
 
-    def _where(self) -> tuple[int, int]:
-        tok = getattr(self, "_statement_token", None)
-        return (tok.line, tok.column) if tok else (0, 0)
-
-    def _solve(self, slots: dict[tuple, dict]) -> dict[tuple, str]:
-        changed = True
-        while changed:
-            changed = False
-            for key, data in slots.items():
-                for other in data["eq"]:
-                    merged = slots[other]["sorts"] | data["sorts"]
-                    if merged != data["sorts"] or merged != slots[other]["sorts"]:
-                        data["sorts"] |= merged
-                        slots[other]["sorts"] |= merged
-                        changed = True
-        sig = self.signature()
+    def _solve(
+        self, sig: Signature, slots: dict[tuple, set[str]], ties: list[tuple[tuple, tuple]]
+    ) -> dict[tuple, str]:
+        """Each slot's sort: the least of the sorts asked of any slot in its
+        component of ties.  The first slot in order without one names the
+        error."""
+        parent = {key: key for key in slots}
+        for a, b in ties:
+            parent[_root(parent, a)] = _root(parent, b)
+        component: dict[tuple, set[str]] = {}
+        for key, sorts in slots.items():
+            component.setdefault(_root(parent, key), set()).update(sorts)
         out: dict[tuple, str] = {}
-        for key, data in slots.items():
-            sorts = data["sorts"]
+        for key in slots:
+            sorts = component[_root(parent, key)]
             name = key[1] if key[0] == "free" else "a bound variable"
-            line, column = self._where()
             if not sorts:
-                raise ParseError(f"cannot infer the sort of {name}", line, column)
-            minimal = [s for s in sorts if all(sig.is_subsort(s, o) for o in sorts)]
-            if not minimal:
-                raise ParseError(
-                    f"conflicting sorts for {name}: {', '.join(sorted(sorts))}", line, column
+                raise self.error(f"cannot infer the sort of {name}", self._statement_token)
+            least = [s for s in sorts if all(sig.is_subsort(s, o) for o in sorts)]
+            if not least:
+                raise self.error(
+                    f"conflicting sorts for {name}: {', '.join(sorted(sorts))}", self._statement_token
                 )
-            out[key] = minimal[0]
+            out[key] = least[0]
         return out
 
-    def _validate_sorts(self, formulas: Sequence[Formula]) -> None:
-        """Well-sortedness of resolved formulas: argument sorts are subsorts
-        of the declared ones, equality operands share a supersort."""
-        sig = self.signature()
-        stack = list(reversed(formulas))
-        while stack:
-            g = stack.pop()
-            if isinstance(g, Atom):
-                if g.pred in COMPARISON_PREDICATES:
-                    arg_sorts: tuple[str, ...] = (INT_SORT,) * len(g.args)
-                else:
-                    arg_sorts = self.predicates[(g.pred, len(g.args))]
-                for t, s in zip(g.args, arg_sorts):
-                    self._check_term(sig, t, s)
-            elif isinstance(g, Equality):
-                if sig.common_supersort(g.lhs.sort, g.rhs.sort) is None:
-                    line, column = self._where()
-                    raise ParseError(
-                        f"equality between unrelated sorts {g.lhs.sort} and {g.rhs.sort}",
-                        line,
-                        column,
-                    )
-                for t in (g.lhs, g.rhs):
-                    if isinstance(t, Func):
-                        self._check_term(sig, t, INT_SORT)
-            elif isinstance(g, (And, Or, Implies)):
-                stack.append(g.rhs)
-                stack.append(g.lhs)
-            elif isinstance(g, (Forall, Exists)):
-                stack.append(g.body)
-
-    def _check_term(self, sig: Signature, t: Term, expected: str) -> None:
-        if not sig.is_subsort(t.sort, expected):
-            line, column = self._where()
-            raise ParseError(f"term of sort {t.sort} where {expected} is expected", line, column)
-        if isinstance(t, Func):
-            for a in t.args:
-                self._check_term(sig, a, INT_SORT)
-
-    def _rebuild(self, f: Formula, env: dict, lookup: dict, path: tuple = ()) -> Formula:
+    def _rebuild(
+        self, sig: Signature, f: Formula, env: dict, lookup: dict, path: tuple = ()
+    ) -> Formula:
+        """``f`` with the solved sorts, checked as it is built, left before
+        right: argument terms are subsorts of the declared ones, and equality
+        operands share a supersort."""
         if isinstance(f, Atom):
-            return Atom(f.pred, tuple(_fix_term(t, env, lookup) for t in f.args))
+            args = tuple(_fix_term(t, env, lookup) for t in f.args)
+            for t, s in zip(args, self._arg_sorts(f)):
+                self._check_term(sig, t, s)
+            return Atom(f.pred, args)
         if isinstance(f, Equality):
-            return Equality(_fix_term(f.lhs, env, lookup), _fix_term(f.rhs, env, lookup))
+            lhs, rhs = _fix_term(f.lhs, env, lookup), _fix_term(f.rhs, env, lookup)
+            if sig.common_supersort(lhs.sort, rhs.sort) is None:
+                raise self.error(
+                    f"equality between unrelated sorts {lhs.sort} and {rhs.sort}", self._statement_token
+                )
+            for t in (lhs, rhs):
+                if isinstance(t, Func):
+                    self._check_term(sig, t, INT_SORT)
+            return Equality(lhs, rhs)
         if isinstance(f, Bottom):
             return f
         if isinstance(f, (And, Or, Implies)):
             return type(f)(
-                self._rebuild(f.lhs, env, lookup, path + (0,)),
-                self._rebuild(f.rhs, env, lookup, path + (1,)),
+                self._rebuild(sig, f.lhs, env, lookup, path + (0,)),
+                self._rebuild(sig, f.rhs, env, lookup, path + (1,)),
             )
         if isinstance(f, (Forall, Exists)):
             key = ("bound", path)
@@ -860,20 +828,30 @@ class _Parser:
             inner[f.var.name] = key
             return type(f)(
                 Variable(f.var.name, lookup[key]),
-                self._rebuild(f.body, inner, lookup, path + (0,)),
+                self._rebuild(sig, f.body, inner, lookup, path + (0,)),
             )
         raise TypeError(f"not a formula: {f!r}")
 
+    def _check_term(self, sig: Signature, t: Term, expected: str) -> None:
+        if not sig.is_subsort(t.sort, expected):
+            message = f"term of sort {t.sort} where {expected} is expected"
+            raise self.error(message, self._statement_token)
+        if isinstance(t, Func):
+            for a in t.args:
+                self._check_term(sig, a, INT_SORT)
+
 
 # sort inference: a slot per free variable name and per quantifier, keyed
-# ("free", name) or ("bound", path), holding its candidate sorts and the
-# slots an equality ties it to
+# ("free", name) or ("bound", path); an equality between two variables ties
+# their slots, and a component of ties shares one sort
 
 
-def _slot(slots: dict[tuple, dict], key: tuple) -> dict:
-    if key not in slots:
-        slots[key] = {"sorts": set(), "eq": set(), "tok": None}
-    return slots[key]
+def _root(parent: dict[tuple, tuple], key: tuple) -> tuple:
+    """The representative of ``key``'s component, halving the path."""
+    while parent[key] != key:
+        parent[key] = parent[parent[key]]
+        key = parent[key]
+    return key
 
 
 def _term_key(t: Term, env: dict[str, tuple]) -> Optional[tuple]:
@@ -892,12 +870,12 @@ def _literal_sort(t: Term) -> Optional[str]:
 
 
 def _constrain_term(
-    slots: dict[tuple, dict], t: Term, expected: Optional[str], env: dict[str, tuple]
+    slots: dict[tuple, set[str]], t: Term, expected: Optional[str], env: dict[str, tuple]
 ) -> None:
     if isinstance(t, Variable):
-        slot = _slot(slots, env.get(t.name, ("free", t.name)))
+        sorts = slots.setdefault(env.get(t.name, ("free", t.name)), set())
         if expected is not None:
-            slot["sorts"].add(expected)
+            sorts.add(expected)
     elif isinstance(t, Func):
         for a in t.args:
             _constrain_term(slots, a, INT_SORT, env)

@@ -4,14 +4,19 @@ import json
 import pathlib
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from conftest import LOOP_SOURCE, load
 from htsplit import cli, engine
 from htsplit.cli import main
+from htsplit.intensionality import IntensionalityStatement
 from htsplit.interpretations import FiniteInterpretation
+from htsplit.parser import ProblemFile, parse_problem, print_problem
 from htsplit.semantics import GroundProblem
+from htsplit.syntax import TOP, DomainName, Equality, Variable, neg
+from strategies import SIG, random_sentence
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -466,6 +471,26 @@ def test_running_out_of_memory_is_exit_3(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [["ht-models"], ["strong-eq", "--left", "a", "--right", "b"]])
+def test_a_fifty_million_integer_range_is_capped_before_it_is_listed(capsys, tmp_path, argv):
+    # a tuple of the 50,000,001 integers alone takes gigabytes
+    source = tmp_path / "range.htsplit"
+    source.write_text(
+        "int range 0..50000000.\npred p(int).\n"
+        "#group a { p(X) :- p(X+1). }.\n#group b { p(0). }.\n"
+    )
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv[0], source, *argv[1:])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_one_inconclusive_line(code, err)
+    assert " 50000001 atoms" in err
+    assert out == ""
+    assert peak < 50 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # the options each subcommand takes
 
@@ -592,3 +617,64 @@ def test_a_mutated_data_file_gets_an_exit_code(capsys, monkeypatch, tmp_path, pa
     for argv in _fuzz_argvs(load(path.name)):
         code, _out, _err = run(capsys, argv[0], source, *argv[1:])
         assert code in (0, 1, 2, 3), (argv, source.read_text())
+
+
+# grammar-built files: printed from random theories over the vocabulary of
+# tests/strategies.py, so that every file parses and reaches the checks
+
+_GRAMMAR_FILES = 100
+_GRAMMAR_ARGVS = [
+    ["parse"],
+    ["models", "--cap", "4096"],
+    ["ht-models", "--cap", "4096"],
+    ["strong-eq", "--left", "g1", "--right", "g2", "--cap", "4096"],
+    ["transform", "--formula", "f", "--occurrence", "u", "--variant", "pos", "--context", "c"],
+    ["graph", "--partition", "m1,m2", "--context", "c"],
+    ["split", "--parts", "g1,g2", "--partition", "m1,m2", "--verify", "--cap", "4096"],
+    ["split", "--parts", "g1,g2", "--partition", "m1,m2", "--context", "c", "--verify", "--cap", "4096"],
+]
+
+
+def _grammar_problem(rng: random.Random) -> ProblemFile:
+    """Random groups, context and formula; a, b and u(X) go to part m1 or
+    m2 whole, or u splits at X = d1."""
+    def sentences(count):
+        return tuple(random_sentence(rng, depth=rng.randrange(4)) for _ in range(count))
+
+    x = Variable("X", "s")
+    at_d1 = Equality(x, DomainName("d1", "s"))
+    halves: tuple[dict, dict] = ({}, {})
+    for key in (("a", 0), ("b", 0)):
+        halves[rng.randrange(2)][key] = ((), TOP)
+    split_u = rng.random() < 0.5
+    halves[0][("u", 1)] = ((x,), at_d1 if split_u else TOP)
+    if split_u:
+        halves[1][("u", 1)] = ((x,), neg(at_d1))
+    default = {**halves[0], **halves[1], ("u", 1): ((x,), TOP)}
+    return ProblemFile(
+        signature=SIG,
+        sort_order=("s",),
+        constants=(("d1", "s"), ("d2", "s")),
+        base=sentences(rng.randrange(3)),
+        groups=(("g1", sentences(1 + rng.randrange(2))), ("g2", sentences(1 + rng.randrange(2)))),
+        default_lambda=IntensionalityStatement.make(SIG, default, name="default"),
+        parts=tuple(
+            (f"m{i}", IntensionalityStatement.make(SIG, half, name=f"m{i}"))
+            for i, half in enumerate(halves, 1)
+        ),
+        contexts=(("c", sentences(1)),),
+        formulas=(("f", random_sentence(rng, depth=3)),),
+    )
+
+
+@pytest.mark.parametrize("index", range(_GRAMMAR_FILES))
+def test_a_grammar_built_file_round_trips_and_gets_an_exit_code(capsys, monkeypatch, tmp_path, index):
+    text = print_problem(_grammar_problem(random.Random(f"grammar:{index}")))
+    assert print_problem(parse_problem(text)) == text
+    source = tmp_path / "grammar.htsplit"
+    source.write_text(text)
+    monkeypatch.setattr(engine, "DEFAULT_NODE_CAP", 20_000)
+    for argv in _GRAMMAR_ARGVS:
+        code, _out, err = run(capsys, argv[0], source, *argv[1:])
+        assert code in (0, 1, 2, 3), (argv, text)
+        assert "Traceback" not in err

@@ -4,6 +4,7 @@ import pytest
 
 from htsplit.parser import ParseError, parse_problem, print_problem
 from htsplit.syntax import (
+    And,
     Atom,
     Equality,
     Func,
@@ -188,7 +189,7 @@ def test_integers_need_a_declared_range():
 def test_negative_range_bounds_parse():
     p = parse_problem("int range -1..3.\npred q(int).\nq(-1).\n")
     assert p.int_range == (-1, 3)
-    assert p.domains()[INT_SORT] == (-1, 0, 1, 2, 3)
+    assert tuple(p.domains()[INT_SORT]) == (-1, 0, 1, 2, 3)
 
 
 def test_double_negation_literal_round_trips():
@@ -272,3 +273,51 @@ def test_random_programs_round_trip():
         text = "pred a. pred b. pred c.\n" + "\n".join(format_rule(r) for r in rules) + "\n"
         problem = parse_problem(text)
         assert parse_problem(print_problem(problem)) == problem
+
+
+# ---------------------------------------------------------------------------
+# error positions: line and column of the offending token, 1-based
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # after a comment line
+        ("% sorts first\nsort s.\npred q(t).\n", "3:8: undeclared sort t"),
+        # inside a multi-line group
+        ("sort s. domain s = {e}.\npred q(s).\n#group g {\n  q(e).\n  q(f).\n}.\n",
+         "5:5: undeclared constant f"),
+        # on the first token of a line
+        ("sort s.\nfoo.\n", "2:1: undeclared constant foo"),
+        # on an unexpected character
+        ("pred p.\n  p ? .\n", "2:5: unexpected character '?'"),
+        # at end of input
+        ("sort s. domain s = {e}.\npred q(s).\nq(e) :- ", "3:9: expected a term"),
+        ("sort s", "1:7: expected '.', found 'end of input'"),
+        # a sort error points at the first token of its statement
+        ("sort s. sort t.\ndomain s = {e}. domain t = {f}.\npred q(s). pred r(t).\n"
+         "#group g {\n  r(X) :- q(X).\n}.\n",
+         "5:3: conflicting sorts for X: s, t"),
+    ],
+)
+def test_an_error_names_its_line_and_column(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == where
+    line, column, message = where.split(":", 2)
+    assert (err.value.line, err.value.column, err.value.message) == (int(line), int(column), message[1:])
+
+
+def test_sort_inference_follows_a_chain_of_equalities():
+    p = parse_problem("sort s. domain s = {e}.\npred p(s).\n#formula f : X = Y & Y = Z & p(Z).\n")
+    x, y, z = (Variable(name, "s") for name in "XYZ")
+    assert p.formula("f") == And(And(Equality(x, y), Equality(y, z)), Atom("p", (z,)))
+
+
+def test_a_chain_of_equalities_between_unrelated_sorts_is_a_conflict():
+    with pytest.raises(ParseError) as err:
+        parse_problem(
+            "sort s. sort t. domain s = {e}. domain t = {f}.\npred p(s). pred q(t).\n"
+            "#formula g : p(X) & X = Y & Y = Z & q(Z).\n"
+        )
+    assert str(err.value) == "3:14: conflicting sorts for X: s, t"
