@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .syntax import (
     ARITHMETIC_FUNCTIONS,
@@ -79,7 +79,7 @@ class FiniteInterpretation:
             if s not in doms or not doms[s]:
                 raise DomainError(f"sort {s} needs a non-empty finite domain")
         for s1, s2 in signature.subsort_closure:
-            if s1 != s2 and not set(doms[s1]) <= set(doms[s2]):
+            if s1 != s2 and not _contained(doms[s1], doms[s2]):
                 raise DomainError(f"domain of {s1} must be contained in domain of {s2}")
         return FiniteInterpretation(signature, tuple(sorted(doms.items())), frozenset(true_atoms))
 
@@ -97,6 +97,23 @@ class FiniteInterpretation:
 
     def __repr__(self) -> str:  # keep pytest output readable
         return f"FiniteInterpretation({format_atom_set(self.true_atoms)})"
+
+
+def _contained(inner: Sequence[Element], outer: Sequence[Element]) -> bool:
+    """Whether every element of ``inner`` is in ``outer``, where either may
+    be a ``range``: a range is tested by its bounds and step or by
+    membership, and never listed into a set."""
+    if isinstance(outer, range):
+        if isinstance(inner, range):
+            if len(inner) > 1 and inner.step % outer.step:
+                return False
+            return not inner or (inner[0] in outer and inner[-1] in outer)
+        # a range tests a non-integer by walking its elements
+        return all(isinstance(e, int) and e in outer for e in inner)
+    if isinstance(inner, range) and len(inner) > len(outer):
+        return False  # a range's elements are distinct
+    members = set(outer)
+    return all(e in members for e in inner)
 
 
 @dataclass(frozen=True)

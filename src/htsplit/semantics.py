@@ -250,9 +250,15 @@ class GroundProblem:
         structure: FiniteInterpretation,
         theory: Sequence[Statement],
         lam: IntensionalityStatement,
+        theory_gfs: Optional[Sequence[engine.GF]] = None,
     ) -> "GroundProblem":
+        """``theory_gfs``, when given, is the theory already ground over
+        ``structure``, so a theory asked under several statements is ground
+        once."""
         region_gf, em_gfs = ground_region(structure, lam)
-        gfs = engine.ground_theory(structure, theory_sentences(theory)) + em_gfs
+        if theory_gfs is None:
+            theory_gfs = engine.ground_theory(structure, theory_sentences(theory))
+        gfs = list(theory_gfs) + em_gfs
         droppable = frozenset(a for a, g in region_gf.items() if g != engine.FALSE_GF)
         atoms = frozenset(engine.candidate_atoms(gfs))
         return cls(gfs, droppable, atoms)

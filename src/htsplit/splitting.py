@@ -28,7 +28,7 @@ from .interpretations import (
     atom_sort_key,
     format_atom,
 )
-from .semantics import GroundProblem, enumerate_lambda_stable_models
+from .semantics import GroundProblem
 from .syntax import Rule, Statement, theory_sentences
 
 
@@ -300,14 +300,56 @@ def check_one_direction(
     through a doubly negated body, as in ``{b :- not b, b}`` joined with
     ``{c | b :- not not b}``, whose union has the stable model {b} even
     though the first part alone cannot support b.
+
+    One :func:`engine.scan` over the union's candidate atoms looks for a
+    stable model of the union (A) that some member's problem does not keep
+    (B), so the direction holds iff A∖B is empty.  The union's theory is
+    ground once, and with ``scope="union"`` every member's problem reuses
+    it.  When the union and every member are tight, the survivors of each
+    singleton loop test are its stable models, so the scan lists A∖B
+    itself: its first interpretation refutes the direction, and no exact
+    check runs.  Otherwise the scan lists the union's survivors, and each
+    gets the exact check on the union and then on each member.  Raises
+    :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` candidate atoms.
     """
     if scope not in ("union", "parts"):
         raise ValueError(f"unknown scope {scope!r}")
-    union: list[Statement] = [s for part in parts for s in part]
-    models = enumerate_lambda_stable_models(union, partition.target, domains, atom_cap)
     structure = FiniteInterpretation.make(partition.target.signature, domains)
-    problems = [
-        GroundProblem.ground(structure, union if scope == "union" else list(part), member)
+    union: list[Statement] = [s for part in parts for s in part]
+    union_gfs = engine.ground_theory(structure, theory_sentences(union))
+    union_side = GroundProblem.ground(structure, union, partition.target, union_gfs)
+    atoms = sorted(union_side.atoms, key=atom_sort_key)
+    if len(atoms) > atom_cap:
+        raise engine.ResourceCapExceeded(
+            f"candidate space has {len(atoms)} atoms, cap is {atom_cap}"
+        )
+    allowed = frozenset(atoms)
+    union_side = union_side.restrict(allowed)
+    if any(g == engine.FALSE_GF for g in union_side.gfs):
+        return True  # the union has no stable model
+    member_sides = [
+        GroundProblem.ground(structure, union, member, union_gfs).restrict(allowed)
+        if scope == "union"
+        else GroundProblem.ground(structure, list(part), member).restrict(allowed)
         for part, member in zip(parts, partition.members)
     ]
-    return all(p.is_stable(m.true_atoms) for m in models for p in problems)
+    tight = union_side.tight and all(side.tight for side in member_sides)
+
+    def union_only(space) -> int:
+        table = engine.stable_candidate_table(space, union_side.gfs, union_side.droppable)
+        if not tight:
+            return table
+        kept = table
+        for side in member_sides:
+            if not kept:
+                break
+            kept &= engine.stable_candidate_table(space, side.gfs, side.droppable)
+        return table ^ kept
+
+    for true_atoms in engine.scan(atoms, union_only):
+        if tight:
+            return False
+        if union_side.tight or union_side.is_stable(true_atoms):
+            if not all(side.is_stable(true_atoms) for side in member_sides):
+                return False
+    return True

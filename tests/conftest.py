@@ -240,3 +240,23 @@ def reference_stable_candidate_table(space, gfs, region_gf):
             if not good:
                 break
     return good
+
+
+def reference_check_one_direction(parts, partition, domains, atom_cap=None, scope="union"):
+    """The one-direction check that ``splitting.check_one_direction``'s scan
+    replaced, kept as a test oracle: the union's stable models are listed,
+    and each gets the exact check under every member."""
+    from htsplit import engine
+    from htsplit.interpretations import FiniteInterpretation
+    from htsplit.semantics import GroundProblem, enumerate_lambda_stable_models
+
+    if atom_cap is None:
+        atom_cap = engine.DEFAULT_ATOM_CAP
+    union = [s for part in parts for s in part]
+    models = enumerate_lambda_stable_models(union, partition.target, domains, atom_cap)
+    structure = FiniteInterpretation.make(partition.target.signature, domains)
+    problems = [
+        GroundProblem.ground(structure, union if scope == "union" else list(part), member)
+        for part, member in zip(parts, partition.members)
+    ]
+    return all(p.is_stable(m.true_atoms) for m in models for p in problems)

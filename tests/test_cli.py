@@ -491,6 +491,85 @@ def test_a_fifty_million_integer_range_is_capped_before_it_is_listed(capsys, tmp
     assert peak < 50 * 2**20
 
 
+SUBSORT_OF_RANGE = (
+    "int range 0..50000000.\nsort s < int.\ndomain s = {e}.\npred p(int).\npred q(s).\n"
+    "#group a { p(X) :- p(X+1). }.\n#group b { q(X) :- q(X). }.\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["ht-models"], ["strong-eq", "--left", "a", "--right", "b"]])
+def test_a_subsort_of_a_fifty_million_integer_range_is_checked_without_listing_it(
+    capsys, tmp_path, argv
+):
+    # a set of the 50,000,001 integers alone takes gigabytes
+    source = tmp_path / "subsort.htsplit"
+    source.write_text(SUBSORT_OF_RANGE)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv[0], source, *argv[1:])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: domain of s must be contained in domain of int\n")
+    assert peak < 50 * 2**20
+
+
+def test_an_integer_subsort_inside_a_fifty_million_integer_range_reaches_the_cap():
+    # a file names domain elements by identifiers only, so the library
+    # gives s the integer 3, which the range holds
+    from htsplit.semantics import check_strong_equivalence, ht_models
+
+    problem = parse_problem(SUBSORT_OF_RANGE)
+    lam, domains = problem.default_lambda, dict(problem.domains(), s=(3,))
+    calls = [
+        lambda: ht_models(problem.theory(), lam, domains),
+        lambda: check_strong_equivalence(problem.group("a"), problem.group("b"), lam, domains),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(engine.ResourceCapExceeded, match=" 50000002 atoms"):
+                call()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
+
+def test_subsort_containment_with_ranges_agrees_with_sets():
+    # either side may be a range; on small domains the verdict is the one
+    # sets of the elements give, and a 10^12-element range is never listed
+    from htsplit.interpretations import DomainError
+    from htsplit.syntax import Signature
+
+    sig = Signature.make(sorts=["s", "t"], subsorts=[("s", "t")])
+
+    def contained(inner, outer) -> bool:
+        try:
+            FiniteInterpretation.make(sig, {"s": inner, "t": outer})
+        except DomainError as exc:
+            assert str(exc) == "domain of s must be contained in domain of t"
+            return False
+        return True
+
+    small = [range(0, 1), range(-2, 5), range(4, -3, -2), range(1, 9, 3), range(3, 4)]
+    small += [tuple(d) for d in small] + [("e",), (3, "e"), (0, 1, 2, 3, 4)]
+    cases = [(i, o, set(i) <= set(o)) for i in small for o in small]
+    big = 10**12
+    cases += [
+        (range(big), range(-1, big + 1), True),
+        (range(big + 1), range(big), False),
+        (range(0, big, 6), range(0, big, 3), True),
+        (range(0, big, 2), range(0, big, 3), False),
+        (range(big), ("e", 0, 1), False),
+        ((3, 4), range(big), True),
+        (("e", 5), range(big), False),
+    ]
+    for inner, outer, expected in cases:
+        assert contained(inner, outer) == expected, (inner, outer)
+    assert {expected for _i, _o, expected in cases} == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # the options each subcommand takes
 

@@ -27,7 +27,12 @@ from htsplit.semantics import (
     enumerate_lambda_stable_models,
     ht_models,
 )
-from htsplit.splitting import check_split_program, check_split_theory, verify_split
+from htsplit.splitting import (
+    check_one_direction,
+    check_split_program,
+    check_split_theory,
+    verify_split,
+)
 from htsplit.syntax import theory_sentences
 
 
@@ -64,6 +69,8 @@ def test_blocks_split_calls_leave_no_cycles(blocks_split_problem):
     assert cyclic_garbage(lambda: enumerate_lambda_stable_models(theory, target, domains)) == 0
     assert cyclic_garbage(lambda: check_split_program(parts, partition, domains)) == 0
     assert cyclic_garbage(lambda: verify_split(parts, partition, [], domains)) == 0
+    for scope in ("union", "parts"):
+        assert cyclic_garbage(lambda: check_one_direction(parts, partition, domains, scope=scope)) == 0
     assert cyclic_garbage(graphs) == 0
 
 

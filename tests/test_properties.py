@@ -757,6 +757,81 @@ def test_one_direction_grounds_once_per_part_whatever_the_model_count(monkeypatc
     assert counts[1] == counts[4]
 
 
+def _one_direction_cases():
+    """(parts, partition, domains): selftest splits over two to four atoms
+    and strategy theories over a, b and u, each with two and three parts."""
+    import random
+
+    from htsplit.intensionality import IntensionalityStatement, Partition
+    from htsplit.selftest import random_split_instance
+    from htsplit.syntax import Equality as Eq, Variable as V
+    from strategies import random_sentence
+
+    rng = random.Random(17)
+    for _ in range(240):
+        instance = random_split_instance(rng, rng.choice((2, 3)), rng.choice((2, 3, 4)))
+        yield instance.parts, instance.partition, {}
+    x1 = V("X1", "s")
+    d1 = DomainName("d1", "s")
+    members = list(_member_partition().members)
+    first = IntensionalityStatement.make(SIG, {("u", 1): ((x1,), Eq(x1, d1))}, name="m1")
+    third = IntensionalityStatement.make(SIG, {("a", 0): ((), TOP)}, name="m3")
+    partitions = {2: _member_partition(), 3: Partition.of([first, members[1], third])}
+    for _ in range(120):
+        n_parts = rng.choice((2, 3))
+        parts = [
+            [random_sentence(rng, depth=2) for _ in range(rng.randint(0, 2))]
+            for _ in range(n_parts)
+        ]
+        yield parts, partitions[n_parts], DOMAINS
+
+
+def test_one_direction_scan_matches_the_per_model_check(monkeypatch):
+    # the scan against the per-model check it replaced, on both scopes.
+    # Where the union and every member are tight, no exact check runs
+    from conftest import reference_check_one_direction
+    from htsplit.interpretations import FiniteInterpretation
+    from htsplit.semantics import GroundProblem
+    from htsplit.splitting import check_one_direction
+
+    exact_checks = []
+    real_is_stable_ground = engine.is_stable_ground
+
+    def counting_is_stable_ground(*args):
+        exact_checks.append(1)
+        return real_is_stable_ground(*args)
+
+    seen = set()
+    for parts, partition, domains in _one_direction_cases():
+        structure = FiniteInterpretation.make(partition.target.signature, domains)
+        union = [s for part in parts for s in part]
+        union_tight = GroundProblem.ground(structure, union, partition.target).tight
+        seen.add(("parts", len(parts)))
+        if not union_tight:
+            seen.add("non-tight union")
+        for scope in ("union", "parts"):
+            expected = reference_check_one_direction(parts, partition, domains, scope=scope)
+            exact_checks.clear()
+            monkeypatch.setattr(engine, "is_stable_ground", counting_is_stable_ground)
+            try:
+                got = check_one_direction(parts, partition, domains, scope=scope)
+            finally:
+                monkeypatch.setattr(engine, "is_stable_ground", real_is_stable_ground)
+            text = [
+                [format_rule(s) if isinstance(s, Rule) else format_formula(s) for s in part]
+                for part in parts
+            ]
+            assert got == expected, (scope, text)
+            seen.add(expected)
+            members_tight = all(
+                GroundProblem.ground(structure, union if scope == "union" else part, member).tight
+                for part, member in zip(parts, partition.members)
+            )
+            if union_tight and members_tight:
+                assert not exact_checks, (scope, text)
+    assert seen == {True, False, "non-tight union", ("parts", 2), ("parts", 3)}, seen
+
+
 _PROGRAM_SIG = Signature.make(sorts=["s"], predicates={(n, 1): ("s",) for n in "pqr"})
 _PROGRAM_TERMS = (Variable("X", "s"), DomainName("d1", "s"), DomainName("d2", "s"))
 
