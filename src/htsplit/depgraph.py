@@ -26,6 +26,7 @@ from .occurrences import (
     pnn_atoms,
     pos_atoms,
 )
+from .semantics import GroundProblem, model_order, scan_atoms
 from .syntax import (
     Atom,
     DomainName,
@@ -531,18 +532,19 @@ def is_approximator(
     domains: Domains,
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> ApproximatorResult:
-    """Every stable model of the theory under the statement satisfies psi,
-    grounded once as :func:`htsplit.splitting.verify_split` grounds it; else
-    the first model that fails it is the counterexample."""
-    from .semantics import enumerate_lambda_stable_models
-
-    models = enumerate_lambda_stable_models(theory, lam, domains, atom_cap)
+    """Every stable model of the theory under the statement satisfies psi:
+    :meth:`GroundProblem.differences` lists those that do not, and the
+    first in :meth:`GroundProblem.stable_models` order is the
+    counterexample.  The cap is that of ``stable_models``."""
     structure = FiniteInterpretation.make(lam.signature, domains)
+    problem = GroundProblem.ground(structure, theory, lam)
+    atoms = scan_atoms(problem.atoms, atom_cap)
     psi_gfs = engine.ground_theory(structure, theory_sentences(psi))
-    for model in models:
-        if not all(engine.eval_gf(g, model.true_atoms) for g in psi_gfs):
-            return ApproximatorResult(False, model)
-    return ApproximatorResult(True)
+    failing = (m for m, _ in problem.differences(atoms, theory=psi_gfs))
+    first = min(failing, key=model_order(atoms), default=None)
+    if first is None:
+        return ApproximatorResult(True)
+    return ApproximatorResult(False, structure.with_atoms(first))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ cross-checks the two on small instances; callers pick with the ``method``
 argument.
 
 :class:`GroundProblem` grounds a theory under a statement once, together
-with the atoms the statement lets a here-world drop and the candidate
-atoms.  Enumeration, split verification and the one-direction check ask it
-about many interpretations instead of grounding again for each.
+with the atoms the statement lets a here-world drop; its candidate atoms
+are found when first read.  One scan, :meth:`GroundProblem.differences`,
+answers every question that compares a problem's stable models (A) with
+the models of a context that are stable for other problems (B):
+enumeration lists A, split verification A△B, the one-direction check A∖B
+and the approximator check A∖ψ.  It alone builds the block tables, takes
+the tight path or the exact check, and decides when B need not be read.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Literal as LiteralType, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Literal as LiteralType
 
 from . import engine
 from .intensionality import IntensionalityStatement
@@ -217,25 +222,51 @@ def _stable(
 # grounded problems and enumeration
 
 
+def scan_atoms(
+    atoms: Collection[GroundAtom], atom_cap: int, space: str = "candidate"
+) -> list[GroundAtom]:
+    """``atoms`` in scan order; beyond ``atom_cap`` of them, raises
+    :class:`engine.ResourceCapExceeded` naming the ``space``."""
+    if len(atoms) > atom_cap:
+        raise engine.ResourceCapExceeded(f"{space} space has {len(atoms)} atoms, cap is {atom_cap}")
+    return sorted(atoms, key=atom_sort_key)
+
+
+def model_order(atoms: Sequence[GroundAtom]) -> Callable[[frozenset[GroundAtom]], list[int]]:
+    """The sort key of :meth:`GroundProblem.stable_models`' order, for
+    models over ``atoms`` as :func:`scan_atoms` lists them: atom_sort_key is
+    injective, so sorted ranks order models as their sorted keys would."""
+    rank = {a: i for i, a in enumerate(atoms)}
+    return lambda m: sorted([rank[a] for a in m])
+
+
 @dataclass(frozen=True)
 class GroundProblem:
     """A theory under an intensionality statement, grounded once over a
     structure for pointwise stability checks.
 
     ``gfs`` holds the ground theory together with the statement's
-    excluded-middle sentences from :func:`ground_region`, ``droppable`` the
-    atoms of the universe whose ground region is not ⊥, and ``atoms`` the
-    candidate atoms: the atoms of the universe with a strictly positive
-    occurrence, the only ones that can be true in a stable model.  Where a
+    excluded-middle sentences from :func:`ground_region`, and ``droppable``
+    the atoms of the universe whose ground region is not ⊥.  Where a
     droppable atom's region is false, its excluded-middle sentence keeps it
     in every here-world.  The ground formulas do not depend on the
     structure's true atoms, so one problem answers for every interpretation
-    over its domains.
+    over its domains.  ``unrestricted`` is the problem :meth:`restrict` was
+    called on, if any.
     """
 
     gfs: list[engine.GF]
     droppable: frozenset[GroundAtom]
-    atoms: frozenset[GroundAtom]
+    unrestricted: Optional["GroundProblem"] = None
+
+    @cached_property
+    def atoms(self) -> frozenset[GroundAtom]:
+        """The candidate atoms: the atoms of the universe with a strictly
+        positive occurrence, the only ones that can be true in a stable
+        model.  A restricted problem keeps those of its unrestricted one."""
+        if self.unrestricted is not None:
+            return self.unrestricted.atoms
+        return frozenset(engine.candidate_atoms(self.gfs))
 
     @cached_property
     def tight(self) -> bool:
@@ -258,16 +289,16 @@ class GroundProblem:
         region_gf, em_gfs = ground_region(structure, lam)
         if theory_gfs is None:
             theory_gfs = engine.ground_theory(structure, theory_sentences(theory))
-        gfs = list(theory_gfs) + em_gfs
         droppable = frozenset(a for a, g in region_gf.items() if g != engine.FALSE_GF)
-        atoms = frozenset(engine.candidate_atoms(gfs))
-        return cls(gfs, droppable, atoms)
+        return cls(list(theory_gfs) + em_gfs, droppable)
 
     def restrict(self, allowed: frozenset[GroundAtom]) -> "GroundProblem":
         """The same problem with every atom outside ``allowed`` folded to
         false, for interpretations whose true atoms lie inside ``allowed``."""
         return GroundProblem(
-            [engine.restrict_false(g, allowed) for g in self.gfs], self.droppable, self.atoms
+            [engine.restrict_false(g, allowed) for g in self.gfs],
+            self.droppable,
+            self.unrestricted or self,
         )
 
     def is_stable(self, true_atoms: frozenset[GroundAtom]) -> bool:
@@ -275,40 +306,70 @@ class GroundProblem:
         stable, _ = engine.is_stable_ground(self.gfs, true_atoms, self.droppable)
         return stable
 
+    def differences(
+        self,
+        atoms: Sequence[GroundAtom],
+        kept: Iterable["GroundProblem"] = (),
+        theory: Sequence[engine.GF] = (),
+        symmetric: bool = False,
+    ) -> Iterator[tuple[frozenset[GroundAtom], bool]]:
+        """The true atoms of every interpretation over ``atoms`` in A∖B, and
+        with ``symmetric`` in B∖A too, in ascending :func:`engine.scan`
+        order, each with whether it is in A: A is this problem's stable
+        models, B the models of ``theory`` stable for every ``kept`` problem.
+
+        Where every problem is tight, each singleton loop test's survivors
+        are its stable models, so the scan lists where A's table and B's
+        differ, and the exact check only tells a symmetric mismatch's side.
+        Otherwise it lists A's survivors, or either side's, and the exact
+        check decides A first, then B where that still matters.  One way, B
+        is read only inside A, and ``kept`` not at all if A is restricted
+        to ⊥.
+        """
+        allowed = frozenset(atoms)
+        a = self.restrict(allowed)
+        if not symmetric and any(g == engine.FALSE_GF for g in a.gfs):
+            return
+        kept = [p.restrict(allowed) for p in kept]
+        theory = [engine.restrict_false(g, allowed) for g in theory]
+        tight = a.tight and all(p.tight for p in kept)
+
+        def table_of(space) -> int:
+            a_table = engine.stable_candidate_table(space, a.gfs, a.droppable)
+            if not (tight or symmetric):
+                return a_table
+            # one way, B lies inside A, where A ^ B is A∖B
+            b_table = space.mask if symmetric else a_table
+            if b_table:
+                b_table &= space.theory_table(theory)
+            for p in kept:
+                if not b_table:
+                    break
+                b_table &= engine.stable_candidate_table(space, p.gfs, p.droppable)
+            return a_table ^ b_table if tight else a_table | b_table
+
+        for true_atoms in engine.scan(atoms, table_of):
+            if tight:
+                yield true_atoms, not symmetric or a.is_stable(true_atoms)
+                continue
+            in_a = (a.tight and not symmetric) or a.is_stable(true_atoms)
+            if not (in_a or symmetric):
+                continue
+            in_b = all(engine.eval_gf(g, true_atoms) for g in theory) and all(
+                p.is_stable(true_atoms) for p in kept
+            )
+            if in_a != in_b:
+                yield true_atoms, in_a
+
     def stable_models(
         self, atom_cap: int = engine.DEFAULT_ATOM_CAP
     ) -> list[frozenset[GroundAtom]]:
-        """The true atoms of every stable model, in a fixed order.
-
-        The search covers the candidate atoms only: :func:`engine.scan`
-        lists the survivors of the singleton loop test, the classical models
-        from which no droppable true atom can be dropped alone.  On a
-        tight problem they are the stable models; on any other the exact
-        check decides them.  Raises :class:`engine.ResourceCapExceeded`
-        beyond ``atom_cap`` candidate atoms.
-        """
-        atoms = sorted(self.atoms, key=atom_sort_key)
-        if len(atoms) > atom_cap:
-            raise engine.ResourceCapExceeded(
-                f"candidate space has {len(atoms)} atoms, cap is {atom_cap}"
-            )
-        problem = self.restrict(frozenset(atoms))
-        if any(g == engine.FALSE_GF for g in problem.gfs):
-            return []
-
-        survivors = engine.scan(
-            atoms,
-            lambda space: engine.stable_candidate_table(space, problem.gfs, problem.droppable),
-        )
-        if problem.tight:
-            models = list(survivors)
-        else:
-            models = [m for m in survivors if problem.is_stable(m)]
-        # atom_sort_key is injective and ``atoms`` is in its order, so ranks
-        # in ``atoms`` sort the models as the atoms' keys would
-        rank = {a: i for i, a in enumerate(atoms)}
-        models.sort(key=lambda m: sorted([rank[a] for a in m]))
-        return models
+        """The true atoms of every stable model, in :func:`model_order`:
+        :meth:`differences` over the candidate atoms with B empty.  Raises
+        :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` of them."""
+        atoms = scan_atoms(self.atoms, atom_cap)
+        models = [m for m, _ in self.differences(atoms, theory=[engine.FALSE_GF])]
+        return sorted(models, key=model_order(atoms))
 
 
 def enumerate_lambda_stable_models(

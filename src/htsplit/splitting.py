@@ -22,13 +22,8 @@ from .depgraph import (
     theory_dep_graph,
 )
 from .intensionality import IntensionalityStatement, Partition, partition_problems
-from .interpretations import (
-    FiniteInterpretation,
-    GroundAtom,
-    atom_sort_key,
-    format_atom,
-)
-from .semantics import GroundProblem
+from .interpretations import FiniteInterpretation, format_atom
+from .semantics import GroundProblem, scan_atoms
 from .syntax import Rule, Statement, theory_sentences
 
 
@@ -126,6 +121,14 @@ class SplitReport:
         }
 
 
+def _union(parts: Sequence[Sequence[Statement]], partition: Partition) -> list[Statement]:
+    """The statements of every part.  Raises :class:`ValueError` unless
+    each partition member has one part."""
+    if len(parts) != len(partition.members):
+        raise ValueError("one part per partition member is required")
+    return [s for part in parts for s in part]
+
+
 def _split_report(
     kind: str,
     parts: Sequence[Sequence[Statement]],
@@ -137,10 +140,9 @@ def _split_report(
 ) -> SplitReport:
     """The hypotheses both splitting results share: separability of the
     graph of the union, and negativity of each part on every other member."""
-    if len(parts) != len(partition.members):
-        raise ValueError(f"one {kind} part per partition member is required")
+    union = _union(parts, partition)
     issues = tuple(partition_problems(partition, domains))
-    graph = graph_of([s for part in parts for s in part])
+    graph = graph_of(union)
     cells = [
         NegativityCell(
             i,
@@ -196,9 +198,8 @@ def check_split_theory(
         lambda union: theory_dep_graph(union, partition, psi, domains, check_partition=False),
         lambda part, member: is_psi_negative(part, member, psi, domains),
     )
-    union: list[Statement] = [s for part in parts for s in part]
     try:
-        approx = is_approximator(psi, union, partition.target, domains, atom_cap)
+        approx = is_approximator(psi, _union(parts, partition), partition.target, domains, atom_cap)
     except engine.ResourceCapExceeded:
         return replace(report, approximator_verdict="unknown")
     return replace(
@@ -218,68 +219,31 @@ def verify_split(
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> VerificationResult:
     """Compare, interpretation by interpretation, the stable models of the
-    union against the conjunction of context membership and per-part
-    stability.
+    union (A) against the conjunction of context membership and per-part
+    stability (B): the first of A△B that :meth:`GroundProblem.differences`
+    lists is the lowest mismatch.
 
-    The scan covers every interpretation that could belong to either side:
-    an interpretation making an atom true that no side can support belongs to
-    neither, so the two sides trivially agree on it.  :func:`engine.scan`
-    lists the survivors of either side's singleton loop test in ascending
-    order, and each is rechecked exactly as it comes, so the first mismatch
-    is the lowest one.  When the union and every part are tight, the
-    survivors of each side are its members, so only the interpretations on
-    which the two sides' tables differ are listed: each is a mismatch, and
-    a run that verifies makes no exact check.
+    The scan covers every interpretation that could belong to either side,
+    the union's candidate atoms and those every part shares: an
+    interpretation making an atom true that no side can support belongs to
+    neither, so the two sides trivially agree on it.
     """
-    if len(parts) != len(partition.members):
-        raise ValueError("one part per partition member is required")
-    signature = partition.target.signature
-    structure = FiniteInterpretation.make(signature, domains)
-    union: list[Statement] = [s for part in parts for s in part]
+    union = _union(parts, partition)
+    structure = FiniteInterpretation.make(partition.target.signature, domains)
     union_side = GroundProblem.ground(structure, union, partition.target)
-
     part_sides = [
         GroundProblem.ground(structure, list(part), member)
         for part, member in zip(parts, partition.members)
     ]
-    parts_atoms: frozenset[GroundAtom] = part_sides[0].atoms
-    for side in part_sides[1:]:
-        parts_atoms &= side.atoms
-    psi_sentences = theory_sentences(psi)
-    psi_gfs = engine.ground_theory(structure, psi_sentences)
-
-    space_atoms = sorted(union_side.atoms | parts_atoms, key=atom_sort_key)
-    if len(space_atoms) > atom_cap:
-        raise engine.ResourceCapExceeded(
-            f"verification space has {len(space_atoms)} atoms, cap is {atom_cap}"
-        )
-    allowed = frozenset(space_atoms)
-    union_side = union_side.restrict(allowed)
-    part_sides = [side.restrict(allowed) for side in part_sides]
-    psi_restricted = [engine.restrict_false(g, allowed) for g in psi_gfs]
-
-    def in_side_b(true_atoms: frozenset[GroundAtom]) -> bool:
-        if any(not engine.eval_gf(g, true_atoms) for g in psi_restricted):
-            return False
-        return all(side.is_stable(true_atoms) for side in part_sides)
-
-    tight = union_side.tight and all(side.tight for side in part_sides)
-
-    def either_side(space) -> int:
-        table_a = engine.stable_candidate_table(space, union_side.gfs, union_side.droppable)
-        table_b = space.theory_table(psi_restricted)
-        for side in part_sides:
-            if not table_b:
-                break
-            table_b &= engine.stable_candidate_table(space, side.gfs, side.droppable)
-        return table_a ^ table_b if tight else table_a | table_b
-
-    for true_atoms in engine.scan(space_atoms, either_side):
-        a = union_side.is_stable(true_atoms)
-        if a != in_side_b(true_atoms):
-            side = "union-only" if a else "parts-only"
-            return VerificationResult("mismatch", structure.with_atoms(true_atoms), side)
-    return VerificationResult("verified")
+    parts_atoms = frozenset.intersection(*(side.atoms for side in part_sides))
+    psi_gfs = engine.ground_theory(structure, theory_sentences(psi))
+    atoms = scan_atoms(union_side.atoms | parts_atoms, atom_cap, "verification")
+    mismatch = next(union_side.differences(atoms, part_sides, psi_gfs, symmetric=True), None)
+    if mismatch is None:
+        return VerificationResult("verified")
+    true_atoms, in_union = mismatch
+    side = "union-only" if in_union else "parts-only"
+    return VerificationResult("mismatch", structure.with_atoms(true_atoms), side)
 
 
 def check_one_direction(
@@ -301,55 +265,24 @@ def check_one_direction(
     ``{c | b :- not not b}``, whose union has the stable model {b} even
     though the first part alone cannot support b.
 
-    One :func:`engine.scan` over the union's candidate atoms looks for a
-    stable model of the union (A) that some member's problem does not keep
-    (B), so the direction holds iff A∖B is empty.  The union's theory is
-    ground once, and with ``scope="union"`` every member's problem reuses
-    it.  When the union and every member are tight, the survivors of each
-    singleton loop test are its stable models, so the scan lists A∖B
-    itself: its first interpretation refutes the direction, and no exact
-    check runs.  Otherwise the scan lists the union's survivors, and each
-    gets the exact check on the union and then on each member.  Raises
-    :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` candidate atoms.
+    The direction holds iff :meth:`GroundProblem.differences` lists nothing
+    over the union's candidate atoms: no stable model of the union (A) that
+    some member's problem does not keep (B).  The union's theory is ground
+    once, and with ``scope="union"`` every member's problem reuses it.
+    Raises :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` candidate
+    atoms, before any member is ground.
     """
     if scope not in ("union", "parts"):
         raise ValueError(f"unknown scope {scope!r}")
+    union = _union(parts, partition)
     structure = FiniteInterpretation.make(partition.target.signature, domains)
-    union: list[Statement] = [s for part in parts for s in part]
     union_gfs = engine.ground_theory(structure, theory_sentences(union))
     union_side = GroundProblem.ground(structure, union, partition.target, union_gfs)
-    atoms = sorted(union_side.atoms, key=atom_sort_key)
-    if len(atoms) > atom_cap:
-        raise engine.ResourceCapExceeded(
-            f"candidate space has {len(atoms)} atoms, cap is {atom_cap}"
-        )
-    allowed = frozenset(atoms)
-    union_side = union_side.restrict(allowed)
-    if any(g == engine.FALSE_GF for g in union_side.gfs):
-        return True  # the union has no stable model
-    member_sides = [
-        GroundProblem.ground(structure, union, member, union_gfs).restrict(allowed)
+    atoms = scan_atoms(union_side.atoms, atom_cap)
+    member_sides = (
+        GroundProblem.ground(structure, union, member, union_gfs)
         if scope == "union"
-        else GroundProblem.ground(structure, list(part), member).restrict(allowed)
+        else GroundProblem.ground(structure, list(part), member)
         for part, member in zip(parts, partition.members)
-    ]
-    tight = union_side.tight and all(side.tight for side in member_sides)
-
-    def union_only(space) -> int:
-        table = engine.stable_candidate_table(space, union_side.gfs, union_side.droppable)
-        if not tight:
-            return table
-        kept = table
-        for side in member_sides:
-            if not kept:
-                break
-            kept &= engine.stable_candidate_table(space, side.gfs, side.droppable)
-        return table ^ kept
-
-    for true_atoms in engine.scan(atoms, union_only):
-        if tight:
-            return False
-        if union_side.tight or union_side.is_stable(true_atoms):
-            if not all(side.is_stable(true_atoms) for side in member_sides):
-                return False
-    return True
+    )
+    return next(union_side.differences(atoms, member_sides), None) is None

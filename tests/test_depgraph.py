@@ -33,6 +33,7 @@ from htsplit.syntax import (
     Signature,
     TOP,
     Variable,
+    format_formula,
     int_name,
     neg,
     theory_sentences,
@@ -397,3 +398,51 @@ def test_a_theory_graph_makes_one_structure_and_grounds_the_context_once(meta_pr
     assert graph.edges
     assert len(makes) == 1
     assert psi_groundings == [psi_sentences]
+
+
+def test_approximator_reports_the_lowest_definitional_counterexample():
+    # the verdict and counterexample against the definitional stability of
+    # every interpretation: the lowest stable model in stable_models order
+    # (ascending by its sorted atom keys) that fails psi.  The loop
+    # a <-> u(d2) makes the first theory non-tight, so the survivors of its
+    # singleton loop test that fail psi need the exact check
+    import random
+
+    from htsplit.interpretations import all_interpretations, atom_sort_key
+    from htsplit.semantics import GroundProblem, is_lambda_stable
+    from htsplit.syntax import DomainName
+    from strategies import DOMAINS, SIG, random_sentence
+    from test_properties import _member_partition
+
+    partition = _member_partition()
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    rng = random.Random(31)
+    a, u2 = Atom("a", ()), Atom("u", (DomainName("d2", "s"),))
+    cases = [([Implies(u2, a), Implies(a, u2)], [neg(a)])]
+    for _ in range(100):
+        theory = [random_sentence(rng, depth=2) for _ in range(rng.randint(1, 3))]
+        cases.append((theory, [random_sentence(rng, depth=1)]))
+    seen = set()
+    for theory, psi in cases:
+        for lam in (partition.target, *partition.members):
+            failing = [
+                interp
+                for interp in all_interpretations(SIG, DOMAINS)
+                if is_lambda_stable(interp, theory, lam, method="direct-full")
+                and not satisfies_all(interp, theory_sentences(psi))
+            ]
+            result = is_approximator(psi, theory, lam, DOMAINS)
+            text = [format_formula(s) for s in theory + psi]
+            if failing:
+                lowest = min(
+                    failing, key=lambda i: sorted(atom_sort_key(x) for x in i.true_atoms)
+                )
+                assert not result.holds, text
+                assert result.counterexample.true_atoms == lowest.true_atoms, text
+            else:
+                assert result.holds and result.counterexample is None, text
+            seen.add(result.holds)
+            problem = GroundProblem.ground(structure, theory, lam)
+            if not problem.restrict(problem.atoms).tight:
+                seen.add("non-tight")
+    assert seen == {True, False, "non-tight"}, seen

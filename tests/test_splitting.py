@@ -174,6 +174,17 @@ def test_one_direction_empty_theory():
     assert check_one_direction([[]], partition, {}, scope="parts")
 
 
+@pytest.mark.parametrize("scope", ["union", "parts"])
+def test_one_direction_needs_one_part_per_member(blocks_split, scope):
+    # one part for two members is refused, as verify_split refuses it, not
+    # answered for the first member alone
+    problem, partition, parts = blocks_split
+    with pytest.raises(ValueError, match="one part per partition member is required"):
+        check_one_direction(parts[:1], partition, problem.domains(), scope=scope)
+    with pytest.raises(ValueError, match="one part per partition member is required"):
+        verify_split(parts[:1], partition, [], problem.domains())
+
+
 def test_one_direction_per_part_counterexample():
     # the printed per-part form fails: support crosses parts through a
     # doubly negated body, so the first part alone cannot justify b
