@@ -8,26 +8,29 @@ enumeration on the subcommands that enumerate, ``models``, ``ht-models``,
 
 Exit codes: 0 success, 1 semantic failure (split rejected, counterexample
 found), 2 input error, 3 resource cap, recursion limit or inconclusive
-verdict.
+verdict.  A reader that closes stdout early only cuts the output short: the
+command still exits with its own code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import engine
 from .depgraph import graph_to_dot, graph_to_json, is_separable, program_dep_graph, theory_dep_graph
 from .intensionality import IntensionalityStatement, Partition, validate_condition_predicates
-from .interpretations import GroundAtom, format_atom, format_atom_set
+from .interpretations import FiniteInterpretation, GroundAtom, format_atom, format_atom_set
 from .occurrences import PolarityError, TransformContext, atom_occurrences_with_polarity, fresh_variables
 from .parser import ParseError, ProblemFile, parse_problem, print_problem
 from .selftest import run_selftest
-from .semantics import check_strong_equivalence, enumerate_lambda_stable_models, ht_models
+from .semantics import GroundProblem, check_strong_equivalence, ht_models
 from .splitting import SplitReport, check_split_program, check_split_theory, verify_split
 from .syntax import Rule, Statement, format_formula, theory_sentences
 
@@ -74,12 +77,81 @@ def _context(problem: ProblemFile, name: Optional[str]) -> list:
     return problem.context(name)
 
 
-def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+# ---------------------------------------------------------------------------
+# output: every command writes to stdout through _write
+
+
+class JSONStrings(list):
+    """Strings already encoded as JSON text, which :func:`json_chunks`
+    writes as an array of those strings."""
+
+
+def json_chunks(value: Any, indent: str = "\n") -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, piece by
+    piece, for a ``value`` made of dicts with string keys, strings, ints,
+    bools, None and arrays.  An array is a list, a tuple, a
+    :class:`JSONStrings` or any other iterable, read once as it is written,
+    so a generator's items need never exist all at once.  ``indent`` is the
+    line break and indentation of the line ``value`` starts on.  Unlike the
+    json module's indenting encoder, it makes no nested functions, so a call
+    leaves no reference cycle behind.
+    """
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from json_chunks(value[key], inner)
+            sep = "," + inner
+        yield indent + "}" if value else "{}"
+    elif isinstance(value, JSONStrings):
+        inner = indent + "  "
+        yield "[" + inner + ("," + inner).join(value) + indent + "]" if value else "[]"
     else:
-        for line in text_lines:
-            print(line)
+        inner = indent + "  "
+        empty = True
+        for item in value:
+            yield ("[" if empty else ",") + inner
+            yield from json_chunks(item, inner)
+            empty = False
+        yield "[]" if empty else indent + "]"
+
+
+def _write(chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to stdout and flush it.  A reader that closes the
+    pipe early is no error: the rest of the output is dropped, and the
+    command goes on to its own exit code."""
+    out = sys.stdout
+    try:
+        out.writelines(chunks)
+        out.flush()
+    except BrokenPipeError:
+        # what is still buffered, and any later write, goes nowhere, so
+        # neither raises again, nor does the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+
+
+def _write_json(value: Any) -> None:
+    _write(chain(json_chunks(value), ["\n"]))
+
+
+def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload: dict) -> None:
+    if args.format == "json":
+        _write_json(payload)
+    else:
+        _write(line + "\n" for line in text_lines)
 
 
 def _atom_names(
@@ -88,13 +160,25 @@ def _atom_names(
     return sorted(map(name, atoms))
 
 
+def _models_json(models: Iterable[int], names: Sequence[str]) -> Iterator[JSONStrings]:
+    """Each model, a global index over atoms with these ``names``, as the
+    JSON strings of its true atoms' names in name order.  Each name is
+    encoded once, and ``by_name`` lists the atoms' positions in name order,
+    so no model's names are sorted."""
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    encoded = [encode_basestring_ascii(names[i]) for i in by_name]
+    for index in models:
+        flags = engine.index_flags(index).ljust(len(names), b"\0")
+        yield JSONStrings(compress(encoded, map(flags.__getitem__, by_name)))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
     problem = _load(args)
-    sys.stdout.write(print_problem(problem))
+    _write([print_problem(problem)])
     return OK
 
 
@@ -102,12 +186,15 @@ def cmd_models(args: argparse.Namespace) -> int:
     atom_cap = _atom_cap(args)
     problem = _load(args)
     lam = _lambda(problem, args.lambda_name)
-    models = enumerate_lambda_stable_models(problem.theory(), lam, problem.domains(), atom_cap)
+    structure = FiniteInterpretation.make(lam.signature, problem.domains())
+    atoms, models = GroundProblem.ground(structure, problem.theory(), lam).stable_models(atom_cap)
+    # written one model at a time, each decoded from its index as it goes
+    names = [format_atom(a) for a in atoms]
     if args.format == "json":
-        name = functools.cache(format_atom)  # each atom formatted once
-        _emit(args, [], {"models": [_atom_names(m.true_atoms, name) for m in models]})
+        _emit(args, [], {"models": _models_json(models, names)})
     else:
-        _emit(args, [format_atom_set(m.true_atoms) for m in models], {})
+        lines = ("{" + ", ".join(compress(names, engine.index_flags(k))) + "}" for k in models)
+        _emit(args, lines, {})
     return OK
 
 
@@ -118,7 +205,7 @@ def cmd_ht_models(args: argparse.Namespace) -> int:
     pairs = ht_models(problem.theory(), lam, problem.domains(), atom_cap)
     if args.format == "json":
         name = functools.cache(format_atom)  # each atom formatted once
-        payload = [{"here": _atom_names(h, name), "there": _atom_names(t, name)} for h, t in pairs]
+        payload = ({"here": _atom_names(h, name), "there": _atom_names(t, name)} for h, t in pairs)
         _emit(args, [], {"ht_models": payload})
     else:
         lines = sorted(f"here={format_atom_set(h)} there={format_atom_set(t)}" for h, t in pairs)
@@ -204,19 +291,18 @@ def cmd_graph(args: argparse.Namespace) -> int:
         w.inconclusive for _e, ws in graph.provenance for w in ws
     )
     if args.format == "dot-like":
-        print(graph_to_dot(graph))
+        _write([graph_to_dot(graph), "\n"])
     elif args.format == "json":
-        print(json.dumps(graph_to_json(graph), indent=2, sort_keys=True))
+        _write_json(graph_to_json(graph))
     else:
-        print(f"{graph.kind} dependency graph")
-        for v in graph.vertices:
-            print(f"vertex {graph.label(v)}")
-        for u, w in graph.edges:
-            print(f"edge {graph.label(u)} -> {graph.label(w)}")
+        lines = [f"{graph.kind} dependency graph"]
+        lines += [f"vertex {graph.label(v)}" for v in graph.vertices]
+        lines += [f"edge {graph.label(u)} -> {graph.label(w)}" for u, w in graph.edges]
         sep = is_separable(graph)
-        print(f"separable: {'yes' if sep.separable else 'no'}")
+        lines.append(f"separable: {'yes' if sep.separable else 'no'}")
         if sep.mixed_cycle:
-            print("mixed cycle: " + " -> ".join(graph.label(v) for v in sep.mixed_cycle))
+            lines.append("mixed cycle: " + " -> ".join(graph.label(v) for v in sep.mixed_cycle))
+        _write(line + "\n" for line in lines)
     if inconclusive:
         print(INCONCLUSIVE_EDGES, file=sys.stderr)
         return INCONCLUSIVE
@@ -369,7 +455,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
         return run(args)
-    except (OSError, ParseError, KeyError, ValueError, PolarityError) as exc:
+    except OSError as exc:
+        # an OSError's first argument is its errno
+        reason = exc.strerror or str(exc)
+        message = reason if exc.filename is None else f"{exc.filename}: {reason}"
+        print(f"error: {message}", file=sys.stderr)
+        return INPUT_ERROR
+    except (ParseError, KeyError, ValueError, PolarityError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return INPUT_ERROR

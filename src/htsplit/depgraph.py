@@ -540,11 +540,11 @@ def is_approximator(
     problem = GroundProblem.ground(structure, theory, lam)
     atoms = scan_atoms(problem.atoms, atom_cap)
     psi_gfs = engine.ground_theory(structure, theory_sentences(psi))
-    failing = (m for m, _ in problem.differences(atoms, theory=psi_gfs))
-    first = min(failing, key=model_order(atoms), default=None)
+    failing = (k for k, _ in problem.differences(atoms, theory=psi_gfs))
+    first = min(failing, key=model_order, default=None)
     if first is None:
         return ApproximatorResult(True)
-    return ApproximatorResult(False, structure.with_atoms(first))
+    return ApproximatorResult(False, structure.with_atoms(engine.decode(atoms, first)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,12 @@ atom universe grounds to false.  On top of that this module provides:
   built on them, the singleton loop test (:func:`stable_candidate_table`),
   which keeps the classical models X from which no droppable true atom a
   can be dropped alone: X∖{a} does not satisfy the reduct at X.
-  :func:`scan` is the one place that knows the space is walked in blocks of
-  at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary, the others
-  are fixed per block): its callers pass a table per block and get back the
-  true atoms of each kept assignment.  The blocks of one scan share a
+  :func:`scan_indices` is the one place that knows the space is walked in
+  blocks of at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary,
+  the others are fixed per block): its callers pass a table per block and
+  get back the global index of each kept assignment, an int whose bit i is
+  atom i; :func:`scan` decodes each into its true atoms.  The blocks of one
+  scan share a
   :class:`ScanStore`, so the test walks a conjunct once per scan for each
   set of values its fixed atoms take, not once per block;
 * tightness (:func:`is_tight`): when the positive dependency graph has no
@@ -43,9 +45,9 @@ atom universe grounds to false.  On top of that this module provides:
   the singleton loop test are the stable models and tight problems skip
   the exact check;
 * the exact minimality check of one candidate (:func:`is_stable_ground`),
-  one :func:`scan` over the here-worlds: is the lowest model of the reduct
-  the candidate itself?  So the stable-model path, from the prefilter to
-  the exact check, runs on truth tables only.
+  one :func:`scan_indices` over the here-worlds: is the lowest model of the
+  reduct the candidate itself?  So the stable-model path, from the prefilter
+  to the exact check, runs on truth tables only.
 
 Grounding a theory under an intensionality statement, and enumerating its
 stable models with these pieces, is :class:`htsplit.semantics.GroundProblem`.
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import compress
 from typing import (
     Any,
     Callable,
@@ -779,10 +782,10 @@ BLOCK_ATOMS = 16
 
 
 class ScanStore:
-    """What the blocks of one :func:`scan` over ``atoms`` share, made by the
-    scan and dropped with it: the atom list and its index, the tables of the
-    varying atoms, and for the singleton loop test the plan of each problem
-    and the walks of its conjuncts.
+    """What the blocks of one :func:`scan_indices` over ``atoms`` share, made
+    by the scan and dropped with it: the atom list and its index, the tables
+    of the varying atoms, and for the singleton loop test the plan of each
+    problem and the walks of its conjuncts.
 
     A conjunct's walk reads only the tables of its own atoms, which are the
     same in every block for a varying atom and a constant for a fixed one,
@@ -810,9 +813,9 @@ class TableSpace:
     the block number is set.  An assignment's global index has bit ``i`` set
     iff atom ``i`` is true, and a table is a Python int whose bit ``k``
     gives the formula's value under the block's assignment of global index
-    ``base + k``.  :func:`scan` walks the blocks of a space, and its blocks
-    carry one :class:`ScanStore`, made for the same atoms; a space made
-    alone gets its own.
+    ``base + k``.  :func:`scan_indices` walks the blocks of a space, and
+    its blocks carry one :class:`ScanStore`, made for the same atoms; a
+    space made alone gets its own.
     """
 
     def __init__(
@@ -890,12 +893,11 @@ class TableSpace:
         return out
 
 
-def scan(
+def scan_indices(
     atoms: Sequence[GroundAtom], table_of: Callable[[TableSpace], int]
-) -> Iterator[frozenset[GroundAtom]]:
-    """The true atoms of every assignment to ``atoms`` whose bit is set in
-    the table ``table_of`` builds for its block, in ascending order of
-    global index.
+) -> Iterator[int]:
+    """The global index of every assignment to ``atoms`` whose bit is set in
+    the table ``table_of`` builds for its block, in ascending order.
 
     The blocks come in ascending order and share one :class:`ScanStore`,
     which the scan drops when it ends.  A block's table is built only once
@@ -904,18 +906,36 @@ def scan(
     later table.
     """
     store = ScanStore(atoms)
-    atoms = store.atoms
-    for block in range(1 << (len(atoms) - store.low)):
-        space = TableSpace(atoms, block, store)
+    for block in range(1 << (len(store.atoms) - store.low)):
+        space = TableSpace(store.atoms, block, store)
         table = table_of(space)
         if table:
-            for k in space.indices(table):
-                true = []
-                while k:  # one step per set bit, lowest first
-                    low = k & -k
-                    true.append(atoms[low.bit_length() - 1])
-                    k ^= low
-                yield frozenset(true)
+            yield from space.indices(table)
+
+
+def scan(
+    atoms: Sequence[GroundAtom], table_of: Callable[[TableSpace], int]
+) -> Iterator[frozenset[GroundAtom]]:
+    """:func:`scan_indices`, each index decoded into its true atoms."""
+    for index in scan_indices(atoms, table_of):
+        yield decode(atoms, index)
+
+
+# bin() digits to flag bytes, so that itertools.compress picks by them
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def index_flags(index: int) -> bytes:
+    """Byte i is 1 where bit i of ``index`` is set and 0 where it is clear,
+    up to the highest set bit: with :func:`itertools.compress` over the
+    atoms of a space, the atoms that the assignment of that global index
+    makes true, lowest first."""
+    return bin(index)[:1:-1].encode().translate(_FLAG_BYTES)
+
+
+def decode(atoms: Sequence[GroundAtom], index: int) -> frozenset[GroundAtom]:
+    """The true atoms of the assignment to ``atoms`` of global ``index``."""
+    return frozenset(compress(atoms, index_flags(index)))
 
 
 # a module-level function: a nested one that calls itself holds its closure,
@@ -1074,7 +1094,8 @@ def is_stable_ground(
     true_atoms: frozenset[GroundAtom],
     droppable: frozenset[GroundAtom],
 ) -> tuple[bool, Optional[frozenset[GroundAtom]]]:
-    """Minimality check via the reduct, one :func:`scan` over the here-worlds.
+    """Minimality check via the reduct, one :func:`scan_indices` over the
+    here-worlds.
 
     A proper here-world may drop the true atoms in ``droppable`` and keeps
     the others.  ``gfs`` must hold each atom's excluded-middle sentence, as
@@ -1083,10 +1104,11 @@ def is_stable_ground(
     keeps.  The here-worlds are the assignments to the true droppable atoms
     in :func:`~htsplit.interpretations.atom_sort_key` order, and the true
     atoms themselves are the all-ones assignment, which comes last.  So they
-    are stable exactly when the first here-world that satisfies the reduct
-    is the last one.  Returns ``(True, None)``; ``(False, H)`` with H the
-    lowest proper here-world that satisfies the reduct; or ``(False, None)``
-    when the true atoms do not even satisfy ``gfs``.  Raises
+    are stable exactly when the first index the scan yields, that of the
+    lowest here-world that satisfies the reduct, is all ones.  Returns
+    ``(True, None)``; ``(False, H)`` with H the lowest proper here-world
+    that satisfies the reduct; or ``(False, None)`` when the true atoms do
+    not even satisfy ``gfs``.  Raises
     :class:`ResourceCapExceeded` beyond ``DEFAULT_ATOM_CAP`` removable atoms.
     """
     removable = true_atoms & droppable
@@ -1102,10 +1124,10 @@ def is_stable_ground(
             f"stability check has {len(removable)} removable atoms, cap is {DEFAULT_ATOM_CAP}"
         )
     atoms = sorted(removable, key=atom_sort_key)
-    here = next(scan(atoms, lambda space: space.theory_table(reducts)))
-    if len(here) == len(atoms):
+    here = next(scan_indices(atoms, lambda space: space.theory_table(reducts)))
+    if here == (1 << len(atoms)) - 1:
         return (True, None)
-    return (False, here | (true_atoms - removable))
+    return (False, decode(atoms, here) | (true_atoms - removable))
 
 
 # ---------------------------------------------------------------------------
@@ -1163,7 +1185,7 @@ def stable_candidate_table(
     droppable: frozenset[GroundAtom],
 ) -> int:
     """The singleton loop test, bit-parallel over one block of the space;
-    callers hand it to :func:`scan`, which walks the blocks.
+    callers hand it to :func:`scan_indices`, which walks the blocks.
 
     Keeps the classical models X of the theory in which no true atom a in
     ``droppable`` has X∖{a} ⊨ Γ^X; the atoms fixed by the block are checked

@@ -232,12 +232,23 @@ def scan_atoms(
     return sorted(atoms, key=atom_sort_key)
 
 
-def model_order(atoms: Sequence[GroundAtom]) -> Callable[[frozenset[GroundAtom]], list[int]]:
-    """The sort key of :meth:`GroundProblem.stable_models`' order, for
-    models over ``atoms`` as :func:`scan_atoms` lists them: atom_sort_key is
-    injective, so sorted ranks order models as their sorted keys would."""
-    rank = {a: i for i, a in enumerate(atoms)}
-    return lambda m: sorted([rank[a] for a in m])
+# a false atom's digit, after a true one's
+_FALSE_LAST = str.maketrans("0", "2")
+
+
+def model_order(index: int) -> str:
+    """The sort key of :meth:`GroundProblem.stable_models`' order, on the
+    global index of a model over atoms as :func:`scan_atoms` lists them.
+
+    The order is that of the ascending lists of the ranks of the models'
+    true atoms (atom_sort_key is injective, so these order models as their
+    sorted keys would).  The key has a digit per atom up to the last true
+    one, ``1`` where it is true and ``2`` where it is false: where two lists
+    first differ, the one whose next rank is lower has a true atom where the
+    other has a false one, and a list that is a prefix of the other has the
+    shorter key.  A key of a few dozen characters is a smaller object than
+    a list of ranks, and is made without a Python loop."""
+    return bin(index)[:1:-1].rstrip("0").translate(_FALSE_LAST)
 
 
 @dataclass(frozen=True)
@@ -312,11 +323,11 @@ class GroundProblem:
         kept: Iterable["GroundProblem"] = (),
         theory: Sequence[engine.GF] = (),
         symmetric: bool = False,
-    ) -> Iterator[tuple[frozenset[GroundAtom], bool]]:
-        """The true atoms of every interpretation over ``atoms`` in A∖B, and
-        with ``symmetric`` in B∖A too, in ascending :func:`engine.scan`
-        order, each with whether it is in A: A is this problem's stable
-        models, B the models of ``theory`` stable for every ``kept`` problem.
+    ) -> Iterator[tuple[int, bool]]:
+        """The global index over ``atoms`` of every interpretation in A∖B,
+        and with ``symmetric`` in B∖A too, in ascending order, each with
+        whether it is in A: A is this problem's stable models, B the models
+        of ``theory`` stable for every ``kept`` problem.
 
         Where every problem is tight, each singleton loop test's survivors
         are its stable models, so the scan lists where A's table and B's
@@ -348,9 +359,13 @@ class GroundProblem:
                 b_table &= engine.stable_candidate_table(space, p.gfs, p.droppable)
             return a_table ^ b_table if tight else a_table | b_table
 
-        for true_atoms in engine.scan(atoms, table_of):
+        for index in engine.scan_indices(atoms, table_of):
+            if tight and not symmetric:
+                yield index, True
+                continue
+            true_atoms = engine.decode(atoms, index)
             if tight:
-                yield true_atoms, not symmetric or a.is_stable(true_atoms)
+                yield index, a.is_stable(true_atoms)
                 continue
             in_a = (a.tight and not symmetric) or a.is_stable(true_atoms)
             if not (in_a or symmetric):
@@ -359,17 +374,19 @@ class GroundProblem:
                 p.is_stable(true_atoms) for p in kept
             )
             if in_a != in_b:
-                yield true_atoms, in_a
+                yield index, in_a
 
     def stable_models(
         self, atom_cap: int = engine.DEFAULT_ATOM_CAP
-    ) -> list[frozenset[GroundAtom]]:
-        """The true atoms of every stable model, in :func:`model_order`:
-        :meth:`differences` over the candidate atoms with B empty.  Raises
+    ) -> tuple[list[GroundAtom], list[int]]:
+        """The candidate atoms in scan order, and the global index over them
+        of every stable model, in :func:`model_order`: :meth:`differences`
+        over the candidate atoms with B empty.  Raises
         :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` of them."""
         atoms = scan_atoms(self.atoms, atom_cap)
-        models = [m for m, _ in self.differences(atoms, theory=[engine.FALSE_GF])]
-        return sorted(models, key=model_order(atoms))
+        models = [k for k, _ in self.differences(atoms, theory=[engine.FALSE_GF])]
+        models.sort(key=model_order)
+        return atoms, models
 
 
 def enumerate_lambda_stable_models(
@@ -387,9 +404,8 @@ def enumerate_lambda_stable_models(
     candidate atoms.
     """
     structure = FiniteInterpretation.make(lam.signature, domains)
-    problem = GroundProblem.ground(structure, theory, lam)
-    return [structure.with_atoms(m) for m in problem.stable_models(atom_cap)]
-
+    atoms, models = GroundProblem.ground(structure, theory, lam).stable_models(atom_cap)
+    return [structure.with_atoms(engine.decode(atoms, k)) for k in models]
 
 # ---------------------------------------------------------------------------
 # strong equivalence

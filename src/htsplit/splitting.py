@@ -241,9 +241,9 @@ def verify_split(
     mismatch = next(union_side.differences(atoms, part_sides, psi_gfs, symmetric=True), None)
     if mismatch is None:
         return VerificationResult("verified")
-    true_atoms, in_union = mismatch
+    index, in_union = mismatch
     side = "union-only" if in_union else "parts-only"
-    return VerificationResult("mismatch", structure.with_atoms(true_atoms), side)
+    return VerificationResult("mismatch", structure.with_atoms(engine.decode(atoms, index)), side)
 
 
 def check_one_direction(

@@ -260,3 +260,11 @@ def reference_check_one_direction(parts, partition, domains, atom_cap=None, scop
         for part, member in zip(parts, partition.members)
     ]
     return all(p.is_stable(m.true_atoms) for m in models for p in problems)
+
+
+def reference_model_order(atoms):
+    """The sort key of stable-model order from before models were kept as
+    integers, kept as a test oracle: over ``atoms`` in scan order, a model,
+    a set of true atoms, sorts by its atoms' ranks, ascending."""
+    rank = {a: i for i, a in enumerate(atoms)}
+    return lambda m: sorted([rank[a] for a in m])

@@ -57,7 +57,8 @@ def _strategy_cases(count: int, seed: int):
 def _outcomes(parts, partition, lam, domains):
     union = [s for part in parts for s in part]
     structure = FiniteInterpretation.make(lam.signature, domains)
-    models = GroundProblem.ground(structure, union, lam).stable_models()
+    atoms, indices = GroundProblem.ground(structure, union, lam).stable_models()
+    models = [engine.decode(atoms, k) for k in indices]
     verdict = verify_split(parts, partition, [], domains)
     equivalence = check_strong_equivalence(parts[0], parts[1], lam, domains)
     counter = equivalence.counterexample

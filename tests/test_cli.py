@@ -1,12 +1,19 @@
 """Command-line surface: subcommands, output determinism, exit codes."""
 
+import errno
+import itertools
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import LOOP_SOURCE, load
 from htsplit import cli, engine
@@ -36,6 +43,22 @@ def test_models_lists_the_four_models(capsys):
         "{p(1,1), p(1,2), p(2,1), p(2,2)}",
         "{p(2,1), p(2,2)}",
     ]
+
+
+def test_models_lists_atoms_by_value_in_text_and_by_name_in_json(capsys, tmp_path):
+    # every subset is stable; p(10) sorts after p(9) by value, before it by name
+    source = tmp_path / "choice.htsplit"
+    source.write_text("int range 8..11.\npred p(int).\np(X) :- not not p(X).\n#intensional p(X) : #true.\n")
+    values = [8, 9, 10, 11]
+    subsets = [s for r in range(5) for s in itertools.combinations(values, r)]
+    subsets.sort(key=lambda s: [values.index(v) for v in s])
+    code, out, _ = run(capsys, "models", source)
+    assert code == 0
+    assert out.splitlines() == ["{" + ", ".join(f"p({v})" for v in s) + "}" for s in subsets]
+    code, out, _ = run(capsys, "models", source, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"models": [sorted(f"p({v})" for v in s) for s in subsets]}
+    assert json.loads(out)["models"][3] == ["p(10)", "p(8)", "p(9)"]
 
 
 def test_models_empty_theory_top_statement(capsys, tmp_path):
@@ -133,6 +156,74 @@ def test_parse_error_is_exit_2(capsys, tmp_path):
     code, _out, err = run(capsys, "parse", bad)
     assert code == 2
     assert "undeclared sort" in err
+
+
+@pytest.mark.parametrize("command", ["parse", "models"])
+def test_a_missing_file_is_exit_2_naming_the_reason_and_the_path(capsys, tmp_path, command):
+    missing = tmp_path / "missing.htsplit"
+    code, out, err = run(capsys, command, missing)
+    assert (code, out) == (2, "")
+    assert err == f"error: {missing}: {os.strerror(errno.ENOENT)}\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "models"])
+def test_a_directory_is_exit_2_naming_the_reason_and_the_path(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_closes_the_pipe_early_is_no_error(fmt):
+    # 2,144 models are more text than a pipe holds, so the CLI is still
+    # writing when the reader goes, as with `htsplit models ... | head -1`
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "htsplit.cli", "models", str(DATA / "blocks_split.htsplit"), "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first == b"{\n" if fmt == "json" else first.startswith(b"{location(")
+    assert (code, err) == (0, b"")
+
+
+# strings with quotes, backslashes, control and non-ASCII characters, and
+# ints past 64 bits, in nested dicts and lists
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 10**30])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600", 'a "q" \\ b'])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(st.lists(_JSON_VALUES, max_size=4), st.lists(st.text(), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_the_json_writer_writes_lazy_arrays_and_encoded_strings_as_lists(items, strings):
+    from json.encoder import encode_basestring_ascii
+
+    payload = {"a": items, "b": strings}
+    lazy = {"a": (item for item in items), "b": cli.JSONStrings(map(encode_basestring_ascii, strings))}
+    assert "".join(cli.json_chunks(lazy)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_the_json_writer_never_writes_a_bool_as_an_int():
+    assert "".join(cli.json_chunks([True, 1, False, 0, None])) == "[\n  true,\n  1,\n  false,\n  0,\n  null\n]"
 
 
 def test_parse_prints_canonically_and_deterministically(capsys):

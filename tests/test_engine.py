@@ -34,6 +34,7 @@ from htsplit.semantics import (
     em_theory,
     ground_region,
     is_lambda_stable,
+    model_order,
 )
 from htsplit.syntax import (
     INT_SORT,
@@ -383,6 +384,32 @@ def _lowest_proper_here_world(true_atoms, removable, sentences, there):
         if ht_satisfies_all(HTInterpretation(here, there), sentences):
             return (False, here)
     return (True, None)
+
+
+def test_an_index_decodes_to_the_atoms_of_its_set_bits():
+    atoms = [("p", (i,)) for i in range(70)]
+    for index in (0, 1, 6, 1 << 69, (1 << 70) - 1, 0b1011 << 60 | 0b100101):
+        bits = [i for i in range(70) if index >> i & 1]
+        assert engine.decode(atoms, index) == frozenset(atoms[i] for i in bits)
+
+
+def test_model_order_sorts_indices_by_their_set_bit_positions():
+    indices = list(range(1 << 10))
+    by_positions = sorted(indices, key=lambda k: [i for i in range(10) if k >> i & 1])
+    assert sorted(indices, key=model_order) == by_positions
+
+
+def test_scan_decodes_what_scan_indices_yields(monkeypatch):
+    # three 2-atom blocks past the first, so indices come from every block
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", 2)
+    atoms = [("p", (i,)) for i in range(4)]
+    keep = [0, 3, 5, 6, 9, 15]
+
+    def table_of(space):
+        return sum(1 << (k - space.base) for k in keep if space.base <= k < space.base + space.width)
+
+    assert list(engine.scan_indices(atoms, table_of)) == keep
+    assert list(engine.scan(atoms, table_of)) == [engine.decode(atoms, k) for k in keep]
 
 
 def test_stability_countermodel_is_the_lowest_proper_here_world():

@@ -2,6 +2,7 @@
 equivalence of the fast ground engine with the direct definitions."""
 
 import itertools
+import pathlib
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -25,7 +26,8 @@ from htsplit.occurrences import (
     pos_atoms,
     pos_formula,
 )
-from htsplit.parser import parse_problem
+from htsplit.interpretations import FiniteInterpretation
+from htsplit.parser import parse_problem, print_problem
 from htsplit.semantics import (
     atoms_of_lambda,
     em_atoms,
@@ -38,6 +40,7 @@ from htsplit.syntax import (
     And,
     Atom,
     DomainName,
+    Equality,
     TOP,
     Implies,
     Literal,
@@ -889,3 +892,70 @@ def test_program_notions_are_the_theory_notions_without_context(program):
             is_negative_program(program, member, DOMAINS).verdict
             == is_psi_negative(program, member, [], DOMAINS).verdict
         ), text
+
+
+def _order_statement():
+    # u(d1) always droppable, u(d2) only where b holds, a always
+    from htsplit.intensionality import IntensionalityStatement
+
+    x1 = Variable("X1", "s")
+    region = Or(Equality(x1, DomainName("d1", "s")), Atom("b", ()))
+    return IntensionalityStatement.make(
+        SIG, {("u", 1): ((x1,), region), ("a", 0): ((), TOP)}, name="default"
+    )
+
+
+@given(st.lists(sentences(depth=2), min_size=1, max_size=3), st.lists(sentences(depth=1), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_models_and_the_approximator_keep_the_stable_model_order(theory, psi):
+    # the stable models, found by the definition, in the order the CLI used
+    # to sort frozensets into: ``models`` lists them in that order in text
+    # and in JSON, and is_approximator names the first one outside psi
+    import contextlib
+    import io
+    import json
+    import tempfile
+
+    from conftest import reference_model_order
+    from htsplit import cli
+    from htsplit.depgraph import is_approximator
+    from htsplit.interpretations import (
+        all_interpretations,
+        atom_sort_key,
+        format_atom,
+        format_atom_set,
+        satisfies_all,
+    )
+    from htsplit.parser import ProblemFile
+
+    lam = _order_statement()
+    key = reference_model_order(sorted(UNIVERSE, key=atom_sort_key))
+    stable = sorted(
+        (i.true_atoms for i in all_interpretations(SIG, DOMAINS)
+         if is_lambda_stable(i, theory, lam, method="direct-full")),
+        key=key,
+    )
+    problem = ProblemFile(
+        signature=SIG, sort_order=("s",), constants=(("d1", "s"), ("d2", "s")),
+        base=tuple(theory), groups=(), default_lambda=lam, parts=(), contexts=(), formulas=(),
+    )
+    expected = {
+        "text": "".join(format_atom_set(m) + "\n" for m in stable),
+        "json": json.dumps({"models": [sorted(map(format_atom, m)) for m in stable]},
+                           indent=2, sort_keys=True) + "\n",
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "theory.htsplit"
+        path.write_text(print_problem(problem))
+        for fmt, text in expected.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["models", str(path), "--format", fmt]) == 0
+            assert out.getvalue() == text, (fmt, [format_formula(s) for s in theory])
+
+    failing = [m for m in stable if not satisfies_all(
+        FiniteInterpretation.make(SIG, DOMAINS, m), theory_sentences(psi))]
+    result = is_approximator(psi, theory, lam, DOMAINS)
+    assert result.holds == (not failing)
+    if failing:
+        assert result.counterexample.true_atoms == failing[0]
