@@ -9,11 +9,8 @@ Regenerate the record, only when an output is meant to change, with::
 
     PYTHONPATH=src python tests/golden.py
 
-The invocations in ``EXCLUDED`` take seconds each and are left out of the
-record, so that the test stays short; the list is fixed, so the record's
-coverage does not depend on the speed of the machine that writes it.  A
-stdout longer than ``LONG`` characters is recorded by its length and
-SHA-256 digest.
+Every case is recorded.  A stdout longer than ``LONG`` characters is
+recorded by its length and SHA-256 digest.
 """
 
 from __future__ import annotations
@@ -66,15 +63,6 @@ def cases() -> list[list[str]]:
     return out
 
 
-_SLOW = "split blocks_split.htsplit --parts lt,gt --partition beta1,beta2 --verify"
-EXCLUDED = frozenset({_SLOW, _SLOW + " --format json"})
-
-
-def recorded_cases() -> list[list[str]]:
-    """The cases the record holds: every one but the excluded ones."""
-    return [argv for argv in cases() if key(argv) not in EXCLUDED]
-
-
 def run(argv: list[str]) -> dict:
     """One invocation's exit code, stdout and stderr; the caller has
     changed into ``tests/data``."""
@@ -97,7 +85,7 @@ def key(argv: list[str]) -> str:
 
 def record() -> None:
     os.chdir(DATA)
-    outputs = {key(argv): run(argv) for argv in recorded_cases()}
+    outputs = {key(argv): run(argv) for argv in cases()}
     RECORD.parent.mkdir(exist_ok=True)
     RECORD.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(outputs)} invocations recorded in {RECORD}")

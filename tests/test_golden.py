@@ -10,9 +10,8 @@ import golden
 RECORD = json.loads(golden.RECORD.read_text(encoding="utf-8"))
 
 
-def test_the_record_covers_every_case_but_the_slow_ones():
-    assert golden.EXCLUDED <= {golden.key(argv) for argv in golden.cases()}
-    assert set(RECORD) == {golden.key(argv) for argv in golden.recorded_cases()}
+def test_the_record_covers_every_case():
+    assert set(RECORD) == {golden.key(argv) for argv in golden.cases()}
 
 
 @pytest.mark.parametrize("command", sorted(RECORD))
