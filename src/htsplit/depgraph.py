@@ -213,13 +213,20 @@ def _member_vertices(
 
 
 def _checked_context(
-    partition: Partition, psi_sentences: Sequence[Formula], domains: Domains, check_partition: bool
+    partition: Partition,
+    psi_sentences: Sequence[Formula],
+    domains: Domains,
+    check_partition: bool,
+    oracle: Optional[TransformContext],
 ) -> TransformContext:
-    """The one oracle of a graph check, built once the partition is found
-    valid, so an invalid partition is reported before psi is grounded."""
+    """The one oracle of a graph check: ``oracle`` if the caller shares
+    one, else one built once the partition is found valid, so an invalid
+    partition is reported before psi is grounded."""
     problems = partition_problems(partition, domains) if check_partition else []
     if problems:
         raise ValueError("invalid partition: " + "; ".join(problems))
+    if oracle is not None:
+        return oracle
     return TransformContext(partition.members[0].signature, domains, psi_sentences)
 
 
@@ -282,15 +289,20 @@ def program_dep_graph(
     partition: Partition,
     domains: Domains,
     check_partition: bool = True,
+    *,
+    oracle: Optional[TransformContext] = None,
 ) -> DependencyGraph:
     """Dependencies between (predicate, member) pairs induced by the rules.
 
     An edge runs from a head atom's pair to the pair of a nonnegated body
     atom whenever the joint condition (body, head atom, both member
     conditions) is satisfiable; inconclusive searches keep the edge.
-    Occurrence paths are positions in the rule's head and body.
+    Occurrence paths are positions in the rule's head and body.  ``oracle``
+    is a context without a context theory over the partition's signature
+    and ``domains``, shared with the caller's other questions; by default
+    the graph builds its own.
     """
-    ctx = _checked_context(partition, (), domains, check_partition)
+    ctx = _checked_context(partition, (), domains, check_partition, oracle)
     rules = (_program_rule(rule, ctx.signature) for rule in program)
     occurring = _predicates_in(list(program), ctx.signature)
     return _dependency_graph("program", rules, partition, ctx, occurring)
@@ -302,14 +314,19 @@ def theory_dep_graph(
     psi: Sequence[Statement],
     domains: Domains,
     check_partition: bool = True,
+    *,
+    oracle: Optional[TransformContext] = None,
 ) -> DependencyGraph:
     """Positive dependencies of an arbitrary theory under a context.
 
     Rules are the strictly positive implication occurrences; the edge
     condition conjoins the two occurrence transforms with both member
-    conditions over fresh argument tuples, under the context.
+    conditions over fresh argument tuples, under the context.  ``oracle``
+    is a context over psi, the partition's signature and ``domains``,
+    shared with the caller's other questions; by default the graph builds
+    its own.
     """
-    ctx = _checked_context(partition, theory_sentences(psi), domains, check_partition)
+    ctx = _checked_context(partition, theory_sentences(psi), domains, check_partition, oracle)
 
     def rules() -> Iterator[_RuleOccurrences]:
         for occ_rule in rules_of(theory_sentences(theory)):
@@ -471,9 +488,14 @@ def is_negative_program(
     program: Sequence[Rule],
     lam: IntensionalityStatement,
     domains: Domains,
+    *,
+    oracle: Optional[TransformContext] = None,
 ) -> NegativityResult:
     """No rule can derive an atom inside the statement's region: for every
-    head atom, body plus head atom plus its condition is unsatisfiable."""
+    head atom, body plus head atom plus its condition is unsatisfiable.
+    ``oracle`` is a context without a context theory over the statement's
+    signature and ``domains``, shared with the caller's other questions; by
+    default the check builds its own."""
 
     def occurrences() -> Iterator[tuple[str, _Occurrence]]:
         for rule in program:
@@ -482,7 +504,8 @@ def is_negative_program(
             for h in heads:
                 yield text, replace(h, formula=conj([body, h.formula]))
 
-    return _negativity(occurrences(), lam, TransformContext(lam.signature, domains))
+    ctx = oracle if oracle is not None else TransformContext(lam.signature, domains)
+    return _negativity(occurrences(), lam, ctx)
 
 
 def is_psi_negative(
@@ -490,6 +513,8 @@ def is_psi_negative(
     lam: IntensionalityStatement,
     psi: Sequence[Statement],
     domains: Domains,
+    *,
+    oracle: Optional[TransformContext] = None,
 ) -> NegativityResult:
     """Theory-level negativity under a context.
 
@@ -500,8 +525,16 @@ def is_psi_negative(
     region true.  On disjunctive programs this coincides with the rule-head
     condition, since there every strictly positive occurrence is a head atom
     with the body folded in by the transform.
+
+    ``oracle`` is a context over psi, the statement's signature and
+    ``domains``, shared with the caller's other questions; by default the
+    check builds its own.
     """
-    ctx = TransformContext(lam.signature, domains, theory_sentences(psi))
+    ctx = (
+        oracle
+        if oracle is not None
+        else TransformContext(lam.signature, domains, theory_sentences(psi))
+    )
 
     def occurrences() -> Iterator[tuple[str, _Occurrence]]:
         for sentence in theory_sentences(theory):

@@ -15,12 +15,13 @@ atom universe grounds to false.  On top of that this module provides:
   a loop over an explicit stack of decisions, so its depth is not bounded
   by the interpreter's recursion limit), which serves the side path:
   bounded satisfiability, occurrence transforms and validity checks.  It
-  evaluates incrementally: the sentences are flattened once per call, and
+  evaluates incrementally: the sentences are flattened into a circuit, and
   each decision updates only the three-valued values it changes, with the
   same decisions, node count and witness as evaluating every sentence from
   its root at every node.  Its one caller is
-  :meth:`htsplit.occurrences.TransformContext.solve`, which grounds the
-  context once per check;
+  :meth:`htsplit.occurrences.TransformContext.solve`, which grounds and
+  flattens the context once per check and adds each question's nodes on
+  top of the context's for one search;
 * the one-world reduct of a ground formula with respect to an interpretation,
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
@@ -592,7 +593,7 @@ def pos_syn_atoms(gf: GF) -> set[GroundAtom]:
 # backtracking model search
 
 class _Circuit:
-    """The sentences of one :func:`find_model` call, flattened into arrays.
+    """Sentences flattened into arrays, for :func:`find_model`.
 
     A node is a distinct subtree, keyed by identity, except that each atom
     has one leaf.  Each node has its op and two children (-1 at a leaf or a
@@ -602,9 +603,19 @@ class _Circuit:
     changed node goes on the trail.  The connectives are monotone, so a
     node's value goes only from unknown to known as atoms are assigned:
     undoing to a trail mark sets the nodes above it back to unknown.
+
+    The circuit grows by :meth:`add` and shrinks back to a :meth:`mark` by
+    :meth:`restore`, so the sentences it is built from stay flattened, with
+    each one's decision order once it has been asked for, while others
+    come and go on top: :class:`htsplit.occurrences.TransformContext` keeps
+    one over its context for the length of one check.  It holds the
+    sentences it flattens, so the identities it keys on stay valid.
     """
 
-    __slots__ = ("op", "left", "right", "parents", "value", "is_root", "roots", "leaf", "trail")
+    __slots__ = (
+        "op", "left", "right", "parents", "value", "is_root", "roots", "sentences", "orders",
+        "leaf", "node_of", "trail", "added_ids", "added_atoms", "linked",
+    )
 
     # Kleene's strong three-valued and, or and implication, indexed by
     # op + 3 * left + right
@@ -616,30 +627,66 @@ class _Circuit:
     OPS = {"and": 0, "or": 9, "imp": 18}
 
     def __init__(self, sentences: Sequence[GF]) -> None:
-        node_of: dict[int, int] = {}  # id of a subtree -> its node
-        leaf: dict[GroundAtom, int] = {}
+        self.op: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.parents: list[list[int]] = []
+        self.value: list[int] = []
+        self.is_root: list[bool] = []
+        self.roots: list[int] = []  # one per sentence
+        self.sentences: list[GF] = []  # every one added but ⊤
+        self.orders: list[Optional[list[int]]] = []  # per sentence, see find_model
+        self.leaf: dict[GroundAtom, int] = {}
+        self.node_of: dict[int, int] = {}  # id of a subtree -> its node
+        self.trail: list[int] = []
+        self.added_ids: list[int] = []
+        self.added_atoms: list[GroundAtom] = []
+        self.linked: list[int] = []
+        self.add(sentences)
+        # what a later add changes outside the arrays' new tails, for
+        # restore: the ids and atoms it keys, and each older node it gives
+        # a parent; the sentences above are never restored away
+        self.added_ids, self.added_atoms, self.linked = [], [], []
+
+    def add(self, gfs: Sequence[GF]) -> None:
+        """Flatten the sentences of ``gfs`` but ⊤ on top of the nodes there
+        are, reusing those of shared subtrees and atoms, and set each new
+        node to its value under no atom.  The trail must be empty."""
+        sentences = [g for g in gfs if g != TRUE_GF]
+        node_of, leaf, added_ids, added_atoms = self.node_of, self.leaf, self.added_ids, self.added_atoms
+        start = len(self.op)
         subtrees: list[GF] = []
         stack = list(sentences)
-        while stack:  # each distinct subtree once, in pre-order
+        while stack:  # each new subtree once, in pre-order
             g = stack.pop()
-            if id(g) in node_of:
+            i = id(g)
+            if i in node_of:
                 continue
+            added_ids.append(i)
             if g[0] == "atom":  # one leaf per atom
-                n = leaf.setdefault(g[1], len(subtrees))
-                if n == len(subtrees):
+                n = leaf.get(g[1])
+                if n is None:
+                    n = leaf[g[1]] = start + len(subtrees)
+                    added_atoms.append(g[1])
                     subtrees.append(g)
-                node_of[id(g)] = n
+                node_of[i] = n
                 continue
-            node_of[id(g)] = len(subtrees)
+            node_of[i] = start + len(subtrees)
             subtrees.append(g)
             if len(g) == 3:
                 stack.append(g[2])
                 stack.append(g[1])
-        size = len(subtrees)
-        op, left, right = [-1] * size, [-1] * size, [-1] * size
-        parents: list[list[int]] = [[] for _ in subtrees]
-        constants = []
-        for n, g in enumerate(subtrees):
+        op, left, right, parents, value = self.op, self.left, self.right, self.parents, self.value
+        op += [-1] * len(subtrees)
+        left += [-1] * len(subtrees)
+        right += [-1] * len(subtrees)
+        parents += [[] for _ in subtrees]
+        value += [2] * len(subtrees)
+        self.is_root += [False] * len(subtrees)
+        # the new nodes whose value under no atom is known at once: the
+        # constants, and those over an older node with a known value
+        known = []
+        for n, g in enumerate(subtrees, start):
             tag = g[0]
             if tag in self.OPS:
                 op[n] = self.OPS[tag]
@@ -647,27 +694,70 @@ class _Circuit:
                 right[n] = r = node_of[id(g[2])]
                 parents[l].append(n)
                 parents[r].append(n)
+                if l < start or r < start:
+                    self.linked += [c for c in (l, r) if c < start]
+                    if value[l] != 2 or value[r] != 2:
+                        known.append(n)
             elif tag != "atom":
-                constants.append(n)
-        self.op, self.left, self.right, self.parents = op, left, right, parents
-        self.value = [2] * size
-        self.leaf = leaf
-        self.roots = [node_of[id(g)] for g in sentences]
-        self.is_root = [False] * size
-        for n in self.roots:
-            self.is_root[n] = True
-        self.trail: list[int] = []
-        # every node starts unknown; the constants' values then go up as an
-        # assignment's do, which leaves each node at its value under no atom
-        for n in constants:
-            if self.assign(n, int(subtrees[n][0] == "t")):
-                break  # a sentence is false: the search stops at once
-        self.trail.clear()
+                value[n] = int(tag == "t")
+                known.append(n)
+        # the values then go up from those nodes, as an assignment's do; a
+        # new node's parents are new, so no older value changes
+        kleene = self.KLEENE
+        stack = []
+        for n in known:
+            if op[n] >= 0:
+                v = kleene[op[n] + 3 * value[left[n]] + value[right[n]]]
+                if v == 2:
+                    continue
+                value[n] = v
+            stack.append(n)
+        while stack:
+            for p in parents[stack.pop()]:
+                if value[p] == 2:
+                    v = kleene[op[p] + 3 * value[left[p]] + value[right[p]]]
+                    if v != 2:
+                        value[p] = v
+                        stack.append(p)
+        for g in sentences:
+            self.is_root[node_of[id(g)]] = True
+            self.roots.append(node_of[id(g)])
+        self.sentences += sentences
+        self.orders += [None] * len(sentences)
+
+    def mark(self) -> tuple[int, ...]:
+        """The circuit's extent, for :meth:`restore`."""
+        return (
+            len(self.op), len(self.roots), len(self.added_ids), len(self.added_atoms), len(self.linked)
+        )
+
+    def restore(self, mark: tuple[int, ...]) -> None:
+        """Undo every assignment and drop every node, sentence and key
+        added since ``mark`` was taken: the circuit is as it was then."""
+        size, n_roots, n_ids, n_atoms, n_linked = mark
+        self.undo(0)
+        is_root, roots = self.is_root, self.roots
+        if any(n < size for n in roots[n_roots:]):  # an added sentence on an older node
+            for n in roots[n_roots:]:
+                is_root[n] = False
+            for n in roots[:n_roots]:
+                is_root[n] = True
+        for n in self.linked[n_linked:]:
+            self.parents[n].pop()  # its new parents are the last ones
+        for i in self.added_ids[n_ids:]:
+            del self.node_of[i]
+        for a in self.added_atoms[n_atoms:]:
+            del self.leaf[a]
+        del self.linked[n_linked:], self.added_ids[n_ids:], self.added_atoms[n_atoms:]
+        for column in (self.op, self.left, self.right, self.parents, self.value, is_root):
+            del column[size:]
+        for column in (roots, self.sentences, self.orders):
+            del column[n_roots:]
 
     def assign(self, node: int, v: int) -> bool:
-        """Set the leaf or constant ``node`` to ``v`` and update the nodes
-        above it.  True as soon as a sentence becomes false; the rest of
-        the update is then skipped, as the caller undoes it."""
+        """Set the leaf ``node`` to ``v`` and update the nodes above it.
+        True as soon as a sentence becomes false; the rest of the update is
+        then skipped, as the caller undoes it."""
         op, left, right, parents, value = self.op, self.left, self.right, self.parents, self.value
         is_root, trail, kleene = self.is_root, self.trail, self.KLEENE
         value[node] = v
@@ -696,7 +786,9 @@ class _Circuit:
         del trail[mark:]
 
 
-def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]:
+def find_model(
+    gfs: Sequence[GF], circuit: Optional[_Circuit] = None
+) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """Search for a classical model of the ground theory.
 
     Returns ``("sat", atoms)``, ``("unsat", None)``, or ``("unknown", None)``
@@ -705,25 +797,40 @@ def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]
     decides the first unassigned atom, in
     :func:`~htsplit.interpretations.atom_sort_key` order, of the first
     sentence whose value is unknown, True first, and backtracks
-    chronologically.  The sentences are flattened once per call
-    (:class:`_Circuit`), and a decision updates only the values it changes,
-    so no sentence is evaluated again from its root; the decisions, the
-    node count and the witness are those of evaluating every sentence at
-    every node.  It serves the side path (bounded satisfiability,
-    occurrence transforms, validity checks), whose one caller is
+    chronologically.  The sentences are flattened into a :class:`_Circuit`,
+    and a decision updates only the values it changes, so no sentence is
+    evaluated again from its root; the decisions, the node count and the
+    witness are those of evaluating every sentence at every node.
+
+    Given ``circuit``, the theory is the circuit's sentences followed by
+    ``gfs``: only ``gfs`` is flattened, on top of the circuit, which is
+    restored when the search ends, and the circuit keeps the decision
+    orders of its own sentences from call to call.  The verdict is that of
+    ``find_model(circuit.sentences + list(gfs))``.
+
+    It serves the side path (bounded satisfiability, occurrence transforms,
+    validity checks), whose one caller is
     :meth:`htsplit.occurrences.TransformContext.solve`; stability is
     decided by :func:`is_stable_ground` on truth tables.
     """
-    sentences = [g for g in gfs if g != TRUE_GF]
-    if any(g == FALSE_GF for g in sentences):
+    kept = circuit.sentences if circuit is not None else []
+    if any(g == FALSE_GF for g in gfs) or FALSE_GF in kept:
         return ("unsat", None)
-    if not sentences:
+    if not kept and all(g == TRUE_GF for g in gfs):
         return ("sat", frozenset())
+    if circuit is None:
+        return _search(_Circuit(gfs))
+    mark = circuit.mark()
+    try:
+        circuit.add(gfs)
+        return _search(circuit)
+    finally:
+        circuit.restore(mark)
 
-    circuit = _Circuit(sentences)
-    roots, value, trail = circuit.roots, circuit.value, circuit.trail
-    # each sentence's leaves in atom_sort_key order, built when first needed
-    order_cache: dict[int, list[int]] = {}
+
+def _search(circuit: _Circuit) -> tuple[str, Optional[frozenset[GroundAtom]]]:
+    """The backtracking loop of :func:`find_model` over every sentence of the circuit."""
+    roots, value, trail, orders = circuit.roots, circuit.value, circuit.trail, circuit.orders
     # one entry per decision: its leaf, whether False is still to try, the
     # trail's length before it, the sentence it came from (every sentence
     # before that one is true) and the leaf's place in that sentence's order
@@ -740,10 +847,11 @@ def find_model(gfs: Sequence[GF]) -> tuple[str, Optional[frozenset[GroundAtom]]]
                 first += 1
             if first == len(roots):
                 return ("sat", frozenset(a for a, n in circuit.leaf.items() if value[n] == 1))
-            order = order_cache.get(first)
+            # the sentence's leaves in atom_sort_key order, built when first needed
+            order = orders[first]
             if order is None:
-                atoms = sorted(gf_atoms(sentences[first]), key=atom_sort_key)
-                order = order_cache[first] = [circuit.leaf[a] for a in atoms]
+                atoms = sorted(gf_atoms(circuit.sentences[first]), key=atom_sort_key)
+                order = orders[first] = [circuit.leaf[a] for a in atoms]
             # the leaves before the last decision's, in its sentence, are set
             k = decisions[-1][4] + 1 if decisions and decisions[-1][3] == first else 0
             while value[order[k]] != 2:

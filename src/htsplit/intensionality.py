@@ -153,7 +153,13 @@ def equivalent(
     domains: Mapping[str, tuple[Element, ...]],
 ) -> bool:
     """Pointwise equivalence of two statements over the declared domains."""
-    ctx = TransformContext(lam1.signature, domains)
+    return _equivalent_on(TransformContext(lam1.signature, domains), lam1, lam2)
+
+
+def _equivalent_on(
+    ctx: TransformContext, lam1: IntensionalityStatement, lam2: IntensionalityStatement
+) -> bool:
+    """:func:`equivalent`, asked of a context without a context theory."""
     for key in lam1.signature.predicates:
         variables, f1 = lam1.entry(key)
         f2 = lam2.condition(key, variables)
@@ -225,15 +231,23 @@ class Partition:
 
 
 def partition_problems(
-    partition: Partition, domains: Mapping[str, tuple[Element, ...]]
+    partition: Partition,
+    domains: Mapping[str, tuple[Element, ...]],
+    *,
+    oracle: Optional[TransformContext] = None,
 ) -> list[str]:
-    """Violations of the partition conditions over the given domains."""
+    """Violations of the partition conditions over the given domains, every
+    one asked of one context without a context theory: ``oracle``, shared
+    with the caller's other questions, or else one built here."""
+    joined = join_all(list(partition.members))
+    ctx = oracle if oracle is not None else TransformContext(joined.signature, domains)
     problems = []
-    if not equivalent(join_all(list(partition.members)), partition.target, domains):
+    if not _equivalent_on(ctx, joined, partition.target):
         problems.append("the join of the members is not equivalent to the target statement")
     for i in range(len(partition.members)):
         for j in range(i + 1, len(partition.members)):
-            if not disjoint(partition.members[i], partition.members[j], domains):
+            lam1, lam2 = partition.members[i], partition.members[j]
+            if not _equivalent_on(ctx, meet(lam1, lam2), lambda_bot(lam1.signature)):
                 problems.append(
                     f"members {partition.member_name(i)} and {partition.member_name(j)} overlap"
                 )

@@ -127,7 +127,14 @@ class SatVerdict:
 class TransformContext:
     """The side path's one satisfiability oracle (transforms, graph and
     negativity conditions, validity checks): the context theory, grounded
-    once, and the verdict of every closed sentence asked under it."""
+    once and flattened once, at the first question, into the
+    :class:`engine._Circuit` that every later question extends; and the
+    verdict of every closed sentence asked under it.
+
+    A context serves one check, for example every graph, negativity and
+    partition question of one split, and is then dropped; nothing outlives
+    it, so no verdict or circuit is shared between checks.
+    """
 
     def __init__(
         self,
@@ -139,17 +146,23 @@ class TransformContext:
         self.structure = FiniteInterpretation.make(signature, domains)
         self.psi = list(psi)
         self.psi_gfs = engine.ground_theory(self.structure, self.psi)
+        self._circuit: Optional[engine._Circuit] = None
         self._verdicts: dict[Formula, SatVerdict] = {}
 
     def solve(self, sentence: Formula) -> SatVerdict:
         """Whether the context plus a closed sentence has a model, with the
         first model found as witness: the one call of :func:`engine.find_model`,
-        unknown past ``engine.DEFAULT_NODE_CAP`` nodes (read at the sentence's
-        first call; later calls reuse its verdict)."""
+        on the sentence's nodes over the context's circuit, unknown past
+        ``engine.DEFAULT_NODE_CAP`` nodes (read at the sentence's first
+        call; later calls reuse its verdict).  The verdict and witness are
+        those of a fresh search over ``self.psi_gfs`` followed by the
+        sentence's ground formula."""
         verdict = self._verdicts.get(sentence)
         if verdict is None:
             gf = engine.ground_formula(self.structure, sentence)
-            status, atoms = engine.find_model(self.psi_gfs + [gf])
+            if self._circuit is None:
+                self._circuit = engine._Circuit(self.psi_gfs)
+            status, atoms = engine.find_model([gf], self._circuit)
             witness = self.structure.with_atoms(atoms) if atoms is not None else None
             verdict = self._verdicts[sentence] = SatVerdict(status, witness)
         return verdict

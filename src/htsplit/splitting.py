@@ -5,7 +5,7 @@ approximating context."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import engine
 from .depgraph import (
@@ -23,6 +23,7 @@ from .depgraph import (
 )
 from .intensionality import IntensionalityStatement, Partition, partition_problems
 from .interpretations import FiniteInterpretation, format_atom
+from .occurrences import TransformContext
 from .semantics import GroundProblem, scan_atoms
 from .syntax import Rule, Statement, theory_sentences
 
@@ -130,19 +131,43 @@ def _union(parts: Sequence[Sequence[Statement]], partition: Partition) -> list[S
 
 
 def _split_report(
-    kind: str,
     parts: Sequence[Sequence[Statement]],
     partition: Partition,
     domains: Domains,
     part_names: Optional[Sequence[str]],
-    graph_of: Callable[[list[Statement]], DependencyGraph],
-    negative: Callable[[list[Statement], IntensionalityStatement], NegativityResult],
+    psi: Optional[Sequence[Statement]],
 ) -> SplitReport:
     """The hypotheses both splitting results share: separability of the
-    graph of the union, and negativity of each part on every other member."""
+    graph of the union, and negativity of each part on every other member,
+    with a program's (``psi`` None) or a theory's graph and negativity.
+
+    Every question goes to one context per context theory: the partition's,
+    and a program's graph and negativity, to one without; a theory's graph
+    and negativity to one over psi (the same one when psi is empty).  So a
+    question asked twice is searched once, and psi is ground and flattened
+    once."""
     union = _union(parts, partition)
-    issues = tuple(partition_problems(partition, domains))
-    graph = graph_of(union)
+    signature = partition.members[0].signature
+    free = TransformContext(signature, domains)
+    issues = tuple(partition_problems(partition, domains, oracle=free))
+    if psi is None:
+        kind = "program"
+        graph = program_dep_graph(union, partition, domains, check_partition=False, oracle=free)
+
+        def negative(part: list[Statement], member: IntensionalityStatement) -> NegativityResult:
+            return is_negative_program(part, member, domains, oracle=free)
+
+    else:
+        kind = "theory"
+        psi_sentences = theory_sentences(psi)
+        oracle = TransformContext(signature, domains, psi_sentences) if psi_sentences else free
+        graph = theory_dep_graph(
+            union, partition, psi, domains, check_partition=False, oracle=oracle
+        )
+
+        def negative(part: list[Statement], member: IntensionalityStatement) -> NegativityResult:
+            return is_psi_negative(part, member, psi, domains, oracle=oracle)
+
     cells = [
         NegativityCell(
             i,
@@ -167,15 +192,7 @@ def check_split_program(
     """Both hypotheses of the program splitting result: separability of the
     dependency graph of the union, and pairwise negativity of each part on
     every other member.  Does not enumerate models."""
-    return _split_report(
-        "program",
-        parts,
-        partition,
-        domains,
-        part_names,
-        lambda union: program_dep_graph(union, partition, domains, check_partition=False),
-        lambda part, member: is_negative_program(part, member, domains),
-    )
+    return _split_report(parts, partition, domains, part_names, None)
 
 
 def check_split_theory(
@@ -189,15 +206,7 @@ def check_split_theory(
     """The theory-level hypotheses: the context approximates the union,
     the partition is separable on the context-aware graph, and every part is
     context-negative on every other member."""
-    report = _split_report(
-        "theory",
-        parts,
-        partition,
-        domains,
-        part_names,
-        lambda union: theory_dep_graph(union, partition, psi, domains, check_partition=False),
-        lambda part, member: is_psi_negative(part, member, psi, domains),
-    )
+    report = _split_report(parts, partition, domains, part_names, psi)
     try:
         approx = is_approximator(psi, _union(parts, partition), partition.target, domains, atom_cap)
     except engine.ResourceCapExceeded:

@@ -102,6 +102,41 @@ def test_meta_split_theory_hypotheses(meta_split):
     assert {cell["verdict"] for cell in json_report["negativity"]} == {"pass"}
 
 
+def _counted_contexts(monkeypatch):
+    """The context theory of every ``TransformContext`` built from now on."""
+    from htsplit.occurrences import TransformContext
+
+    built = []
+    init = TransformContext.__init__
+
+    def counted_init(self, signature, domains, psi=()):
+        built.append(list(psi))
+        init(self, signature, domains, psi)
+
+    monkeypatch.setattr(TransformContext, "__init__", counted_init)
+    return built
+
+
+def test_a_split_check_asks_one_context_per_context_theory(monkeypatch, meta_split, blocks_split):
+    # the partition's questions go to one context without psi, the graph's
+    # and every negativity cell's to one over psi; a program split has no
+    # psi, so its partition, graph and negativity share one context
+    from htsplit.syntax import theory_sentences
+
+    problem, partition, parts = meta_split
+    psi = problem.context("psi3")
+    built = _counted_contexts(monkeypatch)
+    report = check_split_theory(parts, partition, psi, problem.domains())
+    assert report.hypotheses_pass and len(report.negativity) == 6
+    assert sorted(built, key=len) == [[], theory_sentences(psi)]
+
+    problem, partition, parts = blocks_split
+    built.clear()
+    report = check_split_program(parts, partition, problem.domains())
+    assert report.hypotheses_pass and len(report.negativity) == 2
+    assert built == [[]]
+
+
 def test_meta_split_fails_without_the_context(meta_split):
     problem, partition, parts = meta_split
     report = check_split_theory(parts, partition, [], problem.domains())
