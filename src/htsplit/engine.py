@@ -18,10 +18,16 @@ atom universe grounds to false.  On top of that this module provides:
   evaluates incrementally: the sentences are flattened into a circuit, and
   each decision updates only the three-valued values it changes, with the
   same decisions, node count and witness as evaluating every sentence from
-  its root at every node.  Its one caller is
-  :meth:`htsplit.occurrences.TransformContext.solve`, which grounds and
-  flattens the context once per check and adds each question's nodes on
-  top of the context's for one search;
+  its root at every node.  It has two callers, which flatten their fixed
+  sentences once and add each question's nodes on top for one search:
+  :meth:`htsplit.occurrences.TransformContext.solve`, over a check's
+  context, and :class:`Entailment`, which asks whether fixed premises
+  entail a goal by searching for a model of ¬goal and the premises that
+  share atoms with it;
+* the singleton loop test as classical formulas
+  (:func:`support_formulas`, through the here/there translation
+  :func:`drop_atom`), so that a tight problem's stable models are the
+  models of a classical theory, on which :class:`Entailment` answers;
 * the one-world reduct of a ground formula with respect to an interpretation,
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
@@ -608,7 +614,8 @@ class _Circuit:
     :meth:`restore`, so the sentences it is built from stay flattened, with
     each one's decision order once it has been asked for, while others
     come and go on top: :class:`htsplit.occurrences.TransformContext` keeps
-    one over its context for the length of one check.  It holds the
+    one over its context for the length of one check, and
+    :class:`Entailment` one over its premises.  It holds the
     sentences it flattens, so the identities it keys on stay valid.
     """
 
@@ -787,7 +794,7 @@ class _Circuit:
 
 
 def find_model(
-    gfs: Sequence[GF], circuit: Optional[_Circuit] = None
+    gfs: Sequence[GF], circuit: Optional[_Circuit] = None, among: Optional[Sequence[int]] = None
 ) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """Search for a classical model of the ground theory.
 
@@ -806,31 +813,42 @@ def find_model(
     ``gfs``: only ``gfs`` is flattened, on top of the circuit, which is
     restored when the search ends, and the circuit keeps the decision
     orders of its own sentences from call to call.  The verdict is that of
-    ``find_model(circuit.sentences + list(gfs))``.
+    ``find_model(circuit.sentences + list(gfs))``.  Given ``among`` too,
+    only the circuit's sentences of those indices are kept, in that order.
+    They must share no atom with the circuit's other sentences, which
+    their decisions then never change.
 
     It serves the side path (bounded satisfiability, occurrence transforms,
-    validity checks), whose one caller is
-    :meth:`htsplit.occurrences.TransformContext.solve`; stability is
-    decided by :func:`is_stable_ground` on truth tables.
+    validity checks), through
+    :meth:`htsplit.occurrences.TransformContext.solve`, and the entailment
+    queries of :class:`Entailment`; stability is decided by
+    :func:`is_stable_ground` on truth tables.
     """
-    kept = circuit.sentences if circuit is not None else []
+    if circuit is not None and among is None:
+        among = range(len(circuit.sentences))
+    kept = [circuit.sentences[i] for i in among] if circuit is not None else []
     if any(g == FALSE_GF for g in gfs) or FALSE_GF in kept:
         return ("unsat", None)
     if not kept and all(g == TRUE_GF for g in gfs):
         return ("sat", frozenset())
     if circuit is None:
-        return _search(_Circuit(gfs))
+        circuit = _Circuit(gfs)
+        return _search(circuit, range(len(circuit.sentences)))
     mark = circuit.mark()
     try:
         circuit.add(gfs)
-        return _search(circuit)
+        return _search(circuit, list(among) + list(range(mark[1], len(circuit.sentences))))
     finally:
         circuit.restore(mark)
 
 
-def _search(circuit: _Circuit) -> tuple[str, Optional[frozenset[GroundAtom]]]:
-    """The backtracking loop of :func:`find_model` over every sentence of the circuit."""
-    roots, value, trail, orders = circuit.roots, circuit.value, circuit.trail, circuit.orders
+def _search(
+    circuit: _Circuit, among: Sequence[int]
+) -> tuple[str, Optional[frozenset[GroundAtom]]]:
+    """The backtracking loop of :func:`find_model` over the sentences of
+    the circuit that ``among`` lists, in its order."""
+    value, trail, orders = circuit.value, circuit.trail, circuit.orders
+    roots = [circuit.roots[i] for i in among]
     # one entry per decision: its leaf, whether False is still to try, the
     # trail's length before it, the sentence it came from (every sentence
     # before that one is true) and the leaf's place in that sentence's order
@@ -848,10 +866,11 @@ def _search(circuit: _Circuit) -> tuple[str, Optional[frozenset[GroundAtom]]]:
             if first == len(roots):
                 return ("sat", frozenset(a for a, n in circuit.leaf.items() if value[n] == 1))
             # the sentence's leaves in atom_sort_key order, built when first needed
-            order = orders[first]
+            sentence = among[first]
+            order = orders[sentence]
             if order is None:
-                atoms = sorted(gf_atoms(circuit.sentences[first]), key=atom_sort_key)
-                order = orders[first] = [circuit.leaf[a] for a in atoms]
+                atoms = sorted(gf_atoms(circuit.sentences[sentence]), key=atom_sort_key)
+                order = orders[sentence] = [circuit.leaf[a] for a in atoms]
             # the leaves before the last decision's, in its sentence, are set
             k = decisions[-1][4] + 1 if decisions and decisions[-1][3] == first else 0
             while value[order[k]] != 2:
@@ -868,6 +887,59 @@ def _search(circuit: _Circuit) -> tuple[str, Optional[frozenset[GroundAtom]]]:
         decisions[-1] = (pick, False, mark, first, k)
         circuit.undo(mark)
         conflict = circuit.assign(pick, 0)
+
+
+class Entailment:
+    """Entailment queries against fixed premises, flattened once.
+
+    :meth:`query` asks whether the premises entail a goal: it searches for
+    a model of ¬goal together with :meth:`closure`, the premises that reach
+    the goal's atoms through shared atoms.  A model of ¬goal and the
+    closure extends to one of every premise, unless the others alone have
+    none, so ``"unsat"`` proves the entailment; ``"sat"`` and ``"unknown"``
+    prove nothing.  The premises stay in one :class:`_Circuit`, with their
+    decision orders, and each query adds only its ¬goal, for one
+    :func:`find_model` with its own ``DEFAULT_NODE_CAP`` budget.
+    """
+
+    def __init__(self, premises: Sequence[GF]) -> None:
+        self.circuit = _Circuit(premises)
+        self.atoms = [sorted(gf_atoms(g), key=atom_sort_key) for g in self.circuit.sentences]
+        self.premises_of: dict[GroundAtom, list[int]] = {}
+        for i, atoms in enumerate(self.atoms):
+            for a in atoms:
+                self.premises_of.setdefault(a, []).append(i)
+
+    def closure(self, goal: GF) -> list[int]:
+        """The indices of the premises reachable from the goal's atoms
+        through shared atoms, breadth first: the atoms in the order they are
+        reached, the goal's in :func:`~htsplit.interpretations.atom_sort_key`
+        order and each premise's new ones so, and each atom's premises in
+        their order.  No set's iteration order decides it."""
+        reached = sorted(gf_atoms(goal), key=atom_sort_key)
+        seen = set(reached)
+        taken: set[int] = set()
+        out = []
+        for a in reached:  # the list grows as premises are taken
+            for i in self.premises_of.get(a, ()):
+                if i in taken:
+                    continue
+                taken.add(i)
+                out.append(i)
+                for b in self.atoms[i]:
+                    if b not in seen:
+                        seen.add(b)
+                        reached.append(b)
+        return out
+
+    def query(self, goal: GF) -> str:
+        """The verdict of the search for a model of the premises in which
+        ``goal`` is false: ``"unsat"`` when the premises entail it."""
+        return find_model([gimp(goal, FALSE_GF)], self.circuit, self.closure(goal))[0]
+
+    def entails_all(self, goals: Iterable[GF]) -> bool:
+        """Whether every query on ``goals`` is ``"unsat"``; stops at the first that is not."""
+        return all(self.query(g) == "unsat" for g in goals)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +1073,11 @@ class TableSpace:
         return out
 
 
+def scan_blocks(n_atoms: int) -> int:
+    """How many blocks a scan over ``n_atoms`` atoms walks."""
+    return 1 << max(0, n_atoms - BLOCK_ATOMS)
+
+
 def scan_indices(
     atoms: Sequence[GroundAtom], table_of: Callable[[TableSpace], int]
 ) -> Iterator[int]:
@@ -1014,7 +1091,7 @@ def scan_indices(
     later table.
     """
     store = ScanStore(atoms)
-    for block in range(1 << (len(store.atoms) - store.low)):
+    for block in range(scan_blocks(len(store.atoms))):
         space = TableSpace(store.atoms, block, store)
         table = table_of(space)
         if table:
@@ -1191,6 +1268,60 @@ def strongly_connected_components(
         if v not in index:
             strongconnect(v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the singleton loop test as classical formulas
+
+
+def drop_atom(gf: GF, a: GroundAtom) -> GF:
+    """τₐ(gf), the here/there translation with here-world X∖{a} (Lin,
+    "Reducing strong equivalence of logic programs to entailment in
+    classical propositional logic"): true at an interpretation X that makes
+    ``a`` true iff (X∖{a}, X) HT-satisfies ``gf``.  The atom ``a`` becomes
+    ⊥, and F → G becomes (τₐF → τₐG) ∧ (F → G); a subformula without ``a``
+    is its own translation."""
+    return _drop_atom(gf, a)[0]
+
+
+def _drop_atom(gf: GF, a: GroundAtom) -> tuple[GF, bool]:
+    """τₐ(gf) and whether ``gf`` mentions ``a``."""
+    tag = gf[0]
+    if tag == "atom":
+        return (FALSE_GF, True) if gf[1] == a else (gf, False)
+    if tag not in ("and", "or", "imp"):
+        return gf, False
+    left, in_left = _drop_atom(gf[1], a)
+    right, in_right = _drop_atom(gf[2], a)
+    if not (in_left or in_right):
+        return gf, False
+    if tag == "and":
+        return gand(left, right), True
+    if tag == "or":
+        return gor(left, right), True
+    return gand(gimp(left, right), gf), True
+
+
+def support_formulas(parts: Sequence[GF], droppable: Sequence[GroundAtom]) -> list[GF]:
+    """The singleton loop test of :func:`stable_candidate_table` as one
+    classical formula per atom of ``droppable``, in its order:
+    a → ¬⋀ τₐ(c), over the conjuncts c (``parts``, as :func:`conjuncts`
+    lists a theory's) in which a occurs strictly positively (¬a where there
+    are none).
+
+    A classical model X of the conjuncts passes the test iff it satisfies
+    every one: X∖{a} satisfies the reduct of a conjunct c at X iff
+    (X∖{a}, X) HT-satisfies c, and where a does not occur strictly
+    positively in c, that holds iff X satisfies c (see
+    :func:`_singleton_walk`).  So on a tight problem (:func:`is_tight`)
+    the models of the conjuncts and these formulas are its stable models
+    (Erdem and Lifschitz, "Tight logic programs")."""
+    held: dict[GroundAtom, list[GF]] = {a: [] for a in droppable}
+    for c in parts:
+        for a in pos_syn_atoms(c):
+            if a in held:  # each atom's list comes in the conjuncts' order
+                held[a].append(drop_atom(c, a))
+    return [gimp(("atom", a), gimp(gand_all(held[a]), FALSE_GF)) for a in droppable]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ the models of a context that are stable for other problems (B):
 enumeration lists A, split verification A△B, the one-direction check A∖B
 and the approximator check A∖ψ.  It alone builds the block tables, takes
 the tight path or the exact check, and decides when B need not be read.
+Split verification first asks :meth:`GroundProblem.proves_no_difference`,
+which, where every problem is tight, proves A = B by entailment queries
+on the classical theories of the two sides, with no scan.
 """
 
 from __future__ import annotations
@@ -316,6 +319,48 @@ class GroundProblem:
         # a reduct collapsing to false doubles as the classical-model check
         stable, _ = engine.is_stable_ground(self.gfs, true_atoms, self.droppable)
         return stable
+
+    def classical(self, atoms: frozenset[GroundAtom]) -> list[engine.GF]:
+        """The conjuncts of ``gfs``, then the support formula
+        (:func:`engine.support_formulas`) of each droppable atom of
+        ``atoms`` in scan order.  On a tight problem restricted to ``atoms``
+        their classical models over ``atoms`` are its stable models."""
+        parts = engine.conjuncts(self.gfs)
+        return parts + engine.support_formulas(
+            parts, sorted(self.droppable & atoms, key=atom_sort_key)
+        )
+
+    def proves_no_difference(
+        self,
+        atoms: Collection[GroundAtom],
+        kept: Iterable["GroundProblem"] = (),
+        theory: Sequence[engine.GF] = (),
+    ) -> bool:
+        """Whether entailment queries prove that :meth:`differences` with
+        ``symmetric`` lists nothing: that A, this problem's stable models
+        over ``atoms``, is B, the models of ``theory`` stable for every
+        ``kept`` problem, restricted as :meth:`differences` restricts them.
+
+        Only where every problem is tight; then each side is a classical
+        theory (:meth:`classical`, ``theory`` and the kept problems' for
+        B), and A = B iff each side entails every conjunct that only the
+        other has: A's queries come first, each an :class:`engine.Entailment`
+        query.  False as soon as one is not ``"unsat"``, which proves
+        nothing."""
+        allowed = frozenset(atoms)
+        a = self.restrict(allowed)
+        kept = [p.restrict(allowed) for p in kept]
+        theory = [engine.restrict_false(g, allowed) for g in theory]
+        if not (a.tight and all(p.tight for p in kept)):
+            return False
+        first = a.classical(allowed)
+        second = engine.conjuncts(theory + [g for p in kept for g in p.classical(allowed)])
+        in_first, in_second = set(first), set(second)
+        only_first = [g for g in first if g not in in_second]
+        only_second = [g for g in second if g not in in_first]
+        return (not only_second or engine.Entailment(first).entails_all(only_second)) and (
+            not only_first or engine.Entailment(second).entails_all(only_first)
+        )
 
     def differences(
         self,

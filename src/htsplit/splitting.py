@@ -1,6 +1,8 @@
-"""Hypothesis checks and brute-force verification for the two splitting
-results: one for disjunctive programs, one for arbitrary theories under an
-approximating context."""
+"""Hypothesis checks and verification for the two splitting results: one
+for disjunctive programs, one for arbitrary theories under an
+approximating context.  Verification proves a split by entailment queries
+where every side is tight, and otherwise compares the two sides by brute
+force."""
 
 from __future__ import annotations
 
@@ -39,7 +41,9 @@ class NegativityCell:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of exhaustively comparing the two sides of a split."""
+    """Outcome of comparing the two sides of a split over the declared
+    domains: by entailment queries that prove them equal, or else by a scan
+    of every interpretation (see :func:`verify_split`)."""
 
     status: str  # "verified" | "mismatch" | "not-run" | "inconclusive"
     mismatch: Optional[FiniteInterpretation] = None
@@ -217,26 +221,20 @@ def check_split_theory(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive verification
+# verification
 
 
-def verify_split(
+def _verification_sides(
     parts: Sequence[Sequence[Statement]],
     partition: Partition,
     psi: Sequence[Statement],
     domains: Domains,
-    atom_cap: int = engine.DEFAULT_ATOM_CAP,
-) -> VerificationResult:
-    """Compare, interpretation by interpretation, the stable models of the
-    union (A) against the conjunction of context membership and per-part
-    stability (B): the first of A△B that :meth:`GroundProblem.differences`
-    lists is the lowest mismatch.
-
-    The scan covers every interpretation that could belong to either side,
-    the union's candidate atoms and those every part shares: an
-    interpretation making an atom true that no side can support belongs to
-    neither, so the two sides trivially agree on it.
-    """
+) -> tuple[FiniteInterpretation, GroundProblem, list[GroundProblem], list[engine.GF], frozenset]:
+    """The structure, the union's problem, each part's problem under its
+    member, ψ ground, and the atoms that verification compares the two
+    sides over: the union's candidate atoms and those every part shares.
+    An interpretation making an atom true that no side can support belongs
+    to neither, so the two sides trivially agree on it."""
     union = _union(parts, partition)
     structure = FiniteInterpretation.make(partition.target.signature, domains)
     union_side = GroundProblem.ground(structure, union, partition.target)
@@ -246,7 +244,52 @@ def verify_split(
     ]
     parts_atoms = frozenset.intersection(*(side.atoms for side in part_sides))
     psi_gfs = engine.ground_theory(structure, theory_sentences(psi))
-    atoms = scan_atoms(union_side.atoms | parts_atoms, atom_cap, "verification")
+    return structure, union_side, part_sides, psi_gfs, union_side.atoms | parts_atoms
+
+
+def split_proved(
+    parts: Sequence[Sequence[Statement]],
+    partition: Partition,
+    psi: Sequence[Statement],
+    domains: Domains,
+) -> bool:
+    """Whether entailment queries prove that the two sides of the split
+    agree (:meth:`GroundProblem.proves_no_difference`), at any atom count:
+    the decision :func:`verify_split` takes before its scan, without the
+    one-block gate.  False proves nothing."""
+    _structure, union_side, part_sides, psi_gfs, atoms = _verification_sides(
+        parts, partition, psi, domains
+    )
+    return union_side.proves_no_difference(atoms, part_sides, psi_gfs)
+
+
+def verify_split(
+    parts: Sequence[Sequence[Statement]],
+    partition: Partition,
+    psi: Sequence[Statement],
+    domains: Domains,
+    atom_cap: int = engine.DEFAULT_ATOM_CAP,
+) -> VerificationResult:
+    """Compare the stable models of the union (A) against the conjunction
+    of context membership and per-part stability (B), over the atoms of
+    :func:`_verification_sides`.
+
+    Where the scan would walk more than one block (:func:`engine.scan_blocks`)
+    and every side is tight, entailment queries come first
+    (:func:`split_proved`): if they prove A = B the split is verified at
+    any atom count, and ``atom_cap`` is not read.  Otherwise the space is
+    compared interpretation by interpretation, under ``atom_cap``: the
+    first of A△B that :meth:`GroundProblem.differences` lists is the lowest
+    mismatch.
+    """
+    structure, union_side, part_sides, psi_gfs, atoms = _verification_sides(
+        parts, partition, psi, domains
+    )
+    if engine.scan_blocks(len(atoms)) > 1 and union_side.proves_no_difference(
+        atoms, part_sides, psi_gfs
+    ):
+        return VerificationResult("verified")
+    atoms = scan_atoms(atoms, atom_cap, "verification")
     mismatch = next(union_side.differences(atoms, part_sides, psi_gfs, symmetric=True), None)
     if mismatch is None:
         return VerificationResult("verified")

@@ -569,6 +569,9 @@ def test_no_table_space_outlives_models_without_the_cycle_collector(monkeypatch,
 
     monkeypatch.setattr(engine, "TableSpace", RecordedSpace)
     monkeypatch.setattr(engine, "ScanStore", RecordedStore)
+    # the entailment queries would verify the blocks split without a table,
+    # so split --verify is sent to its scan
+    monkeypatch.setattr(GroundProblem, "proves_no_difference", lambda *args: False)
     split = ["split", str(DATA / "blocks_split.htsplit"), "--parts", "lt,gt"]
     commands = [
         ["models", str(DATA / "four_models.htsplit")],
@@ -621,3 +624,102 @@ def test_importing_the_package_loads_no_numpy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the singleton loop test as formulas, and entailment queries
+
+
+def _worlds():
+    universe = sorted(UNIVERSE, key=atom_sort_key)
+    return [
+        frozenset(a for i, a in enumerate(universe) if (k >> i) & 1)
+        for k in range(1 << len(universe))
+    ]
+
+
+def test_dropping_an_atom_is_here_there_satisfaction_without_it():
+    # τₐ(g) at X against the definitional relation (X∖{a}, X) ⊨ g
+    rng = random.Random(11)
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    for _ in range(60):
+        sentence = random_sentence(rng, depth=3)
+        g = engine.ground_formula(structure, sentence)
+        for a in UNIVERSE:
+            dropped = engine.drop_atom(g, a)
+            for x in _worlds():
+                if a in x:
+                    there = structure.with_atoms(x)
+                    expected = ht_satisfies_all(HTInterpretation(x - {a}, there), [sentence])
+                    assert engine.eval_gf(dropped, x) == expected, (sentence, a, x)
+
+
+def test_support_formulas_keep_what_the_singleton_loop_test_keeps():
+    # over random theories, tight or not, under a statement whose regions
+    # read b: the classical table of the conjuncts and support formulas is
+    # the table of stable_candidate_table
+    from test_properties import _member_partition
+
+    lam = _member_partition().target
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    rng = random.Random(12)
+    unsupported = 0
+    for _ in range(80):
+        theory = [random_sentence(rng, depth=2) for _ in range(rng.randint(0, 3))]
+        problem = GroundProblem.ground(structure, theory, lam)
+        parts = engine.conjuncts(problem.gfs)
+        droppable = sorted(problem.droppable, key=atom_sort_key)
+        support = engine.support_formulas(parts, droppable)
+        assert len(support) == len(droppable)
+        unsupported += sum(("imp", ("atom", a), engine.FALSE_GF) in support for a in droppable)
+        space = engine.TableSpace(sorted(UNIVERSE, key=atom_sort_key))
+        expected = engine.stable_candidate_table(space, problem.gfs, problem.droppable)
+        assert space.theory_table(parts + support) == expected, theory
+    assert unsupported
+
+
+def test_an_entailment_query_is_unsat_exactly_where_the_premises_entail_the_goal():
+    # a query searches only the goal's closure, so "unsat" is a proof, and
+    # "sat" a countermodel wherever the premises have a model at all
+    rng = random.Random(13)
+    structure = FiniteInterpretation.make(SIG, DOMAINS)
+    seen = set()
+    for _ in range(200):
+        premises = [
+            engine.ground_formula(structure, random_sentence(rng, depth=2))
+            for _ in range(rng.randint(1, 4))
+        ]
+        oracle = engine.Entailment(premises)
+        size = oracle.circuit.mark()
+        models = [x for x in _worlds() if all(engine.eval_gf(p, x) for p in premises)]
+        for _ in range(3):
+            goal = engine.ground_formula(structure, random_sentence(rng, depth=2))
+            entailed = all(engine.eval_gf(goal, x) for x in models)
+            verdict = oracle.query(goal)
+            assert verdict in ("sat", "unsat")
+            if verdict == "unsat" or models:
+                assert (verdict == "unsat") == entailed, (premises, goal)
+            assert oracle.circuit.mark() == size  # each query leaves the premises as they were
+            seen.add((verdict, entailed))
+    assert seen >= {("sat", False), ("unsat", True)}
+
+
+def test_a_query_closure_is_breadth_first_from_the_goal_atoms_in_sort_order():
+    def p(name):
+        return ("atom", (name, ()))
+
+    premises = [
+        ("imp", p("d"), p("e")),
+        ("imp", p("b"), p("c")),
+        ("imp", p("c"), p("d")),
+        ("imp", p("x"), p("y")),
+        ("imp", p("a"), p("b")),
+    ]
+    oracle = engine.Entailment(premises)
+    # a reaches a -> b, then c reaches b -> c and c -> d, then d reaches d -> e
+    assert oracle.closure(("or", p("c"), p("a"))) == [4, 1, 2, 0]
+    assert oracle.query(("imp", p("a"), p("e"))) == "unsat"
+    assert oracle.query(("imp", p("e"), p("a"))) == "sat"
+    assert oracle.query(("imp", p("x"), p("a"))) == "sat"
+    assert oracle.entails_all([("imp", p("a"), p("c")), ("imp", p("x"), p("y"))])
+    assert not oracle.entails_all([("imp", p("a"), p("c")), p("a")])

@@ -701,6 +701,70 @@ def test_verify_split_reports_the_lowest_definitional_mismatch():
     assert seen == {"verified", "union-only", "parts-only"}, seen
 
 
+def _proof_cases():
+    """(kind, parts, partition, psi, domains): selftest program splits over
+    three or four atoms with up to three to five rules per part, then theory
+    splits of strategy sentences under the partition whose regions read b,
+    half of them under a random context."""
+    import random
+
+    from htsplit.selftest import random_split_instance
+    from strategies import random_sentence
+
+    rng = random.Random(41)
+    for _ in range(300):
+        instance = random_split_instance(rng, 2, rng.choice((3, 4)), rng.choice((3, 4, 5)))
+        yield "program", instance.parts, instance.partition, [], {}
+    partition = _member_partition()
+    for _ in range(300):
+        parts = [
+            [random_sentence(rng, depth=2) for _ in range(rng.randint(0, 2))]
+            for _ in range(2)
+        ]
+        psi = [random_sentence(rng, depth=1)] if rng.random() < 0.5 else []
+        yield "theory", parts, partition, psi, DOMAINS
+
+
+def test_entailment_queries_never_verify_a_split_the_scan_refutes():
+    # the queries alone, without the one-block gate, against verify_split,
+    # whose scan decides every one of these spaces of at most four atoms.
+    # They must never prove a split the scan finds a mismatch in, and they
+    # must prove most of those it verifies: the rest are not tight, or a
+    # query finds a countermodel to a conjunct that the other side's
+    # conjuncts jointly imply only with the premises outside its closure
+    from htsplit.splitting import split_proved, verify_split
+
+    verified = {"program": 0, "theory": 0}
+    proved = {"program": 0, "theory": 0}
+    for kind, parts, partition, psi, domains in _proof_cases():
+        outcome = verify_split(parts, partition, psi, domains)
+        if split_proved(parts, partition, psi, domains):
+            text = [[format_formula(theory_sentences([s])[0]) for s in part] for part in parts + [psi]]
+            assert outcome.verified, (kind, text, outcome)
+            proved[kind] += 1
+        verified[kind] += outcome.verified
+    # 207 of 230 verified program splits and 129 of 169 theory splits
+    assert proved["program"] >= 0.85 * verified["program"], (verified, proved)
+    assert proved["theory"] >= 0.7 * verified["theory"], (verified, proved)
+
+
+def test_verify_split_gives_the_same_outcome_with_the_queries_first(monkeypatch):
+    # with blocks of two atoms every space here walks several blocks, so
+    # verify_split asks the queries first; the outcome, the lowest mismatch
+    # and its side included, is the scan's alone.  The loop a <-> u(d2)
+    # across the members is a parts-only mismatch
+    from htsplit.splitting import verify_split
+
+    a, u2 = Atom("a", ()), Atom("u", (DomainName("d2", "s"),))
+    loop = ("theory", [[Implies(u2, a)], [Implies(a, u2)]], _member_partition(), [], DOMAINS)
+    cases = list(_proof_cases()) + [loop]
+    alone = [verify_split(parts, partition, psi, domains) for _k, parts, partition, psi, domains in cases]
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", 2)
+    first = [verify_split(parts, partition, psi, domains) for _k, parts, partition, psi, domains in cases]
+    assert first == alone
+    assert {o.side or o.status for o in alone} == {"verified", "union-only", "parts-only"}
+
+
 def test_one_direction_per_part_matches_the_definitional_check():
     import random
 

@@ -349,3 +349,125 @@ def test_choice_disjunctions_outside_rules_break_the_narrow_negativity_form():
     assert not is_lambda_stable(witness, part1, member2, method="direct-full")
     outcome = verify_split([part0, part1], partition, [], domains)
     assert outcome.status == "mismatch"
+
+
+# ---------------------------------------------------------------------------
+# entailment queries before the scan
+
+
+def _blocks_split_at(problem_text: str, horizon: int):
+    from htsplit.parser import parse_problem
+
+    text = problem_text.replace("int range 0..3.", f"int range 0..{horizon}.")
+    assert f"int range 0..{horizon}." in text
+    problem = parse_problem(text)
+    partition = Partition.of(
+        [problem.part("beta1"), problem.part("beta2")], target=problem.default_lambda
+    )
+    return problem, partition, [problem.group("lt"), problem.group("gt")]
+
+
+@pytest.mark.parametrize("horizon", [5, 10])
+def test_the_blocks_split_past_the_atom_cap_is_verified_by_queries_alone(monkeypatch, horizon):
+    from conftest import DATA
+    from htsplit import engine
+
+    problem, partition, parts = _blocks_split_at((DATA / "blocks_split.htsplit").read_text(), horizon)
+
+    def no_scan(*args):
+        raise AssertionError("the queries should have decided the split")
+
+    monkeypatch.setattr(engine, "scan_indices", no_scan)
+    outcome = verify_split(parts, partition, [], problem.domains())
+    assert outcome.status == "verified"
+
+
+def test_a_split_the_queries_cannot_decide_past_the_cap_is_still_capped():
+    # the loop p <-> q makes the union not tight, so the 32-atom space goes
+    # to the scan, whose cap it exceeds
+    from htsplit import engine
+    from htsplit.parser import parse_problem
+
+    problem = parse_problem(
+        "int range 0..29.\npred p. pred q. pred x(int).\n"
+        "#group g1 { p :- q. x(X) :- not not x(X). }.\n#group g2 { q :- p. }.\n"
+        "#part m1 { p : #true ; x(X) : #true }.\n#part m2 { q : #true }.\n"
+    )
+    partition = Partition.of([problem.part("m1"), problem.part("m2")])
+    parts = [problem.group("g1"), problem.group("g2")]
+    with pytest.raises(engine.ResourceCapExceeded, match="32 atoms"):
+        verify_split(parts, partition, [], problem.domains())
+
+
+def test_the_queries_need_a_support_formula_for_an_atom_no_conjunct_mentions():
+    # b is droppable under m1, and p1 never mentions it: only the support
+    # formula ¬b keeps {a, b} out of p1's stable models, where the scan
+    # finds the lowest mismatch.  At three atoms verify_split takes the
+    # scan, so the queries are asked directly
+    from htsplit.parser import parse_problem
+    from htsplit.splitting import split_proved
+
+    problem = parse_problem(
+        "pred a. pred b. pred c.\n"
+        "#group p1 { a. a :- not a, not not a. c :- not a. }.\n"
+        "#group p2 { c | b :- not c. a. a. }.\n"
+        "#part m1 { b : #true }.\n#part m2 { c : #true }.\n"
+    )
+    partition = Partition.of([problem.part("m1"), problem.part("m2")])
+    parts = [problem.group("p1"), problem.group("p2")]
+    assert not split_proved(parts, partition, [], problem.domains())
+    outcome = verify_split(parts, partition, [], problem.domains())
+    assert (outcome.status, outcome.side) == ("mismatch", "union-only")
+    assert outcome.mismatch.true_atoms == {("a", ()), ("b", ())}
+
+
+_QUERY_LOG = """
+import hashlib, sys
+from htsplit import engine
+from htsplit.cli import main
+
+log = []
+query = engine.Entailment.query
+
+def logged(self, goal):
+    verdict = query(self, goal)
+    log.append(repr((goal, self.closure(goal), verdict)))
+    return verdict
+
+engine.Entailment.query = logged
+code = main(sys.argv[1:])
+print("exit", code, "queries", len(log), hashlib.sha256("\\n".join(log).encode()).hexdigest())
+"""
+
+
+def test_the_queries_and_their_closures_do_not_depend_on_the_hash_seed(tmp_path):
+    # the closures are listed by atom_sort_key, never in a set's order, so
+    # the same queries search the same premises under every hash seed
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import htsplit
+    from conftest import DATA
+
+    path = tmp_path / "blocks_0_10.htsplit"
+    text = (DATA / "blocks_split.htsplit").read_text().replace("int range 0..3.", "int range 0..10.")
+    path.write_text(text)
+    argv = ["split", str(path), "--parts", "lt,gt", "--partition", "beta1,beta2", "--verify"]
+    outputs = []
+    for seed in ("0", "3"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=str(pathlib.Path(htsplit.__file__).parents[1]),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _QUERY_LOG, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert "verification: verified" in outputs[0]
+    last = outputs[0].splitlines()[-1].split()
+    assert last[:2] == ["exit", "0"] and int(last[3]) > 0
