@@ -824,31 +824,35 @@ def find_model(
     queries of :class:`Entailment`; stability is decided by
     :func:`is_stable_ground` on truth tables.
     """
-    if circuit is not None and among is None:
-        among = range(len(circuit.sentences))
-    kept = [circuit.sentences[i] for i in among] if circuit is not None else []
+    kept = [] if circuit is None else circuit.sentences
+    if among is not None:
+        kept = [kept[i] for i in among]
     if any(g == FALSE_GF for g in gfs) or FALSE_GF in kept:
         return ("unsat", None)
     if not kept and all(g == TRUE_GF for g in gfs):
         return ("sat", frozenset())
     if circuit is None:
-        circuit = _Circuit(gfs)
-        return _search(circuit, range(len(circuit.sentences)))
+        return _search(_Circuit(gfs))
     mark = circuit.mark()
     try:
         circuit.add(gfs)
-        return _search(circuit, list(among) + list(range(mark[1], len(circuit.sentences))))
+        if among is not None:
+            among = list(among) + list(range(mark[1], len(circuit.sentences)))
+        return _search(circuit, among)
     finally:
         circuit.restore(mark)
 
 
 def _search(
-    circuit: _Circuit, among: Sequence[int]
+    circuit: _Circuit, among: Optional[Sequence[int]] = None
 ) -> tuple[str, Optional[frozenset[GroundAtom]]]:
     """The backtracking loop of :func:`find_model` over the sentences of
-    the circuit that ``among`` lists, in its order."""
+    the circuit that ``among`` lists, in its order, or over all of them."""
     value, trail, orders = circuit.value, circuit.trail, circuit.orders
-    roots = [circuit.roots[i] for i in among]
+    if among is None:
+        roots, among = circuit.roots, range(len(circuit.roots))
+    else:
+        roots = [circuit.roots[i] for i in among]
     # one entry per decision: its leaf, whether False is still to try, the
     # trail's length before it, the sentence it came from (every sentence
     # before that one is true) and the leaf's place in that sentence's order
@@ -894,16 +898,20 @@ class Entailment:
 
     :meth:`query` asks whether the premises entail a goal: it searches for
     a model of ¬goal together with :meth:`closure`, the premises that reach
-    the goal's atoms through shared atoms.  A model of ¬goal and the
-    closure extends to one of every premise, unless the others alone have
-    none, so ``"unsat"`` proves the entailment; ``"sat"`` and ``"unknown"``
-    prove nothing.  The premises stay in one :class:`_Circuit`, with their
-    decision orders, and each query adds only its ¬goal, for one
-    :func:`find_model` with its own ``DEFAULT_NODE_CAP`` budget.
+    the goal's atoms through shared atoms.  No model proves the entailment.
+    A model extends to one of every premise, unless the others alone have
+    none, so a model disproves it once a search over all the premises,
+    made at most once per oracle, finds one; premises without a model
+    entail every goal.  Only ``"unsat"`` proves anything: ``"unknown"``,
+    past a search's node cap, proves nothing either way.  The premises stay
+    in one :class:`_Circuit`, with their decision orders, and each query
+    adds only its ¬goal, for one :func:`find_model` with its own
+    ``DEFAULT_NODE_CAP`` budget.
     """
 
     def __init__(self, premises: Sequence[GF]) -> None:
         self.circuit = _Circuit(premises)
+        self.consistent: Optional[str] = None  # find_model's verdict on the premises alone
         self.atoms = [sorted(gf_atoms(g), key=atom_sort_key) for g in self.circuit.sentences]
         self.premises_of: dict[GroundAtom, list[int]] = {}
         for i, atoms in enumerate(self.atoms):
@@ -933,9 +941,15 @@ class Entailment:
         return out
 
     def query(self, goal: GF) -> str:
-        """The verdict of the search for a model of the premises in which
-        ``goal`` is false: ``"unsat"`` when the premises entail it."""
-        return find_model([gimp(goal, FALSE_GF)], self.circuit, self.closure(goal))[0]
+        """The verdict on a model of the premises in which ``goal`` is
+        false: ``"unsat"`` when the premises entail it, ``"sat"`` when they
+        do not, ``"unknown"`` when a search stopped at its node cap."""
+        verdict = find_model([gimp(goal, FALSE_GF)], self.circuit, self.closure(goal))[0]
+        if verdict != "sat":
+            return verdict
+        if self.consistent is None:
+            self.consistent = find_model((), self.circuit)[0]
+        return self.consistent
 
     def entails_all(self, goals: Iterable[GF]) -> bool:
         """Whether every query on ``goals`` is ``"unsat"``; stops at the first that is not."""

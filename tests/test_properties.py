@@ -729,9 +729,7 @@ def test_entailment_queries_never_verify_a_split_the_scan_refutes():
     # the queries alone, without the one-block gate, against verify_split,
     # whose scan decides every one of these spaces of at most four atoms.
     # They must never prove a split the scan finds a mismatch in, and they
-    # must prove most of those it verifies: the rest are not tight, or a
-    # query finds a countermodel to a conjunct that the other side's
-    # conjuncts jointly imply only with the premises outside its closure
+    # must prove most of those it verifies: here the rest are not tight
     from htsplit.splitting import split_proved, verify_split
 
     verified = {"program": 0, "theory": 0}
@@ -743,9 +741,9 @@ def test_entailment_queries_never_verify_a_split_the_scan_refutes():
             assert outcome.verified, (kind, text, outcome)
             proved[kind] += 1
         verified[kind] += outcome.verified
-    # 207 of 230 verified program splits and 129 of 169 theory splits
-    assert proved["program"] >= 0.85 * verified["program"], (verified, proved)
-    assert proved["theory"] >= 0.7 * verified["theory"], (verified, proved)
+    # 212 of 230 verified program splits and 168 of 169 theory splits
+    assert proved["program"] >= 0.9 * verified["program"], (verified, proved)
+    assert proved["theory"] >= 0.95 * verified["theory"], (verified, proved)
 
 
 def test_verify_split_gives_the_same_outcome_with_the_queries_first(monkeypatch):
