@@ -355,24 +355,20 @@ def test_choice_disjunctions_outside_rules_break_the_narrow_negativity_form():
 # entailment queries before the scan
 
 
-def _blocks_split_at(problem_text: str, horizon: int):
+@pytest.mark.parametrize("horizon", [5, 10])
+def test_the_blocks_split_past_the_atom_cap_is_verified_by_queries_alone(monkeypatch, horizon):
+    from conftest import DATA
+    from htsplit import engine
     from htsplit.parser import parse_problem
 
-    text = problem_text.replace("int range 0..3.", f"int range 0..{horizon}.")
+    text = (DATA / "blocks_split.htsplit").read_text()
+    text = text.replace("int range 0..3.", f"int range 0..{horizon}.")
     assert f"int range 0..{horizon}." in text
     problem = parse_problem(text)
     partition = Partition.of(
         [problem.part("beta1"), problem.part("beta2")], target=problem.default_lambda
     )
-    return problem, partition, [problem.group("lt"), problem.group("gt")]
-
-
-@pytest.mark.parametrize("horizon", [5, 10])
-def test_the_blocks_split_past_the_atom_cap_is_verified_by_queries_alone(monkeypatch, horizon):
-    from conftest import DATA
-    from htsplit import engine
-
-    problem, partition, parts = _blocks_split_at((DATA / "blocks_split.htsplit").read_text(), horizon)
+    parts = [problem.group("lt"), problem.group("gt")]
 
     def no_scan(*args):
         raise AssertionError("the queries should have decided the split")
