@@ -24,10 +24,12 @@ atom universe grounds to false.  On top of that this module provides:
   context, and :class:`Entailment`, which asks whether fixed premises
   entail a goal by searching for a model of ¬goal and the premises that
   share atoms with it;
-* the singleton loop test as classical formulas
-  (:func:`support_formulas`, through the here/there translation
-  :func:`drop_atom`), so that a tight problem's stable models are the
-  models of a classical theory, on which :class:`Entailment` answers;
+* the singleton loop test as one classical theory
+  (:func:`classical_theory`: the conjuncts and a support formula per
+  droppable atom, :func:`support_formulas`, through the here/there
+  translation :func:`drop_atom`), so that a tight problem's stable models
+  are the models of a classical theory, on which :class:`Entailment`
+  answers and which the prefilter tabulates;
 * the one-world reduct of a ground formula with respect to an interpretation,
   which turns here-and-there satisfaction over subsets of the true atoms into
   classical satisfaction (cross-checked against the direct recursion by the
@@ -36,17 +38,17 @@ atom universe grounds to false.  On top of that this module provides:
   equivalence compares two theories: the shared ones cancel out, and the
   reduct of each conjunct depends only on the values of its own atoms;
 * bit-parallel truth tables over a candidate atom list, and the prefilter
-  built on them, the singleton loop test (:func:`stable_candidate_table`),
-  which keeps the classical models X from which no droppable true atom a
-  can be dropped alone: X∖{a} does not satisfy the reduct at X.
+  built on them (:func:`stable_candidate_table`), the table of that
+  theory, which keeps the classical models X from which no droppable true
+  atom a can be dropped alone: X∖{a} does not satisfy the reduct at X.
   :func:`scan_indices` is the one place that knows the space is walked in
   blocks of at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary,
   the others are fixed per block): its callers pass a table per block and
   get back the global index of each kept assignment, an int whose bit i is
   atom i; :func:`scan` decodes each into its true atoms.  The blocks of one
   scan share a
-  :class:`ScanStore`, so the test walks a conjunct once per scan for each
-  set of values its fixed atoms take, not once per block;
+  :class:`ScanStore`, so the prefilter tabulates a formula once per scan
+  for each set of values its fixed atoms take, not once per block;
 * tightness (:func:`is_tight`): when the positive dependency graph has no
   cycle through two atoms, every loop is a singleton, so the survivors of
   the singleton loop test are the stable models and tight problems skip
@@ -71,7 +73,6 @@ from itertools import compress
 from typing import (
     Any,
     Callable,
-    Container,
     Hashable,
     Iterable,
     Iterator,
@@ -964,9 +965,10 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
 # The atoms that vary inside one block of a truth-table space: a table then
-# has 2^16 bits (8 KB).  A scan keeps the prefilter walks its blocks share
-# (see ScanStore), so a wider block repeats fewer walks but the scan holds
-# larger tables.  On the blocks split at 0..1 to 0..3 (`models` and
+# has 2^16 bits (8 KB).  A scan keeps the prefilter tables its blocks share
+# (see ScanStore), so a wider block repeats fewer of them but the scan holds
+# larger ones.  Measured when the prefilter still walked each conjunct's
+# reducts: on the blocks split at 0..1 to 0..3 (`models` and
 # `split --verify`, the perfbench split-verify workload, three runs per width,
 # Python 3.11, 2-core Xeon), a round took 0.33 to 0.35 s of CPU with 16
 # atoms, 0.37 to 0.39 s with 18, 0.41 to 0.42 s with 20 and 0.46 to 0.48 s
@@ -979,14 +981,13 @@ class ScanStore:
     """What the blocks of one :func:`scan_indices` over ``atoms`` share, made
     by the scan and dropped with it: the atom list and its index, the tables
     of the varying atoms, and for the singleton loop test the plan of each
-    problem and the walks of its conjuncts.
+    problem and the tables of its formulas.
 
-    A conjunct's walk reads only the tables of its own atoms, which are the
-    same in every block for a varying atom and a constant for a fixed one,
-    and which of its atoms are droppable.  So ``walks`` keeps each walk by
-    the conjunct and its droppable atoms, and then by the values the block
-    gives the conjunct's fixed atoms.  A problem's plan holds the objects
-    whose identities key ``plans``, so they stay unique while the store lives.
+    A formula's table reads only the tables of its own atoms, which are the
+    same in every block for a varying atom and a constant for a fixed one.
+    So ``tables`` keeps each formula's tables by the values the block gives
+    its fixed atoms.  A problem's plan holds the objects whose identities
+    key ``plans``, so they stay unique while the store lives.
     """
 
     def __init__(self, atoms: Sequence[GroundAtom]) -> None:
@@ -996,7 +997,7 @@ class ScanStore:
         self.mask = (1 << (1 << self.low)) - 1
         self.low_tables: dict[int, int] = {}
         self.plans: dict[tuple[int, int], _Plan] = {}
-        self.walks: dict[tuple[GF, frozenset[GroundAtom]], dict[int, tuple[int, dict]]] = {}
+        self.tables: dict[GF, dict[int, int]] = {}
 
 
 class TableSpace:
@@ -1135,45 +1136,6 @@ def index_flags(index: int) -> bytes:
 def decode(atoms: Sequence[GroundAtom], index: int) -> frozenset[GroundAtom]:
     """The true atoms of the assignment to ``atoms`` of global ``index``."""
     return frozenset(compress(atoms, index_flags(index)))
-
-
-# a module-level function: a nested one that calls itself holds its closure,
-# and with it the space and its tables, in a reference cycle that outlives
-# the call until the cyclic collector runs
-def _singleton_walk(
-    space: TableSpace, wanted: Container[GroundAtom], gf: GF
-) -> tuple[int, dict[GroundAtom, int]]:
-    """The table of ``gf`` and, for each atom a of ``wanted`` with a strictly
-    positive occurrence in it, the table D_a of the assignments X with
-    X∖{a} ⊨ gf^X (the reduct at X).  Any other atom's D_a is the table of
-    ``gf``: an atom that occurs only in antecedents cannot falsify the
-    reduct by its absence, so an antecedent is walked only for the atoms its
-    consequent tracks."""
-    tag = gf[0]
-    if tag == "t":
-        return space.mask, {}
-    if tag == "f":
-        return 0, {}
-    if tag == "atom":
-        sat = space.atom_table(space.index[gf[1]])
-        return sat, ({gf[1]: 0} if gf[1] in wanted else {})
-    if tag == "imp":
-        sat_r, d_r = _singleton_walk(space, wanted, gf[2])
-        if d_r:
-            sat_l, d_l = _singleton_walk(space, d_r.keys(), gf[1])
-        else:
-            sat_l, d_l = space.table(gf[1]), {}
-        sat = (space.mask ^ sat_l) | sat_r
-        return sat, {a: sat & ((space.mask ^ d_l.get(a, sat_l)) | t) for a, t in d_r.items()}
-    sat_l, d_l = _singleton_walk(space, wanted, gf[1])
-    sat_r, d_r = _singleton_walk(space, wanted, gf[2])
-    if tag == "and":
-        sat = sat_l & sat_r
-        d = {a: d_l.get(a, sat_l) & d_r.get(a, sat_r) for a in d_l.keys() | d_r.keys()}
-    else:
-        sat = sat_l | sat_r
-        d = {a: d_l.get(a, sat_l) | d_r.get(a, sat_r) for a in d_l.keys() | d_r.keys()}
-    return sat, d
 
 
 # ---------------------------------------------------------------------------
@@ -1326,16 +1288,27 @@ def support_formulas(parts: Sequence[GF], droppable: Sequence[GroundAtom]) -> li
     A classical model X of the conjuncts passes the test iff it satisfies
     every one: X∖{a} satisfies the reduct of a conjunct c at X iff
     (X∖{a}, X) HT-satisfies c, and where a does not occur strictly
-    positively in c, that holds iff X satisfies c (see
-    :func:`_singleton_walk`).  So on a tight problem (:func:`is_tight`)
-    the models of the conjuncts and these formulas are its stable models
-    (Erdem and Lifschitz, "Tight logic programs")."""
+    positively in c, that holds iff X satisfies c (an atom that occurs only
+    in antecedents cannot falsify the reduct by its absence).  So on a
+    tight problem (:func:`is_tight`) the models of the conjuncts and these
+    formulas are its stable models (Erdem and Lifschitz, "Tight logic
+    programs")."""
     held: dict[GroundAtom, list[GF]] = {a: [] for a in droppable}
     for c in parts:
         for a in pos_syn_atoms(c):
             if a in held:  # each atom's list comes in the conjuncts' order
                 held[a].append(drop_atom(c, a))
     return [gimp(("atom", a), gimp(gand_all(held[a]), FALSE_GF)) for a in droppable]
+
+
+def classical_theory(gfs: Sequence[GF], droppable: Iterable[GroundAtom]) -> list[GF]:
+    """The conjuncts of ``gfs``, then the support formulas
+    (:func:`support_formulas`) of the atoms of ``droppable`` in
+    :func:`~htsplit.interpretations.atom_sort_key` order: the singleton
+    loop test as one classical theory, which the prefilter tabulates and
+    entailment queries read."""
+    parts = conjuncts(gfs)
+    return parts + support_formulas(parts, sorted(droppable, key=atom_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -1395,41 +1368,33 @@ def candidate_atoms(gfs: Sequence[GF]) -> list[GroundAtom]:
 
 
 class _Plan:
-    """One problem's singleton loop test, as the blocks of a scan share it.
-
-    The conjuncts that mention no atom the block fixes are walked once, in
-    the block that makes the plan, and folded into ``good`` and ``held``.
-    Each other conjunct is kept with the bits of the block number that give
-    its fixed atoms and its walks by those bits, and each droppable atom of
-    the space with its index.
+    """One problem's singleton loop test, as the blocks of a scan share it:
+    the formulas of :func:`classical_theory` over the droppable atoms of the
+    space.  Those that mention no atom the block fixes are tabulated once,
+    in the block that makes the plan, and folded into ``good``; each other
+    formula is kept with the bits of the block number that give its fixed
+    atoms and its tables by those bits.
     """
 
-    __slots__ = ("problem", "wanted", "good", "held", "variant", "droppable")
+    __slots__ = ("problem", "good", "variant")
 
     def __init__(self, space: TableSpace, gfs: Sequence[GF], droppable: frozenset[GroundAtom]):
         store = space.store
         self.problem = (gfs, droppable)  # keep the identities that key the plan
-        self.droppable = [(a, space.index[a]) for a in space.atoms if a in droppable]
-        self.wanted = wanted = frozenset(a for a, _i in self.droppable)
-        # D_a of a conjunction is its table and the D_a of the conjuncts that
-        # track a; good lies inside every table, so only the D_a are kept
-        self.good, self.held = space.mask, {}
-        self.variant: list[tuple[GF, int, dict]] = []
-        for g in conjuncts(gfs):
-            atoms = gf_atoms(g)
-            walks = store.walks.setdefault((g, frozenset(atoms & wanted)), {})
-            fixed = space.fixed_mask(atoms)
+        self.good = space.mask
+        self.variant: list[tuple[GF, int, dict[int, int]]] = []
+        for g in classical_theory(gfs, droppable.intersection(space.atoms)):
+            tables = store.tables.setdefault(g, {})
+            fixed = space.fixed_mask(gf_atoms(g))
             if fixed:
-                self.variant.append((g, fixed, walks))
+                self.variant.append((g, fixed, tables))
                 continue
-            hit = walks.get(0)
-            if hit is None:
-                hit = walks[0] = _singleton_walk(space, wanted, g)
-            self.good &= hit[0]
+            table = tables.get(0)
+            if table is None:
+                table = tables[0] = space.table(g)
+            self.good &= table
             if not self.good:
                 break
-            for a, t in hit[1].items():
-                self.held[a] = self.held.get(a, space.mask) & t
 
 
 def stable_candidate_table(
@@ -1441,25 +1406,25 @@ def stable_candidate_table(
     callers hand it to :func:`scan_indices`, which walks the blocks.
 
     Keeps the classical models X of the theory in which no true atom a in
-    ``droppable`` has X∖{a} ⊨ Γ^X; the atoms fixed by the block are checked
-    like the varying ones.  X∖{a} is then a proper here-world that
-    satisfies the reduct, so every stable model passes.  ``gfs`` must hold
-    each atom's excluded-middle sentence (see :func:`is_stable_ground`), so
-    no X∖{a} satisfies Γ^X where a's region is false at X.  On a tight
-    problem (:func:`is_tight`) every loop is a singleton and the survivors
-    are the stable models; on any other a survivor still needs the exact
-    check.  The formulas in ``gfs`` may mention only atoms of the space (see
-    ``GroundProblem.restrict``).  An atom of the space that is none of the
-    problem's candidates is droppable (else its excluded-middle sentence
-    would make it a candidate) and has no strictly positive occurrence, so
-    X∖{a} satisfies every reduct and no survivor makes it true.
+    ``droppable`` has X∖{a} ⊨ Γ^X: the table of the conjuncts and the
+    support formulas of :func:`classical_theory`, whose droppable atoms are
+    those of the space, fixed by the block or varying.  X∖{a} is then a
+    proper here-world that satisfies the reduct, so every stable model
+    passes.  ``gfs`` must hold each atom's excluded-middle sentence (see
+    :func:`is_stable_ground`), so no X∖{a} satisfies Γ^X where a's region
+    is false at X.  On a tight problem (:func:`is_tight`) every loop is a
+    singleton and the survivors are the stable models; on any other a
+    survivor still needs the exact check.  The formulas in ``gfs`` may
+    mention only atoms of the space (see ``GroundProblem.restrict``).  An
+    atom of the space that is none of the problem's candidates is droppable
+    (else its excluded-middle sentence would make it a candidate) and has
+    no strictly positive occurrence, so its support formula is ¬a and no
+    survivor makes it true.
 
     The block-independent work is done once per scan, in the space's
     :class:`ScanStore`: the first block of a problem (the same ``gfs`` and
-    ``droppable`` objects) makes its :class:`_Plan`, and a conjunct is
-    walked again only for values of its fixed atoms not seen before.  The
-    conjuncts that mention a fixed atom come first, so a block that one of
-    them refutes costs a few lookups.
+    ``droppable`` objects) makes its :class:`_Plan`, and a formula is
+    tabulated again only for values of its fixed atoms not seen before.
     """
     store = space.store
     key = (id(gfs), id(droppable))
@@ -1469,24 +1434,12 @@ def stable_candidate_table(
     good = plan.good
     if not good:
         return 0
-    block, mask = space.block, space.mask
-    hits = []
-    for g, fixed, walks in plan.variant:
-        hit = walks.get(block & fixed)
-        if hit is None:
-            hit = walks[block & fixed] = _singleton_walk(space, plan.wanted, g)
-        good &= hit[0]
+    block = space.block
+    for g, fixed, tables in plan.variant:
+        table = tables.get(block & fixed)
+        if table is None:
+            table = tables[block & fixed] = space.table(g)
+        good &= table
         if not good:
             return 0
-        hits.append(hit[1])
-    held = dict(plan.held)
-    for d in hits:
-        for a, t in d.items():
-            held[a] = held.get(a, mask) & t
-    for a, i in plan.droppable:
-        bad = space.atom_table(i) & held.get(a, mask) & good
-        if bad:
-            good ^= bad
-            if not good:
-                break
     return good

@@ -321,14 +321,11 @@ class GroundProblem:
         return stable
 
     def classical(self, atoms: frozenset[GroundAtom]) -> list[engine.GF]:
-        """The conjuncts of ``gfs``, then the support formula
-        (:func:`engine.support_formulas`) of each droppable atom of
-        ``atoms`` in scan order.  On a tight problem restricted to ``atoms``
-        their classical models over ``atoms`` are its stable models."""
-        parts = engine.conjuncts(self.gfs)
-        return parts + engine.support_formulas(
-            parts, sorted(self.droppable & atoms, key=atom_sort_key)
-        )
+        """:func:`engine.classical_theory` over the droppable atoms of
+        ``atoms``, the theory :func:`engine.stable_candidate_table`
+        tabulates.  On a tight problem restricted to ``atoms`` its classical
+        models over ``atoms`` are its stable models."""
+        return engine.classical_theory(self.gfs, self.droppable & atoms)
 
     def proves_no_difference(
         self,

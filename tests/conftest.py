@@ -215,12 +215,50 @@ def reference_find_model(gfs):
         assign[atom] = False
 
 
+# a module-level function: a nested one that calls itself holds its closure,
+# and with it the space and its tables, in a reference cycle that outlives
+# the call until the cyclic collector runs
+def _singleton_walk(space, wanted, gf):
+    """The table of ``gf`` and, for each atom a of ``wanted`` with a strictly
+    positive occurrence in it, the table D_a of the assignments X with
+    X∖{a} ⊨ gf^X (the reduct at X).  Any other atom's D_a is the table of
+    ``gf``: an atom that occurs only in antecedents cannot falsify the
+    reduct by its absence, so an antecedent is walked only for the atoms its
+    consequent tracks.  A bit-parallel walk of the reducts, independent of
+    the support formulas that ``engine.stable_candidate_table`` tabulates."""
+    tag = gf[0]
+    if tag == "t":
+        return space.mask, {}
+    if tag == "f":
+        return 0, {}
+    if tag == "atom":
+        sat = space.atom_table(space.index[gf[1]])
+        return sat, ({gf[1]: 0} if gf[1] in wanted else {})
+    if tag == "imp":
+        sat_r, d_r = _singleton_walk(space, wanted, gf[2])
+        if d_r:
+            sat_l, d_l = _singleton_walk(space, d_r.keys(), gf[1])
+        else:
+            sat_l, d_l = space.table(gf[1]), {}
+        sat = (space.mask ^ sat_l) | sat_r
+        return sat, {a: sat & ((space.mask ^ d_l.get(a, sat_l)) | t) for a, t in d_r.items()}
+    sat_l, d_l = _singleton_walk(space, wanted, gf[1])
+    sat_r, d_r = _singleton_walk(space, wanted, gf[2])
+    if tag == "and":
+        sat = sat_l & sat_r
+        d = {a: d_l.get(a, sat_l) & d_r.get(a, sat_r) for a in d_l.keys() | d_r.keys()}
+    else:
+        sat = sat_l | sat_r
+        d = {a: d_l.get(a, sat_l) | d_r.get(a, sat_r) for a in d_l.keys() | d_r.keys()}
+    return sat, d
+
+
 def reference_stable_candidate_table(space, gfs, region_gf):
     """The singleton loop test with no per-scan store, kept as a test oracle
     for ``engine.stable_candidate_table``: every conjunct is walked again in
     every block, the droppable atoms are those whose region is not ⊥, and a
     droppable atom's bits are cleared only inside its region's table."""
-    from htsplit.engine import FALSE_GF, _singleton_walk, conjuncts
+    from htsplit.engine import FALSE_GF, conjuncts
 
     droppable = [a for a in space.atoms if region_gf[a] != FALSE_GF]
     wanted = frozenset(droppable)

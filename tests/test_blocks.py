@@ -358,28 +358,37 @@ def test_no_table_is_wider_than_a_block(monkeypatch, tmp_path, capsys):
     assert max(widths) == 1 << 4
 
 
-def _top_level_walks(monkeypatch) -> list:
-    """Wrap ``engine._singleton_walk``, which calls itself through the module,
-    and record each call that is not made from inside another walk, with its
-    space and conjunct."""
-    calls, depth = [], [0]
-    walk = engine._singleton_walk
+def _prefilter_tables(monkeypatch) -> list:
+    """Wrap ``engine.TableSpace.table``, which calls itself through the
+    space, and record each call made while ``engine.stable_candidate_table``
+    runs and not from inside another table call, with its space and
+    formula."""
+    calls, prefilter, depth = [], [False], [0]
+    table, candidates = engine.TableSpace.table, engine.stable_candidate_table
 
-    def counted(space, wanted, gf):
-        if not depth[0]:
+    def counted(space, gf):
+        if prefilter[0] and not depth[0]:
             calls.append((space, gf))
         depth[0] += 1
         try:
-            return walk(space, wanted, gf)
+            return table(space, gf)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(engine, "_singleton_walk", counted)
+    def filtered(space, gfs, droppable):
+        prefilter[0] = True
+        try:
+            return candidates(space, gfs, droppable)
+        finally:
+            prefilter[0] = False
+
+    monkeypatch.setattr(engine.TableSpace, "table", counted)
+    monkeypatch.setattr(engine, "stable_candidate_table", filtered)
     return calls
 
 
-def test_models_walks_each_conjunct_once_per_value_of_its_fixed_atoms(monkeypatch, capsys):
-    calls = _top_level_walks(monkeypatch)
+def test_models_tabulates_each_formula_once_per_value_of_its_fixed_atoms(monkeypatch, capsys):
+    calls = _prefilter_tables(monkeypatch)
     assert main(["models", str(DATA / "blocks_split.htsplit"), "--format", "json"]) == 0
     capsys.readouterr()
     blocks = {space.block for space, _gf in calls}
@@ -387,8 +396,8 @@ def test_models_walks_each_conjunct_once_per_value_of_its_fixed_atoms(monkeypatc
     keys = [
         (gf, space.block & space.fixed_mask(engine.gf_atoms(gf))) for space, gf in calls
     ]
-    assert len(keys) == len(set(keys))  # the one problem walks no key twice
+    assert len(keys) == len(set(keys))  # the one problem tabulates no key twice
     invariant = [gf for space, gf in calls if not space.fixed_mask(engine.gf_atoms(gf))]
     assert invariant and len(invariant) == len(set(invariant))  # once per scan
-    conjuncts = {gf for _space, gf in calls}
-    assert len(calls) < len(blocks) * len(conjuncts) / 4
+    formulas = {gf for _space, gf in calls}
+    assert len(calls) < len(blocks) * len(formulas) / 4

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 
 import htsplit
-from conftest import DATA, LOOP_SOURCE, load, reference_ground_formula
+from conftest import (
+    DATA,
+    LOOP_SOURCE,
+    load,
+    reference_ground_formula,
+    reference_stable_candidate_table,
+)
 from htsplit import engine, interpretations, syntax
 from htsplit.cli import main
 from htsplit.depgraph import bounded_sat
@@ -657,11 +663,12 @@ def test_dropping_an_atom_is_here_there_satisfaction_without_it():
 def test_support_formulas_keep_what_the_singleton_loop_test_keeps():
     # over random theories, tight or not, under a statement whose regions
     # read b: the classical table of the conjuncts and support formulas is
-    # the table of stable_candidate_table
+    # the table of the reduct walk that the test oracle runs
     from test_properties import _member_partition
 
     lam = _member_partition().target
     structure = FiniteInterpretation.make(SIG, DOMAINS)
+    region_gf, _em_gfs = ground_region(structure, lam)
     rng = random.Random(12)
     unsupported = 0
     for _ in range(80):
@@ -671,9 +678,10 @@ def test_support_formulas_keep_what_the_singleton_loop_test_keeps():
         droppable = sorted(problem.droppable, key=atom_sort_key)
         support = engine.support_formulas(parts, droppable)
         assert len(support) == len(droppable)
+        assert engine.classical_theory(problem.gfs, problem.droppable) == parts + support
         unsupported += sum(("imp", ("atom", a), engine.FALSE_GF) in support for a in droppable)
         space = engine.TableSpace(sorted(UNIVERSE, key=atom_sort_key))
-        expected = engine.stable_candidate_table(space, problem.gfs, problem.droppable)
+        expected = reference_stable_candidate_table(space, problem.gfs, region_gf)
         assert space.theory_table(parts + support) == expected, theory
     assert unsupported
 
