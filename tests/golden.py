@@ -29,6 +29,10 @@ LONG = 4096
 _SPLITS = {
     "blocks_graph.htsplit": [["--parts", "lt,gt", "--partition", "beta1,beta2"]],
     "blocks_split.htsplit": [["--parts", "lt,gt", "--partition", "beta1,beta2"]],
+    "loop.htsplit": [
+        ["--parts", "g1,g2", "--partition", "m1,m2"],
+        ["--parts", "g1,g2", "--partition", "m1,m2", "--context", "psi"],
+    ],
     "meta.htsplit": [
         ["--parts", "gamma1,gamma2,gamma3", "--partition", "g1,g2,g3"],
         ["--parts", "gamma1,gamma2,gamma3", "--partition", "g1,g2,g3", "--context", "psi3"],
