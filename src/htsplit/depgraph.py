@@ -572,8 +572,8 @@ def is_approximator(
     structure = FiniteInterpretation.make(lam.signature, domains)
     problem = GroundProblem.ground(structure, theory, lam)
     atoms = scan_atoms(problem.atoms, atom_cap)
-    psi_gfs = engine.ground_theory(structure, theory_sentences(psi))
-    failing = (k for k, _ in problem.differences(atoms, theory=psi_gfs))
+    context = GroundProblem(engine.ground_theory(structure, theory_sentences(psi)), frozenset())
+    failing = (k for k, _ in problem.differences(atoms, [context]))
     first = min(failing, key=model_order, default=None)
     if first is None:
         return ApproximatorResult(True)

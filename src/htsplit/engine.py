@@ -56,7 +56,7 @@ atom universe grounds to false.  On top of that this module provides:
 * the exact minimality check of one candidate (:func:`is_stable_ground`),
   one :func:`scan_indices` over the here-worlds: is the lowest model of the
   reduct the candidate itself?  So the stable-model path, from the prefilter
-  to the exact check, runs on truth tables only.
+  to the exact check, runs on truth tables only.  Its callers bound its here-worlds.
 
 Grounding a theory under an intensionality statement, and enumerating its
 stable models with these pieces, is :class:`htsplit.semantics.GroundProblem`.
@@ -1334,8 +1334,9 @@ def is_stable_ground(
     lowest here-world that satisfies the reduct, is all ones.  Returns
     ``(True, None)``; ``(False, H)`` with H the lowest proper here-world
     that satisfies the reduct; or ``(False, None)`` when the true atoms do
-    not even satisfy ``gfs``.  Raises
-    :class:`ResourceCapExceeded` beyond ``DEFAULT_ATOM_CAP`` removable atoms.
+    not even satisfy ``gfs``.  It reads no cap: its callers bound the
+    removable atoms, inside a scan that ``scan_atoms`` capped or by
+    ``DEFAULT_ATOM_CAP``.
     """
     removable = true_atoms & droppable
     reducts = []
@@ -1345,10 +1346,6 @@ def is_stable_ground(
             return (False, None)  # not even a classical model
         if r != TRUE_GF:
             reducts.append(r)
-    if len(removable) > DEFAULT_ATOM_CAP:
-        raise ResourceCapExceeded(
-            f"stability check has {len(removable)} removable atoms, cap is {DEFAULT_ATOM_CAP}"
-        )
     atoms = sorted(removable, key=atom_sort_key)
     here = next(scan_indices(atoms, lambda space: space.theory_table(reducts)))
     if here == (1 << len(atoms)) - 1:
@@ -1416,10 +1413,10 @@ def stable_candidate_table(
     singleton and the survivors are the stable models; on any other a
     survivor still needs the exact check.  The formulas in ``gfs`` may
     mention only atoms of the space (see ``GroundProblem.restrict``).  An
-    atom of the space that is none of the problem's candidates is droppable
-    (else its excluded-middle sentence would make it a candidate) and has
-    no strictly positive occurrence, so its support formula is ¬a and no
-    survivor makes it true.
+    atom of the space that is none of the problem's candidates is, under a
+    statement, droppable (else its excluded-middle sentence would make it a
+    candidate) and has no strictly positive occurrence, so its support
+    formula is ¬a and no survivor makes it true.
 
     The block-independent work is done once per scan, in the space's
     :class:`ScanStore`: the first block of a problem (the same ``gfs`` and

@@ -10,13 +10,15 @@ argument.
 with the atoms the statement lets a here-world drop; its candidate atoms
 are found when first read.  One scan, :meth:`GroundProblem.differences`,
 answers every question that compares a problem's stable models (A) with
-the models of a context that are stable for other problems (B):
-enumeration lists A, split verification A△B, the one-direction check A∖B
-and the approximator check A∖ψ.  It alone builds the block tables, takes
-the tight path or the exact check, and decides when B need not be read.
-Split verification first asks :meth:`GroundProblem.proves_no_difference`,
-which, where every problem is tight, proves A = B by entailment queries
-on the classical theories of the two sides, with no scan.
+the interpretations stable for every problem of a list (B), where a
+context ψ is a problem with no droppable atom, whose stable models are
+its classical models: enumeration lists A (B is :data:`NO_MODEL`), split
+verification A△B (B is ψ and the parts), the one-direction check A∖B and
+the approximator check A∖ψ.  It alone builds the block tables, takes the
+tight path or the exact check, and decides when B need not be read.  Split
+verification first asks :meth:`GroundProblem.proves_no_difference`, which,
+where every problem is tight, proves A = B by entailment queries on the
+classical theories of the two sides, with no scan.
 """
 
 from __future__ import annotations
@@ -196,6 +198,11 @@ def _stable(
     method: Method,
 ) -> bool:
     if method == "reduct":
+        cap = engine.DEFAULT_ATOM_CAP  # no scan caps this exact check
+        if len(removable) > cap:
+            raise engine.ResourceCapExceeded(
+                f"stability check has {len(removable)} removable atoms, cap is {cap}"
+            )
         # a reduct collapsing to false doubles as the classical-model check
         gfs = engine.ground_theory(interp, sentences)
         stable, _ = engine.is_stable_ground(gfs, interp.true_atoms, removable)
@@ -265,29 +272,26 @@ class GroundProblem:
     droppable atom's region is false, its excluded-middle sentence keeps it
     in every here-world.  The ground formulas do not depend on the
     structure's true atoms, so one problem answers for every interpretation
-    over its domains.  ``unrestricted`` is the problem :meth:`restrict` was
-    called on, if any.
+    over its domains.  A problem with no droppable atom, a context's, has
+    its classical models as its stable models.
     """
 
     gfs: list[engine.GF]
     droppable: frozenset[GroundAtom]
-    unrestricted: Optional["GroundProblem"] = None
 
     @cached_property
     def atoms(self) -> frozenset[GroundAtom]:
         """The candidate atoms: the atoms of the universe with a strictly
         positive occurrence, the only ones that can be true in a stable
-        model.  A restricted problem keeps those of its unrestricted one."""
-        if self.unrestricted is not None:
-            return self.unrestricted.atoms
+        model."""
         return frozenset(engine.candidate_atoms(self.gfs))
 
     @cached_property
     def tight(self) -> bool:
-        """Whether :func:`engine.is_tight` holds of ``gfs``: then the
-        survivors of :func:`engine.stable_candidate_table` are the stable
-        models."""
-        return engine.is_tight(self.gfs)
+        """Whether the survivors of :func:`engine.stable_candidate_table`
+        are the stable models: where nothing is droppable, or where
+        :func:`engine.is_tight` holds of ``gfs``."""
+        return not self.droppable or engine.is_tight(self.gfs)
 
     @classmethod
     def ground(
@@ -309,11 +313,7 @@ class GroundProblem:
     def restrict(self, allowed: frozenset[GroundAtom]) -> "GroundProblem":
         """The same problem with every atom outside ``allowed`` folded to
         false, for interpretations whose true atoms lie inside ``allowed``."""
-        return GroundProblem(
-            [engine.restrict_false(g, allowed) for g in self.gfs],
-            self.droppable,
-            self.unrestricted or self,
-        )
+        return GroundProblem([engine.restrict_false(g, allowed) for g in self.gfs], self.droppable)
 
     def is_stable(self, true_atoms: frozenset[GroundAtom]) -> bool:
         # a reduct collapsing to false doubles as the classical-model check
@@ -327,31 +327,33 @@ class GroundProblem:
         models over ``atoms`` are its stable models."""
         return engine.classical_theory(self.gfs, self.droppable & atoms)
 
+    def _restricted(self, allowed: frozenset[GroundAtom], kept: Iterable["GroundProblem"]):
+        """This problem and the ``kept`` ones restricted to ``allowed``, and
+        whether all of them are tight."""
+        a = self.restrict(allowed)
+        kept = [p.restrict(allowed) for p in kept]
+        return a, kept, a.tight and all(p.tight for p in kept)
+
     def proves_no_difference(
-        self,
-        atoms: Collection[GroundAtom],
-        kept: Iterable["GroundProblem"] = (),
-        theory: Sequence[engine.GF] = (),
+        self, atoms: Collection[GroundAtom], kept: Iterable["GroundProblem"] = ()
     ) -> bool:
         """Whether entailment queries prove that :meth:`differences` with
         ``symmetric`` lists nothing: that A, this problem's stable models
-        over ``atoms``, is B, the models of ``theory`` stable for every
-        ``kept`` problem, restricted as :meth:`differences` restricts them.
+        over ``atoms``, is B, the interpretations stable for every ``kept``
+        problem, restricted as :meth:`differences` restricts them.
 
         Only where every problem is tight; then each side is a classical
-        theory (:meth:`classical`, ``theory`` and the kept problems' for
+        theory (:meth:`classical`, the kept problems' in their order for
         B), and A = B iff each side entails every conjunct that only the
         other has: A's queries come first, each an :class:`engine.Entailment`
         query.  False as soon as one is not ``"unsat"``, which proves
         nothing."""
         allowed = frozenset(atoms)
-        a = self.restrict(allowed)
-        kept = [p.restrict(allowed) for p in kept]
-        theory = [engine.restrict_false(g, allowed) for g in theory]
-        if not (a.tight and all(p.tight for p in kept)):
+        a, kept, tight = self._restricted(allowed, kept)
+        if not tight:
             return False
         first = a.classical(allowed)
-        second = engine.conjuncts(theory + [g for p in kept for g in p.classical(allowed)])
+        second = engine.conjuncts([g for p in kept for g in p.classical(allowed)])
         in_first, in_second = set(first), set(second)
         only_first = [g for g in first if g not in in_second]
         only_second = [g for g in second if g not in in_first]
@@ -363,29 +365,23 @@ class GroundProblem:
         self,
         atoms: Sequence[GroundAtom],
         kept: Iterable["GroundProblem"] = (),
-        theory: Sequence[engine.GF] = (),
         symmetric: bool = False,
     ) -> Iterator[tuple[int, bool]]:
         """The global index over ``atoms`` of every interpretation in A∖B,
         and with ``symmetric`` in B∖A too, in ascending order, each with
-        whether it is in A: A is this problem's stable models, B the models
-        of ``theory`` stable for every ``kept`` problem.
+        whether it is in A: A is this problem's stable models, B the
+        interpretations stable for every ``kept`` problem.
 
         Where every problem is tight, each singleton loop test's survivors
         are its stable models, so the scan lists where A's table and B's
         differ, and the exact check only tells a symmetric mismatch's side.
         Otherwise it lists A's survivors, or either side's, and the exact
         check decides A first, then B where that still matters.  One way, B
-        is read only inside A, and ``kept`` not at all if A is restricted
-        to ⊥.
+        is read only inside A, and nothing is scanned if A restricts to ⊥.
         """
-        allowed = frozenset(atoms)
-        a = self.restrict(allowed)
-        if not symmetric and any(g == engine.FALSE_GF for g in a.gfs):
+        a, kept, tight = self._restricted(frozenset(atoms), kept)
+        if not symmetric and engine.FALSE_GF in a.gfs:
             return
-        kept = [p.restrict(allowed) for p in kept]
-        theory = [engine.restrict_false(g, allowed) for g in theory]
-        tight = a.tight and all(p.tight for p in kept)
 
         def table_of(space) -> int:
             a_table = engine.stable_candidate_table(space, a.gfs, a.droppable)
@@ -393,8 +389,6 @@ class GroundProblem:
                 return a_table
             # one way, B lies inside A, where A ^ B is A∖B
             b_table = space.mask if symmetric else a_table
-            if b_table:
-                b_table &= space.theory_table(theory)
             for p in kept:
                 if not b_table:
                     break
@@ -412,9 +406,7 @@ class GroundProblem:
             in_a = (a.tight and not symmetric) or a.is_stable(true_atoms)
             if not (in_a or symmetric):
                 continue
-            in_b = all(engine.eval_gf(g, true_atoms) for g in theory) and all(
-                p.is_stable(true_atoms) for p in kept
-            )
+            in_b = all(p.is_stable(true_atoms) for p in kept)
             if in_a != in_b:
                 yield index, in_a
 
@@ -423,12 +415,15 @@ class GroundProblem:
     ) -> tuple[list[GroundAtom], list[int]]:
         """The candidate atoms in scan order, and the global index over them
         of every stable model, in :func:`model_order`: :meth:`differences`
-        over the candidate atoms with B empty.  Raises
+        over the candidate atoms with B :data:`NO_MODEL`'s, none.  Raises
         :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` of them."""
         atoms = scan_atoms(self.atoms, atom_cap)
-        models = [k for k, _ in self.differences(atoms, theory=[engine.FALSE_GF])]
+        models = [k for k, _ in self.differences(atoms, [NO_MODEL])]
         models.sort(key=model_order)
         return atoms, models
+
+
+NO_MODEL = GroundProblem([engine.FALSE_GF], frozenset())  # B where A alone is listed
 
 
 def enumerate_lambda_stable_models(

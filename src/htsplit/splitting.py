@@ -229,12 +229,12 @@ def _verification_sides(
     partition: Partition,
     psi: Sequence[Statement],
     domains: Domains,
-) -> tuple[FiniteInterpretation, GroundProblem, list[GroundProblem], list[engine.GF], frozenset]:
-    """The structure, the union's problem, each part's problem under its
-    member, ψ ground, and the atoms that verification compares the two
-    sides over: the union's candidate atoms and those every part shares.
-    An interpretation making an atom true that no side can support belongs
-    to neither, so the two sides trivially agree on it."""
+) -> tuple[FiniteInterpretation, GroundProblem, list[GroundProblem], frozenset]:
+    """The structure, the union's problem, ψ's and then each part's under
+    its member, and the atoms that verification compares the two sides
+    over: the union's candidate atoms and those every part shares.  An
+    interpretation making an atom true that no side can support belongs to
+    neither, so the two sides trivially agree on it."""
     union = _union(parts, partition)
     structure = FiniteInterpretation.make(partition.target.signature, domains)
     union_side = GroundProblem.ground(structure, union, partition.target)
@@ -243,8 +243,8 @@ def _verification_sides(
         for part, member in zip(parts, partition.members)
     ]
     parts_atoms = frozenset.intersection(*(side.atoms for side in part_sides))
-    psi_gfs = engine.ground_theory(structure, theory_sentences(psi))
-    return structure, union_side, part_sides, psi_gfs, union_side.atoms | parts_atoms
+    context = GroundProblem(engine.ground_theory(structure, theory_sentences(psi)), frozenset())
+    return structure, union_side, [context] + part_sides, union_side.atoms | parts_atoms
 
 
 def split_proved(
@@ -257,10 +257,8 @@ def split_proved(
     agree (:meth:`GroundProblem.proves_no_difference`), at any atom count:
     the decision :func:`verify_split` takes before its scan, without the
     one-block gate.  False proves nothing."""
-    _structure, union_side, part_sides, psi_gfs, atoms = _verification_sides(
-        parts, partition, psi, domains
-    )
-    return union_side.proves_no_difference(atoms, part_sides, psi_gfs)
+    _structure, union_side, sides, atoms = _verification_sides(parts, partition, psi, domains)
+    return union_side.proves_no_difference(atoms, sides)
 
 
 def verify_split(
@@ -282,15 +280,11 @@ def verify_split(
     first of A△B that :meth:`GroundProblem.differences` lists is the lowest
     mismatch.
     """
-    structure, union_side, part_sides, psi_gfs, atoms = _verification_sides(
-        parts, partition, psi, domains
-    )
-    if engine.scan_blocks(len(atoms)) > 1 and union_side.proves_no_difference(
-        atoms, part_sides, psi_gfs
-    ):
+    structure, union_side, sides, atoms = _verification_sides(parts, partition, psi, domains)
+    if engine.scan_blocks(len(atoms)) > 1 and union_side.proves_no_difference(atoms, sides):
         return VerificationResult("verified")
     atoms = scan_atoms(atoms, atom_cap, "verification")
-    mismatch = next(union_side.differences(atoms, part_sides, psi_gfs, symmetric=True), None)
+    mismatch = next(union_side.differences(atoms, sides, symmetric=True), None)
     if mismatch is None:
         return VerificationResult("verified")
     index, in_union = mismatch

@@ -401,3 +401,24 @@ def test_models_tabulates_each_formula_once_per_value_of_its_fixed_atoms(monkeyp
     assert invariant and len(invariant) == len(set(invariant))  # once per scan
     formulas = {gf for _space, gf in calls}
     assert len(calls) < len(blocks) * len(formulas) / 4
+
+
+def test_models_tabulates_false_at_most_once_per_scan(monkeypatch, capsys):
+    # the other side of models is the problem with no model, whose plan
+    # folds ⊥ once per scan, not once per block with survivors
+    stores, depth = [], [0]
+    table = engine.TableSpace.table
+
+    def counted(space, gf):
+        if gf == engine.FALSE_GF and not depth[0]:
+            stores.append(space.store)
+        depth[0] += 1
+        try:
+            return table(space, gf)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(engine.TableSpace, "table", counted)
+    assert main(["models", str(DATA / "blocks_split.htsplit"), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(stores) == len({id(store) for store in stores})

@@ -87,15 +87,24 @@ def test_models_cap_admits_the_atoms_whose_interpretations_fit(capsys, name):
     assert code == 0 and err == ""
 
 
-def test_models_past_the_stability_atom_cap_is_exit_3(capsys, monkeypatch, tmp_path):
-    # --cap admits the candidate space; the exact check reads its own cap.
-    # A tight input never reaches the exact check, so this one has a loop
+def test_models_runs_the_exact_check_within_the_cap_it_was_given(capsys, monkeypatch, tmp_path):
+    # the exact check's here-worlds lie in the candidate space, which --cap
+    # bounds, so the default cap does not bound them again.  A tight input
+    # never reaches the exact check, so this one has a loop
     source = tmp_path / "loop.htsplit"
     source.write_text(LOOP_SOURCE)
+    expected = run(capsys, "models", source)
+    removable = []
+    is_stable_ground = engine.is_stable_ground
+
+    def counted(gfs, true_atoms, droppable):
+        removable.append(len(true_atoms & droppable))
+        return is_stable_ground(gfs, true_atoms, droppable)
+
+    monkeypatch.setattr(engine, "is_stable_ground", counted)
     monkeypatch.setattr(engine, "DEFAULT_ATOM_CAP", 1)
-    code, _out, err = run(capsys, "models", source, "--cap", 1 << 16)
-    _assert_one_inconclusive_line(code, err)
-    assert "removable atoms, cap is 1" in err
+    assert run(capsys, "models", source, "--cap", 1 << 16) == expected
+    assert expected[0] == 0 and max(removable) == 2
 
 
 CONDITION_ON_AN_INTENSIONAL_PREDICATE = (

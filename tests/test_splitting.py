@@ -395,6 +395,30 @@ def test_a_split_the_queries_cannot_decide_past_the_cap_is_still_capped():
         verify_split(parts, partition, [], problem.domains())
 
 
+def test_a_context_with_a_positive_loop_still_lets_the_queries_decide(monkeypatch):
+    # ψ is a problem with no droppable atom, so its loop a <-> b does not
+    # make the comparison non-tight: the queries prove the 33-atom split,
+    # which the scan's cap would refuse
+    from htsplit import engine
+    from htsplit.parser import parse_problem
+
+    problem = parse_problem(
+        "int range 0..29. pred a. pred b. pred c. pred x(int).\n"
+        "#group g1 { a. b. x(X) :- not not x(X). }. #group g2 { c :- a. }.\n"
+        "#context psi { a :- b. b :- a. }.\n"
+        "#part m1 { a : #true ; b : #true ; x(X) : #true }. #part m2 { c : #true }.\n"
+    )
+    partition = Partition.of([problem.part("m1"), problem.part("m2")])
+    parts = [problem.group("g1"), problem.group("g2")]
+
+    def no_scan(*args):
+        raise AssertionError("the queries should have decided the split")
+
+    monkeypatch.setattr(engine, "scan_indices", no_scan)
+    outcome = verify_split(parts, partition, problem.context("psi"), problem.domains())
+    assert outcome.status == "verified"
+
+
 def test_the_queries_need_a_support_formula_for_an_atom_no_conjunct_mentions():
     # b is droppable under m1, and p1 never mentions it: only the support
     # formula ¬b keeps {a, b} out of p1's stable models, where the scan
