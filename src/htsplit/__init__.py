@@ -12,7 +12,6 @@ from .depgraph import (
     bounded_sat,
     graph_to_dot,
     graph_to_json,
-    grounded_dep_graph,
     is_approximator,
     is_negative_program,
     is_psi_negative,
@@ -37,38 +36,25 @@ from .interpretations import (
     FiniteInterpretation,
     GroundAtom,
     HTInterpretation,
-    all_interpretations,
     atom_universe,
     atoms_of,
-    eval_term,
     format_atom,
     format_atom_set,
-    ht_satisfies,
-    satisfies,
 )
 from .occurrences import (
     Polarity,
     PolarityError,
     classify,
-    nnn_atoms,
     nnn_formula,
-    pnn_atoms,
     pnn_formula,
-    pos_atoms,
     pos_formula,
     restrict_formula,
 )
 from .parser import ParseError, ProblemFile, parse_problem, print_problem
 from .semantics import (
     StrongEquivalenceResult,
-    atoms_of_lambda,
     check_strong_equivalence,
-    em_atoms,
-    em_theory,
     enumerate_lambda_stable_models,
-    is_a_stable,
-    is_lambda_stable,
-    is_stable,
 )
 from .splitting import (
     SplitReport,
@@ -116,3 +102,33 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+# The paper's definitions stay names of the package, but live in
+# ``reference``, which no command needs: it is imported at the first use of
+# one of them (PEP 562), so ``import htsplit`` does not load it.
+_REFERENCE_NAMES = frozenset(
+    {
+        "all_interpretations",
+        "atoms_of_lambda",
+        "em_atoms",
+        "em_theory",
+        "eval_term",
+        "grounded_dep_graph",
+        "ht_satisfies",
+        "is_a_stable",
+        "is_lambda_stable",
+        "is_stable",
+        "nnn_atoms",
+        "pnn_atoms",
+        "pos_atoms",
+        "satisfies",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE_NAMES:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,35 +1,26 @@
-"""Bounded satisfiability, the three dependency graphs, separability,
-negativity, and approximator checks."""
+"""Bounded satisfiability, the program and theory dependency graphs,
+separability, negativity, and approximator checks.  The third graph, the
+grounded dependency graph of one interpretation, is in
+:mod:`htsplit.reference`."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import engine
 from .intensionality import IntensionalityStatement, Partition, partition_problems
-from .interpretations import (
-    Element,
-    FiniteInterpretation,
-    GroundAtom,
-    atom_sort_key,
-    format_atom,
-    has_undefined_ground_term,
-)
+from .interpretations import Element, FiniteInterpretation, format_atom
 from .occurrences import (
     SatVerdict,  # re-exported: bounded_sat's result
     TransformContext,
     atom_occurrences_with_polarity,
     fresh_variables,
-    pnn_atoms,
-    pos_atoms,
 )
 from .semantics import GroundProblem, model_order, scan_atoms
 from .syntax import (
     Atom,
-    DomainName,
     Formula,
     OccurrencePath,
     PredKey,
@@ -45,9 +36,7 @@ from .syntax import (
     free_variables,
     rule_body_formula,
     rules_of,
-    subformula_at,
     theory_sentences,
-    _substitute_by_name,
 )
 
 Domains = Mapping[str, tuple[Element, ...]]
@@ -336,42 +325,6 @@ def theory_dep_graph(
                 yield format_formula(occ_rule.sentence), heads, bodies
 
     return _dependency_graph("theory", rules(), partition, ctx, None)
-
-
-def grounded_dep_graph(
-    interp: FiniteInterpretation,
-    kept: Iterable[GroundAtom],
-    theory: Sequence[Statement],
-) -> DependencyGraph:
-    """Positive dependencies between ground atoms, relative to one
-    interpretation; vertices are the kept atoms."""
-    kept_set = frozenset(kept)
-    vertices = sorted(kept_set, key=atom_sort_key)
-    labels = {a: format_atom(a) for a in vertices}
-    edge_map: dict[tuple[Vertex, Vertex], list[EdgeWitness]] = {}
-
-    for occ_rule in rules_of(theory_sentences(theory)):
-        matrix = subformula_at(occ_rule.sentence, occ_rule.path)
-        variables = free_variables(matrix)
-        pools = [interp.domain(v.sort) for v in variables]
-        for values in itertools.product(*pools):
-            binding = {
-                v.name: DomainName(d, v.sort) for v, d in zip(variables, values)
-            }
-            # ground terms rename no bound variable: lhs and rhs are the instances
-            instance = _substitute_by_name(matrix, binding)
-            if has_undefined_ground_term(interp, instance):
-                continue
-            heads = pos_atoms(interp, instance.rhs) & kept_set
-            if not heads:
-                continue
-            bodies = pnn_atoms(interp, instance.lhs) & kept_set
-            for v in heads:
-                for w in bodies:
-                    edge_map.setdefault((v, w), []).append(
-                        EdgeWitness(format_formula(instance), (), (), None)
-                    )
-    return _make_graph("grounded", list(vertices), edge_map, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ a literal or a variable bound outside, grounds only the instance x = t (the
 one-point rule: every other instance folds to false).  An atom outside the
 atom universe grounds to false.  On top of that this module provides:
 
-* classical evaluation, and backtracking model search (:func:`find_model`,
-  a loop over an explicit stack of decisions, so its depth is not bounded
-  by the interpreter's recursion limit), which serves the side path:
-  bounded satisfiability, occurrence transforms and validity checks.  It
-  evaluates incrementally: the sentences are flattened into a circuit, and
-  each decision updates only the three-valued values it changes, with the
-  same decisions, node count and witness as evaluating every sentence from
-  its root at every node.  It has two callers, which flatten their fixed
+* backtracking model search (:func:`find_model`, a loop over an explicit
+  stack of decisions, so its depth is not bounded by the interpreter's
+  recursion limit), which serves the side path: bounded satisfiability,
+  occurrence transforms and validity checks.  It evaluates incrementally:
+  the sentences are flattened into a circuit, and each decision updates
+  only the three-valued values it changes, with the same decisions, node
+  count and witness as evaluating every sentence from its root at every
+  node.  It has two callers, which flatten their fixed
   sentences once and add each question's nodes on top for one search:
   :meth:`htsplit.occurrences.TransformContext.solve`, over a check's
   context, and :class:`Entailment`, which asks whether fixed premises
@@ -190,7 +190,7 @@ def ground_formula(structure: FiniteInterpretation, f: Formula) -> GF:
     """Compile a sentence to a folded ground formula.
 
     Quantifier instances containing an undefined ground term are dropped,
-    matching the satisfaction relation in :mod:`htsplit.interpretations`,
+    matching the satisfaction relation in :mod:`htsplit.reference`,
     and an atom outside the structure's atom universe is false.
     """
     return _Compiler(structure).ground(f)
@@ -514,25 +514,6 @@ def restrict_false(gf: GF, allowed: frozenset[GroundAtom]) -> GF:
     if tag == "imp":
         return gimp(restrict_false(gf[1], allowed), restrict_false(gf[2], allowed))
     return gf
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def eval_gf(gf: GF, true_atoms: frozenset[GroundAtom]) -> bool:
-    tag = gf[0]
-    if tag == "t":
-        return True
-    if tag == "f":
-        return False
-    if tag == "atom":
-        return gf[1] in true_atoms
-    if tag == "and":
-        return eval_gf(gf[1], true_atoms) and eval_gf(gf[2], true_atoms)
-    if tag == "or":
-        return eval_gf(gf[1], true_atoms) or eval_gf(gf[2], true_atoms)
-    return not eval_gf(gf[1], true_atoms) or eval_gf(gf[2], true_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -1331,10 +1312,11 @@ def is_stable_ground(
     in :func:`~htsplit.interpretations.atom_sort_key` order, and the true
     atoms themselves are the all-ones assignment, which comes last.  So they
     are stable exactly when the first index the scan yields, that of the
-    lowest here-world that satisfies the reduct, is all ones.  Returns
-    ``(True, None)``; ``(False, H)`` with H the lowest proper here-world
-    that satisfies the reduct; or ``(False, None)`` when the true atoms do
-    not even satisfy ``gfs``.  It reads no cap: its callers bound the
+    lowest here-world that satisfies the reduct, is all ones; with no true
+    droppable atom there is no proper here-world, and nothing is scanned.
+    Returns ``(True, None)``; ``(False, H)`` with H the lowest proper
+    here-world that satisfies the reduct; or ``(False, None)`` when the true
+    atoms do not even satisfy ``gfs``.  It reads no cap: its callers bound the
     removable atoms, inside a scan that ``scan_atoms`` capped or by
     ``DEFAULT_ATOM_CAP``.
     """
@@ -1346,6 +1328,8 @@ def is_stable_ground(
             return (False, None)  # not even a classical model
         if r != TRUE_GF:
             reducts.append(r)
+    if not removable:
+        return (True, None)  # the true atoms are the only here-world
     atoms = sorted(removable, key=atom_sort_key)
     here = next(scan_indices(atoms, lambda space: space.theory_table(reducts)))
     if here == (1 << len(atoms)) - 1:

@@ -1,4 +1,5 @@
-"""Finite interpretations and the two satisfaction relations.
+"""Finite interpretations, here-and-there interpretations, and the atom
+universe over declared domains.
 
 A ground atom is represented throughout as a ``(predicate, values)`` pair,
 where values are the domain elements themselves (ints for the integer sort,
@@ -8,7 +9,10 @@ interpreted the standard way in both worlds and never enumerated.
 Arithmetic whose value leaves the declared integer range is undefined: a
 quantifier skips instances that contain an undefined ground term (the same
 effect as dropping out-of-range instances while grounding), and a ground
-atomic formula written with an undefined term is false.
+atomic formula written with an undefined term is false.  The two
+satisfaction relations that read interpretations this way, classical and
+here-and-there, are written literally in :mod:`htsplit.reference`; the
+library decides them on ground formulas (:mod:`htsplit.engine`).
 """
 
 from __future__ import annotations
@@ -16,28 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-from .syntax import (
-    ARITHMETIC_FUNCTIONS,
-    And,
-    Atom,
-    Bottom,
-    COMPARISON_PREDICATES,
-    DomainName,
-    Equality,
-    Exists,
-    Forall,
-    Formula,
-    Func,
-    Implies,
-    Or,
-    Signature,
-    Term,
-    Variable,
-    _substitute_by_name,
-    term_is_ground,
-)
+from .syntax import Signature
 
 Element = Union[int, str]
 GroundAtom = tuple[str, tuple[Element, ...]]
@@ -145,135 +130,6 @@ def atom_sort_key(atom: GroundAtom) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# term evaluation
-
-
-def eval_term(interp: FiniteInterpretation, t: Term) -> Optional[Element]:
-    """Value of a ground term, or None when arithmetic leaves the integer range."""
-    if isinstance(t, Variable):
-        raise ValueError(f"cannot evaluate non-ground term, free variable {t.name}")
-    if isinstance(t, DomainName):
-        return t.value
-    if isinstance(t, Func):
-        a, b = [eval_term(interp, u) for u in t.args]
-        if a is None or b is None:
-            return None
-        value = ARITHMETIC_FUNCTIONS[t.name][0](a, b)
-        return value if value in interp.domain(t.sort) else None
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _eval_args(interp: FiniteInterpretation, args: Iterable[Term]) -> Optional[tuple[Element, ...]]:
-    values = []
-    for t in args:
-        v = eval_term(interp, t)
-        if v is None:
-            return None
-        values.append(v)
-    return tuple(values)
-
-
-def has_undefined_ground_term(interp: FiniteInterpretation, f: Formula) -> bool:
-    """True when some ground term anywhere inside f fails to evaluate."""
-    if isinstance(f, (Atom, Equality)):
-        args = f.args if isinstance(f, Atom) else (f.lhs, f.rhs)
-        for t in args:
-            if term_is_ground(t) and eval_term(interp, t) is None:
-                return True
-        return False
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, (And, Or, Implies)):
-        return has_undefined_ground_term(interp, f.lhs) or has_undefined_ground_term(interp, f.rhs)
-    return has_undefined_ground_term(interp, f.body)
-
-
-def _quantifier_instances(
-    interp: FiniteInterpretation, f: Union[Forall, Exists]
-) -> Iterator[Formula]:
-    """Instances of a quantified formula, skipping ones with undefined terms."""
-    for d in interp.domain(f.var.sort):
-        inst = _substitute_by_name(f.body, {f.var.name: DomainName(d, f.var.sort)})
-        if not has_undefined_ground_term(interp, inst):
-            yield inst
-
-
-# ---------------------------------------------------------------------------
-# classical satisfaction
-
-
-def satisfies(interp: FiniteInterpretation, f: Formula) -> bool:
-    """Tarskian satisfaction of a sentence over the interpretation's signature."""
-    if isinstance(f, Atom):
-        values = _eval_args(interp, f.args)
-        if values is None:
-            return False
-        if f.pred in COMPARISON_PREDICATES:
-            return _COMPARE[f.pred](*values)
-        return (f.pred, values) in interp.true_atoms
-    if isinstance(f, Equality):
-        lhs = eval_term(interp, f.lhs)
-        rhs = eval_term(interp, f.rhs)
-        return lhs is not None and rhs is not None and lhs == rhs
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, And):
-        return satisfies(interp, f.lhs) and satisfies(interp, f.rhs)
-    if isinstance(f, Or):
-        return satisfies(interp, f.lhs) or satisfies(interp, f.rhs)
-    if isinstance(f, Implies):
-        return not satisfies(interp, f.lhs) or satisfies(interp, f.rhs)
-    if isinstance(f, Forall):
-        return all(satisfies(interp, inst) for inst in _quantifier_instances(interp, f))
-    if isinstance(f, Exists):
-        return any(satisfies(interp, inst) for inst in _quantifier_instances(interp, f))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def satisfies_all(interp: FiniteInterpretation, theory: Iterable[Formula]) -> bool:
-    return all(satisfies(interp, f) for f in theory)
-
-
-# ---------------------------------------------------------------------------
-# here-and-there satisfaction
-
-
-def ht_satisfies(ht: HTInterpretation, f: Formula) -> bool:
-    """The six-clause here-and-there recursion.
-
-    Equalities and comparison atoms are rigid: they hold in the here-world
-    exactly when they hold in the there-world.
-    """
-    interp = ht.there
-    if isinstance(f, Atom):
-        if f.pred in COMPARISON_PREDICATES:
-            return satisfies(interp, f)
-        values = _eval_args(interp, f.args)
-        return values is not None and (f.pred, values) in ht.here
-    if isinstance(f, Equality):
-        return satisfies(interp, f)
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, And):
-        return ht_satisfies(ht, f.lhs) and ht_satisfies(ht, f.rhs)
-    if isinstance(f, Or):
-        return ht_satisfies(ht, f.lhs) or ht_satisfies(ht, f.rhs)
-    if isinstance(f, Implies):
-        if not satisfies(interp, f):
-            return False
-        return not ht_satisfies(ht, f.lhs) or ht_satisfies(ht, f.rhs)
-    if isinstance(f, Forall):
-        return all(ht_satisfies(ht, inst) for inst in _quantifier_instances(interp, f))
-    if isinstance(f, Exists):
-        return any(ht_satisfies(ht, inst) for inst in _quantifier_instances(interp, f))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def ht_satisfies_all(ht: HTInterpretation, theory: Iterable[Formula]) -> bool:
-    return all(ht_satisfies(ht, f) for f in theory)
-
-
-# ---------------------------------------------------------------------------
 # atom universes
 
 
@@ -300,19 +156,3 @@ def atom_universe(
             out.append((name, values))
     out.sort(key=atom_sort_key)
     return out
-
-
-def all_interpretations(
-    signature: Signature, domains: Mapping[str, tuple[Element, ...]]
-) -> Iterator[FiniteInterpretation]:
-    """Every interpretation over the given domains (exponential; small use only)."""
-    universe = atom_universe(signature, domains)
-    base = FiniteInterpretation.make(signature, domains)
-    for bits in itertools.product((False, True), repeat=len(universe)):
-        yield base.with_atoms(a for a, b in zip(universe, bits) if b)
-
-
-def ground_atom_formula(atom: GroundAtom, signature: Signature) -> Atom:
-    pred, values = atom
-    arg_sorts = signature.pred_arg_sorts(pred, len(values))
-    return Atom(pred, tuple(DomainName(v, s) for v, s in zip(values, arg_sorts)))

@@ -1,5 +1,7 @@
-"""Polarity of occurrences, the context-aware formula transforms that isolate
-one atom occurrence, and their grounded atom-set counterparts."""
+"""Polarity of occurrences, and the context-aware formula transforms that
+isolate one atom occurrence.  Their grounded counterparts, the ``pos``,
+``pnn`` and ``nnn`` atoms of a satisfied ground sentence, are in
+:mod:`htsplit.reference`."""
 
 from __future__ import annotations
 
@@ -7,14 +9,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import engine
-from .interpretations import (
-    Element,
-    FiniteInterpretation,
-    GroundAtom,
-    _quantifier_instances,
-    eval_term,
-    satisfies,
-)
+from .interpretations import Element, FiniteInterpretation
 from .syntax import (
     And,
     Atom,
@@ -269,63 +264,3 @@ def fresh_variables(prefix: str, atom: Atom) -> tuple[Variable, ...]:
     surface syntax cannot produce.
     """
     return tuple(Variable(f"{prefix}{i}", t.sort) for i, t in enumerate(atom.args))
-
-
-# ---------------------------------------------------------------------------
-# grounded atom sets
-
-
-def _atom_value(interp: FiniteInterpretation, atom: Atom) -> Optional[GroundAtom]:
-    if atom.pred in COMPARISON_PREDICATES:
-        return None
-    values = []
-    for t in atom.args:
-        v = eval_term(interp, t)
-        if v is None:
-            return None
-        values.append(v)
-    return (atom.pred, tuple(values))
-
-
-def _satisfied_atoms(
-    interp: FiniteInterpretation, f: Formula, variant: str
-) -> frozenset[GroundAtom]:
-    """The ``pos``, ``pnn`` or ``nnn`` atoms of a ground sentence: the atoms
-    of that polarity reached through satisfied subformulas only.  Entering a
-    satisfied implication's antecedent flips pnn and nnn; pos admits nothing
-    there."""
-    out: set[GroundAtom] = set()
-    stack = [(f, variant)]
-    while stack:
-        g, variant = stack.pop()
-        if not satisfies(interp, g):
-            continue
-        if isinstance(g, Atom):
-            v = _atom_value(interp, g)
-            if v is not None and variant != "nnn":
-                out.add(v)
-        elif isinstance(g, (And, Or)):
-            stack += [(g.lhs, variant), (g.rhs, variant)]
-        elif isinstance(g, Implies):
-            if satisfies(interp, g.lhs):
-                stack.append((g.rhs, variant))
-                if variant != "pos":
-                    stack.append((g.lhs, "nnn" if variant == "pnn" else "pnn"))
-        elif isinstance(g, (Forall, Exists)):
-            stack += [(inst, variant) for inst in _quantifier_instances(interp, g)]
-    return frozenset(out)
-
-
-def pos_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
-    """Strictly positive atoms of a satisfied ground sentence; empty otherwise."""
-    return _satisfied_atoms(interp, f, "pos")
-
-
-def pnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
-    """Positive nonnegated atoms of a satisfied ground sentence."""
-    return _satisfied_atoms(interp, f, "pnn")
-
-
-def nnn_atoms(interp: FiniteInterpretation, f: Formula) -> frozenset[GroundAtom]:
-    """Negative nonnegated atoms of a satisfied ground sentence."""
-    return _satisfied_atoms(interp, f, "nnn")

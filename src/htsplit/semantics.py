@@ -1,10 +1,10 @@
 """Stable models refined by intensionality statements.
 
-The public checks come in two flavours: direct implementations that follow
-the definitions literally (subset search over here-worlds), and a fast path
-that works with ground formulas and reducts.  The property suite
-cross-checks the two on small instances; callers pick with the ``method``
-argument.
+The definitions themselves, stability of one interpretation by subset
+search over its here-worlds and the excluded-middle theory of a statement,
+are written literally in :mod:`htsplit.reference`, which no command loads;
+this module decides the same questions on ground formulas, and the property
+suite cross-checks the two on small instances.
 
 :class:`GroundProblem` grounds a theory under a statement once, together
 with the atoms the statement lets a here-world drop; its candidate atoms
@@ -23,11 +23,9 @@ classical theories of the two sides, with no scan.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
-from typing import Literal as LiteralType
 
 from . import engine
 from .intensionality import IntensionalityStatement
@@ -38,63 +36,13 @@ from .interpretations import (
     HTInterpretation,
     atom_sort_key,
     atom_universe,
-    atoms_of,
-    ground_atom_formula,
-    satisfies,
-    satisfies_all,
-    ht_satisfies_all,
     universe_size,
 )
-from .syntax import (
-    Atom,
-    DomainName,
-    Formula,
-    Implies,
-    Or,
-    Statement,
-    forall_over,
-    neg,
-    theory_sentences,
-)
-
-Method = LiteralType["reduct", "direct-restricted", "direct-full"]
-
-
-def atoms_of_lambda(
-    interp: FiniteInterpretation, lam: IntensionalityStatement
-) -> frozenset[GroundAtom]:
-    """True atoms whose intensionality condition holds on their arguments."""
-    out = set()
-    for atom in interp.true_atoms:
-        pred, values = atom
-        arg_sorts = interp.signature.pred_arg_sorts(pred, len(values))
-        names = tuple(DomainName(v, s) for v, s in zip(values, arg_sorts))
-        if satisfies(interp, lam.condition((pred, len(values)), names)):
-            out.add(atom)
-    return frozenset(out)
+from .syntax import Statement, theory_sentences
 
 
 # ---------------------------------------------------------------------------
 # excluded-middle theories
-
-
-def em_theory(lam: IntensionalityStatement) -> list[Formula]:
-    """One sentence per predicate symbol: where the intensionality condition
-    fails, the predicate obeys excluded middle.
-
-    This is the formula-level statement.  Grounding it drops every instance
-    whose condition holds an undefined term, so an atom whose condition
-    leaves the integer range gets no excluded middle, although the condition
-    reads false there and the atom lies outside the region.  The library
-    therefore takes excluded middle from :func:`ground_region` instead.
-    """
-    out = []
-    for key in sorted(lam.signature.predicates):
-        variables, condition = lam.entry(key)
-        atom = Atom(key[0], variables)
-        matrix = Implies(neg(condition), Or(atom, neg(atom)))
-        out.append(forall_over(variables, matrix))
-    return out
 
 
 def ground_region(
@@ -106,7 +54,8 @@ def ground_region(
     variables, and grounded at every atom of the universe; an undefined term
     in it makes it false, so the atom is outside the region.  Each predicate
     gets one conjunction of ``¬region → (a ∨ ¬a)`` over its atoms, nested
-    per argument in the order of :func:`em_theory`'s quantifiers.
+    per argument in the order of the quantifiers of
+    :func:`htsplit.reference.em_theory`.
     """
     signature = lam.signature
     region_gf: dict[GroundAtom, engine.GF] = {}
@@ -140,92 +89,6 @@ def _em_conjunction(
     a = ("atom", (pred, values))
     excluded_middle = engine.gor(a, engine.gimp(a, engine.FALSE_GF))
     return engine.gimp(engine.gimp(region, engine.FALSE_GF), excluded_middle)
-
-
-def em_atoms(
-    interp: FiniteInterpretation, kept: Iterable[GroundAtom]
-) -> list[Formula]:
-    """Excluded-middle disjunctions for every true atom outside ``kept``."""
-    kept_set = frozenset(kept)
-    out = []
-    for atom in sorted(atoms_of(interp) - kept_set, key=atom_sort_key):
-        f = ground_atom_formula(atom, interp.signature)
-        out.append(Or(f, neg(f)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# stability of a single interpretation
-
-
-def is_stable(
-    interp: FiniteInterpretation,
-    theory: Sequence[Statement],
-    method: Method = "reduct",
-) -> bool:
-    """No proper subset of the true atoms HT-satisfies the theory."""
-    sentences = theory_sentences(theory)
-    return _stable(interp, sentences, removable=atoms_of(interp), method=method)
-
-
-def is_lambda_stable(
-    interp: FiniteInterpretation,
-    theory: Sequence[Statement],
-    lam: IntensionalityStatement,
-    method: Method = "reduct",
-) -> bool:
-    """Stability under the statement: the droppable atoms are the true atoms
-    whose condition holds, and every other atom obeys excluded middle."""
-    return is_a_stable(interp, theory, atoms_of_lambda(interp, lam), method)
-
-
-def is_a_stable(
-    interp: FiniteInterpretation,
-    theory: Sequence[Statement],
-    kept: Iterable[GroundAtom],
-    method: Method = "reduct",
-) -> bool:
-    """Stability relative to an explicit set of droppable ground atoms."""
-    kept_set = frozenset(kept) & atoms_of(interp)
-    sentences = theory_sentences(theory) + em_atoms(interp, kept_set)
-    return _stable(interp, sentences, removable=kept_set, method=method)
-
-
-def _stable(
-    interp: FiniteInterpretation,
-    sentences: list[Formula],
-    removable: frozenset[GroundAtom],
-    method: Method,
-) -> bool:
-    if method == "reduct":
-        cap = engine.DEFAULT_ATOM_CAP  # no scan caps this exact check
-        if len(removable) > cap:
-            raise engine.ResourceCapExceeded(
-                f"stability check has {len(removable)} removable atoms, cap is {cap}"
-            )
-        # a reduct collapsing to false doubles as the classical-model check
-        gfs = engine.ground_theory(interp, sentences)
-        stable, _ = engine.is_stable_ground(gfs, interp.true_atoms, removable)
-        return stable
-    if not satisfies_all(interp, sentences):
-        return False
-    true_atoms = atoms_of(interp)
-    if method == "direct-restricted":
-        region = sorted(removable & true_atoms, key=atom_sort_key)
-        fixed = true_atoms - frozenset(region)
-    elif method == "direct-full":
-        region = sorted(true_atoms, key=atom_sort_key)
-        fixed = frozenset()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    for r in range(len(region) + 1):
-        for chosen in itertools.combinations(region, r):
-            here = fixed | frozenset(chosen)
-            if here == true_atoms:
-                continue
-            if ht_satisfies_all(HTInterpretation(here, interp), sentences):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -583,3 +446,14 @@ def ht_models(
         for here in engine.scan(here_atoms, lambda space: space.theory_table(reducts)):
             out.append((here, there))
     return out
+
+
+def __getattr__(name: str):
+    # The benchmark's tracer wraps ``semantics.is_lambda_stable`` by name,
+    # so the name still resolves here; the definition is in ``reference``,
+    # which this loads only when the name is read.
+    if name == "is_lambda_stable":
+        from . import reference
+
+        return reference.is_lambda_stable
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,7 +61,7 @@ def formula_level_lambda_stable(interp, theory, lam, method="direct-full"):
     ``is_lambda_stable``, and agrees with it wherever no condition holds a
     term that leaves the integer range (where it differs is pinned in
     ``test_semantics``)."""
-    from htsplit.semantics import _stable, atoms_of_lambda, em_theory
+    from htsplit.reference import _stable, atoms_of_lambda, em_theory
     from htsplit.syntax import theory_sentences
 
     sentences = theory_sentences(theory) + em_theory(lam)
@@ -74,7 +74,8 @@ def reference_ground_formula(structure, f):
     substituted and searched for an undefined ground term.  It does not
     fold atoms outside the atom universe to false."""
     from htsplit.engine import FALSE_GF, TRUE_GF, gand, gand_all, gimp, gor, gor_all
-    from htsplit.interpretations import _COMPARE, eval_term, has_undefined_ground_term
+    from htsplit.interpretations import _COMPARE
+    from htsplit.reference import eval_term, has_undefined_ground_term
     from htsplit.syntax import (
         And,
         Atom,

@@ -9,19 +9,24 @@ import time
 from htsplit.cli import main
 from htsplit.depgraph import is_negative_program, program_dep_graph, theory_dep_graph
 from htsplit.intensionality import IntensionalityStatement, Partition
-from htsplit.interpretations import all_interpretations, ht_satisfies, satisfies, HTInterpretation
+from htsplit.interpretations import HTInterpretation
 from htsplit.occurrences import (
     fresh_variables,
     pnn_formula,
     pos_formula,
 )
-from htsplit.selftest import random_split_instance
-from htsplit.semantics import (
+from htsplit.reference import (
+    all_interpretations,
     atoms_of_lambda,
-    check_strong_equivalence,
-    enumerate_lambda_stable_models,
+    ht_satisfies,
     is_a_stable,
     is_lambda_stable,
+    satisfies,
+)
+from htsplit.selftest import random_split_instance
+from htsplit.semantics import (
+    check_strong_equivalence,
+    enumerate_lambda_stable_models,
 )
 from htsplit.splitting import check_one_direction, check_split_program, verify_split
 from htsplit.syntax import (
@@ -305,7 +310,7 @@ def test_criterion_9_property_suites():
     from strategies import DOMAINS as SDOM, SIG as SSIG, UNIVERSE, random_sentence
 
     from htsplit.interpretations import FiniteInterpretation
-    from htsplit.occurrences import pos_atoms
+    from htsplit.reference import pos_atoms
 
     gen = random.Random(42)
     applied = 0

@@ -15,13 +15,12 @@ import pytest
 
 from conftest import DATA, load
 from htsplit import cli
-from htsplit.depgraph import grounded_dep_graph
 from htsplit.intensionality import Partition
 from htsplit.occurrences import TransformContext, atom_occurrences_with_polarity, fresh_variables
 from htsplit.parser import parse_problem
+from htsplit.reference import atoms_of_lambda, grounded_dep_graph
 from htsplit.selftest import run_selftest
 from htsplit.semantics import (
-    atoms_of_lambda,
     check_strong_equivalence,
     enumerate_lambda_stable_models,
     ht_models,

@@ -9,7 +9,6 @@ import htsplit
 from htsplit import engine
 from htsplit.depgraph import (
     bounded_sat,
-    grounded_dep_graph,
     is_approximator,
     is_negative_program,
     is_psi_negative,
@@ -18,8 +17,9 @@ from htsplit.depgraph import (
     theory_dep_graph,
 )
 from htsplit.intensionality import IntensionalityStatement, Partition, lambda_bot, lambda_top
-from htsplit.interpretations import FiniteInterpretation, satisfies_all
-from htsplit.semantics import atoms_of_lambda, enumerate_lambda_stable_models
+from htsplit.interpretations import FiniteInterpretation
+from htsplit.reference import atoms_of_lambda, grounded_dep_graph, satisfies_all
+from htsplit.semantics import enumerate_lambda_stable_models
 from htsplit.syntax import (
     Atom,
     BOT,
@@ -408,8 +408,9 @@ def test_approximator_reports_the_lowest_definitional_counterexample():
     # singleton loop test that fail psi need the exact check
     import random
 
-    from htsplit.interpretations import all_interpretations, atom_sort_key
-    from htsplit.semantics import GroundProblem, is_lambda_stable
+    from htsplit.interpretations import atom_sort_key
+    from htsplit.reference import all_interpretations, is_lambda_stable
+    from htsplit.semantics import GroundProblem
     from htsplit.syntax import DomainName
     from strategies import DOMAINS, SIG, random_sentence
     from test_properties import _member_partition

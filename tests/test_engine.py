@@ -1,9 +1,12 @@
 """Ground engine pieces: the compiled grounder against the substituting
 reference, truth-table bit listing, the exact stability check against the
 definitional subset search and its atom cap, a model search deeper than the
-recursion limit, and the import footprint of the package."""
+recursion limit, and the import footprint of the package: no subcommand loads
+the reference definitions, and the benchmark's tracer finds every function it
+wraps."""
 
 import gc
+import json
 import os
 import pathlib
 import random
@@ -22,7 +25,7 @@ from conftest import (
     reference_ground_formula,
     reference_stable_candidate_table,
 )
-from htsplit import engine, interpretations, syntax
+from htsplit import engine, reference, syntax
 from htsplit.cli import main
 from htsplit.depgraph import bounded_sat
 from htsplit.interpretations import (
@@ -30,16 +33,19 @@ from htsplit.interpretations import (
     HTInterpretation,
     atom_sort_key,
     atom_universe,
-    ht_satisfies_all,
-    satisfies_all,
 )
 from htsplit.parser import parse_problem
-from htsplit.semantics import (
-    GroundProblem,
+from htsplit.reference import (
     em_atoms,
     em_theory,
-    ground_region,
+    eval_gf,
+    ht_satisfies_all,
     is_lambda_stable,
+    satisfies_all,
+)
+from htsplit.semantics import (
+    GroundProblem,
+    ground_region,
     model_order,
 )
 from htsplit.syntax import (
@@ -136,7 +142,7 @@ def test_grounding_makes_no_substitution(monkeypatch):
     # under substitution, none here
     calls = {"substitute": 0, "undefined": 0}
     real_substitute = syntax._substitute_by_name
-    real_undefined = interpretations.has_undefined_ground_term
+    real_undefined = reference.has_undefined_ground_term
 
     def counting_substitute(*args):
         calls["substitute"] += 1
@@ -452,6 +458,21 @@ def test_a_non_tight_theory_drops_both_atoms_of_its_loop():
     assert engine.is_stable_ground(gfs, true_atoms, true_atoms) == (False, frozenset())
 
 
+def test_stability_with_no_true_droppable_atom_scans_nothing(monkeypatch):
+    # a context's check: the true atoms are the only here-world, so a
+    # classical model is stable, loop or not, and no scan runs
+    def no_scan(*_args):
+        raise AssertionError("scan_indices ran")
+
+    monkeypatch.setattr(engine, "scan_indices", no_scan)
+    p, q = ("atom", ("p", ())), ("atom", ("q", ()))
+    gfs = [("imp", q, p), ("imp", p, q)]
+    both = frozenset({("p", ()), ("q", ())})
+    assert engine.is_stable_ground(gfs, both, frozenset()) == (True, None)
+    assert engine.is_stable_ground(gfs, both, frozenset({("r", ())})) == (True, None)
+    assert engine.is_stable_ground(gfs, frozenset({("p", ())}), frozenset()) == (False, None)
+
+
 _P, _Q, _R = ("atom", ("p", ())), ("atom", ("q", ())), ("atom", ("r", ()))
 
 
@@ -632,6 +653,64 @@ def test_importing_the_package_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
+# every subcommand, on the data files, in a fresh interpreter
+_COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+import htsplit.cli
+
+data = sys.argv[1]
+runs = [
+    ["models", "loop.htsplit"],
+    ["ht-models", "four_models.htsplit"],
+    ["graph", "loop.htsplit", "--partition", "m1,m2"],
+    ["split", "loop.htsplit", "--parts", "g1,g2", "--partition", "m1,m2", "--verify"],
+    ["split", "loop.htsplit", "--parts", "g1,g2", "--partition", "m1,m2", "--context", "psi",
+     "--verify"],
+    ["strong-eq", "strong_eq.htsplit", "--left", "plain", "--right", "guarded"],
+    ["transform", "transforms.htsplit", "--formula", "f1", "--occurrence", "p", "--variant", "pnn"],
+    ["parse", "meta.htsplit"],
+]
+codes = []
+for command, name, *rest in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(htsplit.cli.main([command, data + "/" + name] + rest))
+print(json.dumps({"codes": codes, "reference": "htsplit.reference" in sys.modules}))
+"""
+
+
+def test_no_subcommand_loads_the_reference_module():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(htsplit.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", _COMMANDS_SCRIPT, str(DATA)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == {"codes": [0] * 8, "reference": False}
+    # the definitions are still names of the package, and the tracer's
+    # semantics.is_lambda_stable, all from the one reference module
+    for name in sorted(htsplit._REFERENCE_NAMES):
+        namespace = {}
+        exec(f"from htsplit import {name}", namespace)
+        assert namespace[name] is getattr(reference, name), name
+    assert getattr(htsplit.semantics, "is_lambda_stable") is reference.is_lambda_stable
+
+
+def test_the_benchmark_tracer_installs_on_the_package():
+    # every function the tracer wraps must still be found by its name; -B
+    # writes no bytecode next to the benchmark's sources
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.path.insert(0, 'perfbench'); import tracing\n"
+        "tracer = tracing.Tracer(); tracer.install()\n"
+        "assert all(layer.patches for layer in tracer.layers.values())\n"
+        "tracer.uninstall()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+
+
 # ---------------------------------------------------------------------------
 # the singleton loop test as formulas, and entailment queries
 
@@ -657,7 +736,7 @@ def test_dropping_an_atom_is_here_there_satisfaction_without_it():
                 if a in x:
                     there = structure.with_atoms(x)
                     expected = ht_satisfies_all(HTInterpretation(x - {a}, there), [sentence])
-                    assert engine.eval_gf(dropped, x) == expected, (sentence, a, x)
+                    assert eval_gf(dropped, x) == expected, (sentence, a, x)
 
 
 def test_support_formulas_keep_what_the_singleton_loop_test_keeps():
@@ -700,10 +779,10 @@ def test_an_entailment_query_is_unsat_exactly_where_the_premises_entail_the_goal
         ]
         oracle = engine.Entailment(premises)
         size = oracle.circuit.mark()
-        models = [x for x in _worlds() if all(engine.eval_gf(p, x) for p in premises)]
+        models = [x for x in _worlds() if all(eval_gf(p, x) for p in premises)]
         for _ in range(3):
             goal = engine.ground_formula(structure, random_sentence(rng, depth=2))
-            entailed = all(engine.eval_gf(goal, x) for x in models)
+            entailed = all(eval_gf(goal, x) for x in models)
             verdict = oracle.query(goal)
             assert verdict == ("unsat" if entailed else "sat"), (premises, goal)
             assert oracle.circuit.mark() == size  # each query leaves the premises as they were

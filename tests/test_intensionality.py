@@ -21,9 +21,9 @@ from htsplit.intensionality import (
     partition_problems,
     validate_condition_predicates,
 )
-from htsplit.interpretations import all_interpretations, satisfies
 from htsplit.occurrences import TransformContext
 from htsplit.parser import parse_problem
+from htsplit.reference import all_interpretations, satisfies
 from htsplit.syntax import (
     And,
     Atom,

@@ -9,14 +9,12 @@ from htsplit.occurrences import (
     classify,
     atom_occurrences_with_polarity,
     fresh_variables,
-    nnn_atoms,
     nnn_formula,
-    pnn_atoms,
     pnn_formula,
-    pos_atoms,
     pos_formula,
     restrict_formula,
 )
+from htsplit.reference import nnn_atoms, pnn_atoms, pos_atoms
 from htsplit.syntax import (
     And,
     Atom,

@@ -12,29 +12,30 @@ from htsplit.intensionality import lambda_top
 from htsplit.interpretations import (
     HTInterpretation,
     atoms_of,
-    ht_satisfies,
-    ht_satisfies_all,
-    satisfies,
 )
 from htsplit.occurrences import (
     atom_occurrences_with_polarity,
     fresh_variables,
-    nnn_atoms,
     nnn_formula,
-    pnn_atoms,
     pnn_formula,
-    pos_atoms,
     pos_formula,
 )
 from htsplit.interpretations import FiniteInterpretation
 from htsplit.parser import parse_problem, print_problem
-from htsplit.semantics import (
+from htsplit.reference import (
     atoms_of_lambda,
     em_atoms,
     em_theory,
+    eval_gf,
+    ht_satisfies,
+    ht_satisfies_all,
     is_a_stable,
     is_lambda_stable,
     is_stable,
+    nnn_atoms,
+    pnn_atoms,
+    pos_atoms,
+    satisfies,
 )
 from htsplit.syntax import (
     And,
@@ -124,12 +125,12 @@ def test_fold_constants_preserves_both_satisfaction_relations(pair, sentence):
 def test_ground_engine_matches_the_direct_recursions(pair, sentence):
     here, interp = pair
     gf = engine.ground_formula(interp, sentence)
-    assert engine.eval_gf(gf, interp.true_atoms) == satisfies(interp, sentence)
+    assert eval_gf(gf, interp.true_atoms) == satisfies(interp, sentence)
     value, r = engine.reduct_eval(gf, interp.true_atoms)
     assert value == satisfies(interp, sentence)
     ht = HTInterpretation(here, interp)
     if value:
-        assert engine.eval_gf(r, here) == ht_satisfies(ht, sentence)
+        assert eval_gf(r, here) == ht_satisfies(ht, sentence)
     else:
         assert not ht_satisfies(ht, sentence)
 
@@ -251,7 +252,7 @@ def test_grounded_sets_instantiate_the_transforms(sentence, interp):
 def test_em_theory_forces_the_extensional_region(theory, interp):
     # a statement with everything extensional pins the here-world completely
     from htsplit.intensionality import lambda_bot
-    from htsplit.interpretations import ht_satisfies_all
+    from htsplit.reference import ht_satisfies_all
 
     bot = lambda_bot(SIG)
     em = em_theory(bot)
@@ -321,14 +322,14 @@ def test_engine_and_direct_satisfaction_agree_on_arithmetic_corners():
         interp = FI.make(sig, domains, atoms)
         direct = satisfies(interp, sentence)
         gf = eng.ground_formula(interp, sentence)
-        assert eng.eval_gf(gf, atoms) == direct, format_formula(sentence)
+        assert eval_gf(gf, atoms) == direct, format_formula(sentence)
         # two-world agreement through the reduct as well
         here = frozenset(a for a in atoms if rng.random() < 0.6)
         value, r = eng.reduct_eval(gf, atoms)
         assert value == direct
         ht = HTInterpretation(here, interp)
         if value:
-            assert eng.eval_gf(r, here) == ht_satisfies(ht, sentence), format_formula(sentence)
+            assert eval_gf(r, here) == ht_satisfies(ht, sentence), format_formula(sentence)
 
 
 def test_enumeration_matches_brute_force_under_interpretation_dependent_regions():
@@ -338,8 +339,8 @@ def test_enumeration_matches_brute_force_under_interpretation_dependent_regions(
     import random
 
     from htsplit.intensionality import IntensionalityStatement
-    from htsplit.interpretations import all_interpretations
-    from htsplit.semantics import enumerate_lambda_stable_models, is_lambda_stable
+    from htsplit.reference import all_interpretations, is_lambda_stable
+    from htsplit.semantics import enumerate_lambda_stable_models
     from htsplit.syntax import Atom as A, Equality as Eq, Or as O, Variable as V
     from strategies import DOMAINS, SIG, random_sentence
 
@@ -370,7 +371,8 @@ def test_singleton_loop_test_keeps_the_stable_models_and_only_them_when_tight():
     import random
 
     from htsplit.intensionality import IntensionalityStatement
-    from htsplit.interpretations import FiniteInterpretation, all_interpretations, atom_sort_key
+    from htsplit.interpretations import FiniteInterpretation, atom_sort_key
+    from htsplit.reference import all_interpretations
     from htsplit.semantics import GroundProblem, enumerate_lambda_stable_models
     from htsplit.syntax import Equality as Eq
     from strategies import random_sentence
@@ -427,7 +429,8 @@ def test_ground_stability_keeps_a_droppable_atom_whose_region_is_false():
     import random
 
     from htsplit.intensionality import IntensionalityStatement
-    from htsplit.interpretations import FiniteInterpretation, all_interpretations
+    from htsplit.interpretations import FiniteInterpretation
+    from htsplit.reference import all_interpretations
     from htsplit.semantics import GroundProblem
     from htsplit.syntax import Equality as Eq
     from strategies import random_sentence
@@ -463,7 +466,7 @@ def test_enumeration_matches_brute_force_where_the_condition_leaves_the_range():
     import random
 
     from htsplit.intensionality import IntensionalityStatement
-    from htsplit.interpretations import all_interpretations
+    from htsplit.reference import all_interpretations
     from htsplit.semantics import enumerate_lambda_stable_models
     from htsplit.syntax import INT_SORT, Equality as Eq, Func, int_name
 
@@ -660,7 +663,8 @@ def test_verify_split_reports_the_lowest_definitional_mismatch():
     # each part alone only
     import random
 
-    from htsplit.interpretations import all_interpretations, atom_sort_key, satisfies_all
+    from htsplit.interpretations import atom_sort_key
+    from htsplit.reference import all_interpretations, satisfies_all
     from htsplit.splitting import verify_split
     from strategies import random_sentence
 
@@ -982,13 +986,12 @@ def test_models_and_the_approximator_keep_the_stable_model_order(theory, psi):
     from htsplit import cli
     from htsplit.depgraph import is_approximator
     from htsplit.interpretations import (
-        all_interpretations,
         atom_sort_key,
         format_atom,
         format_atom_set,
-        satisfies_all,
     )
     from htsplit.parser import ProblemFile
+    from htsplit.reference import all_interpretations, satisfies_all
 
     lam = _order_statement()
     key = reference_model_order(sorted(UNIVERSE, key=atom_sort_key))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from conftest import reference_find_model
 from htsplit import engine
 from htsplit.engine import FALSE_GF, TRUE_GF, gand, gimp, gor
+from htsplit.reference import eval_gf
 
 from strategies import interpretations, sentences
 
@@ -26,7 +27,7 @@ def _assert_searches_like_the_reference(gfs):
     assert verdict == reference_find_model(gfs)
     status, witness = verdict
     if status == "sat":
-        assert all(engine.eval_gf(g, witness) for g in gfs)
+        assert all(eval_gf(g, witness) for g in gfs)
     for cap in NODE_CAPS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "DEFAULT_NODE_CAP", cap)

@@ -9,21 +9,23 @@ from htsplit.intensionality import IntensionalityStatement, lambda_bot, lambda_t
 from htsplit.interpretations import (
     FiniteInterpretation,
     HTInterpretation,
-    all_interpretations,
     atoms_of,
-    eval_term,
-    ht_satisfies,
-    satisfies,
 )
-from htsplit.semantics import (
+from htsplit.reference import (
+    all_interpretations,
     atoms_of_lambda,
-    check_strong_equivalence,
     em_atoms,
     em_theory,
-    enumerate_lambda_stable_models,
+    eval_term,
+    ht_satisfies,
     is_a_stable,
     is_lambda_stable,
     is_stable,
+    satisfies,
+)
+from htsplit.semantics import (
+    check_strong_equivalence,
+    enumerate_lambda_stable_models,
 )
 from htsplit.syntax import (
     Atom,
@@ -469,7 +471,7 @@ def test_p_and_double_negation_differ():
     # the counterexample really distinguishes the two extended theories
     left = theory_sentences([p]) + em_theory(lambda_top(PROP_SIG))
     right = theory_sentences([neg(neg(p))]) + em_theory(lambda_top(PROP_SIG))
-    from htsplit.interpretations import ht_satisfies_all
+    from htsplit.reference import ht_satisfies_all
 
     assert ht_satisfies_all(counter, left) != ht_satisfies_all(counter, right)
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from htsplit.intensionality import IntensionalityStatement, Partition, lambda_top
-from htsplit.semantics import enumerate_lambda_stable_models, is_lambda_stable
+from htsplit.reference import is_lambda_stable
+from htsplit.semantics import enumerate_lambda_stable_models
 from htsplit.splitting import (
     check_one_direction,
     check_split_program,
