@@ -45,10 +45,15 @@ atom universe grounds to false.  On top of that this module provides:
   blocks of at most ``2 ** BLOCK_ATOMS`` assignments (the low atoms vary,
   the others are fixed per block): its callers pass a table per block and
   get back the global index of each kept assignment, an int whose bit i is
-  atom i; :func:`scan` decodes each into its true atoms.  The blocks of one
-  scan share a
-  :class:`ScanStore`, so the prefilter tabulates a formula once per scan
-  for each set of values its fixed atoms take, not once per block;
+  atom i, decoded only when they take it; :func:`scan` decodes each into
+  its true atoms.  The blocks of one scan share a :class:`ScanStore`, so
+  the prefilter tabulates a formula once per scan for each set of values
+  its fixed atoms take, not once per block.  The walk decides the fixed
+  atoms depth-first, the most significant first and False before True, so
+  the blocks come in ascending order; given the problems whose singleton
+  loop tests bound its tables, it carries each one's AND of its decided
+  formulas' memoised tables down, and drops every block below a node
+  where that AND refutes them;
 * tightness (:func:`is_tight`): when the positive dependency graph has no
   cycle through two atoms, every loop is a singleton, so the survivors of
   the singleton loop test are the stable models and tight problems skip
@@ -954,7 +959,9 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 # Python 3.11, 2-core Xeon), a round took 0.33 to 0.35 s of CPU with 16
 # atoms, 0.37 to 0.39 s with 18, 0.41 to 0.42 s with 20 and 0.46 to 0.48 s
 # with 14; peak RSS was 31 MB with 14, 32 to 33 MB with 16, 35 MB with 18
-# and 52 to 54 MB with 20, whose 128 KB tables the scan keeps.
+# and 52 to 54 MB with 20, whose 128 KB tables the scan keeps.  All these
+# figures predate the depth-first walk of scan_indices, which skips refuted
+# blocks and so builds fewer of the narrow tables.
 BLOCK_ATOMS = 16
 
 
@@ -1055,18 +1062,17 @@ class TableSpace:
                 break
         return out
 
-    def indices(self, table: int) -> list[int]:
-        """Global indices of the set bits, ascending."""
+    def indices(self, table: int) -> Iterator[int]:
+        """Global indices of the set bits, ascending, each decoded only
+        when it is taken: a caller that stops early decodes no later one."""
         raw = table.to_bytes((self.width + 7) // 8, "little")
-        out = []
         for m in _NONZERO_BYTE.finditer(raw):
             i = m.start()
             byte, base = raw[i], self.base + 8 * i
             while byte:
                 low = byte & -byte
-                out.append(base + low.bit_length() - 1)
+                yield base + low.bit_length() - 1
                 byte ^= low
-        return out
 
 
 def scan_blocks(n_atoms: int) -> int:
@@ -1075,19 +1081,57 @@ def scan_blocks(n_atoms: int) -> int:
 
 
 def scan_indices(
-    atoms: Sequence[GroundAtom], table_of: Callable[[TableSpace], int]
+    atoms: Sequence[GroundAtom],
+    table_of: Callable[[TableSpace], int],
+    prune: Sequence[Sequence[tuple[Sequence[GF], frozenset[GroundAtom]]]] = (),
 ) -> Iterator[int]:
     """The global index of every assignment to ``atoms`` whose bit is set in
     the table ``table_of`` builds for its block, in ascending order.
 
-    The blocks come in ascending order and share one :class:`ScanStore`,
-    which the scan drops when it ends.  A block's table is built only once
-    the previous block's assignments have been taken, so no table is wider
-    than ``2 ** BLOCK_ATOMS`` bits and a caller that stops early builds no
-    later table.
+    The walk decides the bits of the block number depth-first, the most
+    significant first and False before True, so the blocks, its leaves,
+    come in ascending order.  They share one :class:`ScanStore`, which the
+    scan drops when it ends.  A block's table is built only once the
+    previous block's assignments have been taken, and its indices are
+    decoded one at a time as they are taken (:meth:`TableSpace.indices`),
+    so no table is wider than ``2 ** BLOCK_ATOMS`` bits and a caller that
+    stops early builds no later table and decodes no later index.
+
+    ``prune`` lets the walk skip blocks whose table it can show to be 0: it
+    holds groups of problems, each a ``(gfs, droppable)`` pair as
+    :func:`stable_candidate_table` takes it, and ``table_of`` must give 0
+    wherever, in every group, the singleton loop test of some problem keeps
+    nothing.  Each node carries down every problem's running AND: the
+    formulas of its :class:`_Plan` that mention no fixed atom, and the
+    tables, memoised in the store, of those whose fixed atoms are all
+    decided at or above the node.  A node adds only the formulas whose
+    lowest fixed atom is its own bit.  The running AND holds the problem's
+    table in every block below the node, so where, in every group, some
+    problem's is 0, the node's blocks all get 0 and the walk drops them.
     """
     store = ScanStore(atoms)
-    for block in range(scan_blocks(len(store.atoms))):
+    top = len(store.atoms) - store.low  # the bits of a block number
+    root = TableSpace(store.atoms, 0, store)
+    # one block alone has no subtree to drop, and its table shows as much
+    groups = [[_plan(root, gfs, droppable) for gfs, droppable in group] for group in prune if top]
+    # a node: the bit it decides (the root's, top, decides none), its block
+    # number with the undecided bits clear, and per group the running ANDs
+    # of its problems, None once one of them is 0
+    stack = [(top, 0, [[plan.good for plan in plans] for plans in groups])]
+    while stack:
+        bit, block, goods = stack.pop()
+        if groups:
+            goods = [
+                None if ands is None else _decided(plans, ands, bit, block, store)
+                for plans, ands in zip(groups, goods)
+            ]
+            if all(ands is None for ands in goods):
+                continue
+        if bit:
+            bit -= 1
+            stack.append((bit, block | 1 << bit, goods))
+            stack.append((bit, block, goods))
+            continue
         space = TableSpace(store.atoms, block, store)
         table = table_of(space)
         if table:
@@ -1354,21 +1398,26 @@ class _Plan:
     space.  Those that mention no atom the block fixes are tabulated once,
     in the block that makes the plan, and folded into ``good``; each other
     formula is kept with the bits of the block number that give its fixed
-    atoms and its tables by those bits.
+    atoms and its tables by those bits, in ``variant`` and, for the walk of
+    :func:`scan_indices`, in ``decided`` under the lowest of those bits.
     """
 
-    __slots__ = ("problem", "good", "variant")
+    __slots__ = ("problem", "good", "variant", "decided")
 
     def __init__(self, space: TableSpace, gfs: Sequence[GF], droppable: frozenset[GroundAtom]):
         store = space.store
         self.problem = (gfs, droppable)  # keep the identities that key the plan
         self.good = space.mask
         self.variant: list[tuple[GF, int, dict[int, int]]] = []
+        self.decided: dict[int, list[tuple[GF, int, dict[int, int]]]] = {}
         for g in classical_theory(gfs, droppable.intersection(space.atoms)):
             tables = store.tables.setdefault(g, {})
             fixed = space.fixed_mask(gf_atoms(g))
             if fixed:
                 self.variant.append((g, fixed, tables))
+                self.decided.setdefault((fixed & -fixed).bit_length() - 1, []).append(
+                    (g, fixed, tables)
+                )
                 continue
             table = tables.get(0)
             if table is None:
@@ -1376,6 +1425,41 @@ class _Plan:
             self.good &= table
             if not self.good:
                 break
+
+
+def _plan(space: TableSpace, gfs: Sequence[GF], droppable: frozenset[GroundAtom]) -> _Plan:
+    """The plan of the problem (the same ``gfs`` and ``droppable`` objects)
+    in the space's store, made by its first caller in the scan."""
+    key = (id(gfs), id(droppable))
+    plan = space.store.plans.get(key)
+    if plan is None:
+        plan = space.store.plans[key] = _Plan(space, gfs, droppable)
+    return plan
+
+
+def _decided(
+    plans: Sequence[_Plan], ands: Sequence[int], bit: int, block: int, store: ScanStore
+) -> Optional[list[int]]:
+    """Each plan's running AND in ``ands``, with the tables of its formulas
+    whose lowest fixed bit is ``bit`` ANDed in, at a node whose fixed bits
+    from ``bit`` up are those of ``block`` and the others clear; a table the
+    store lacks for those values of the formula's fixed atoms is tabulated
+    in that block.  None as soon as one AND is 0."""
+    out, space = [], None
+    for plan, good in zip(plans, ands):
+        for g, fixed, tables in plan.decided.get(bit, ()):
+            if not good:
+                break
+            table = tables.get(block & fixed)
+            if table is None:
+                if space is None:
+                    space = TableSpace(store.atoms, block, store)
+                table = tables[block & fixed] = space.table(g)
+            good &= table
+        if not good:
+            return None
+        out.append(good)
+    return out
 
 
 def stable_candidate_table(
@@ -1407,11 +1491,7 @@ def stable_candidate_table(
     ``droppable`` objects) makes its :class:`_Plan`, and a formula is
     tabulated again only for values of its fixed atoms not seen before.
     """
-    store = space.store
-    key = (id(gfs), id(droppable))
-    plan = store.plans.get(key)
-    if plan is None:
-        plan = store.plans[key] = _Plan(space, gfs, droppable)
+    plan = _plan(space, gfs, droppable)
     good = plan.good
     if not good:
         return 0

@@ -241,6 +241,9 @@ class GroundProblem:
         Otherwise it lists A's survivors, or either side's, and the exact
         check decides A first, then B where that still matters.  One way, B
         is read only inside A, and nothing is scanned if A restricts to ⊥.
+        The scan is handed the problems too, and skips every block where
+        A's singleton loop test keeps nothing and, symmetric, some kept
+        problem's keeps nothing either: the table there is 0 either way.
         """
         a, kept, tight = self._restricted(frozenset(atoms), kept)
         if not symmetric and engine.FALSE_GF in a.gfs:
@@ -258,7 +261,10 @@ class GroundProblem:
                 b_table &= engine.stable_candidate_table(space, p.gfs, p.droppable)
             return a_table ^ b_table if tight else a_table | b_table
 
-        for index in engine.scan_indices(atoms, table_of):
+        problems = [[(a.gfs, a.droppable)]]
+        if symmetric:
+            problems.append([(p.gfs, p.droppable) for p in kept])
+        for index in engine.scan_indices(atoms, table_of, problems):
             if tight and not symmetric:
                 yield index, True
                 continue

@@ -1,8 +1,9 @@
 """The truth-table prefilter run block by block (``engine.BLOCK_ATOMS``)
 by ``engine.scan``: every verdict, model list, first mismatch and
 counterexample equals the one-block result, each block's tables are slices
-of the whole-space table, no table is wider than a block, and no module but
-the engine knows about blocks."""
+of the whole-space table, the pruned walk lists what a walk over every
+block lists and drops only blocks whose table is 0, no table is wider than
+a block, and no module but the engine knows about blocks."""
 
 import pathlib
 import random
@@ -14,12 +15,13 @@ from conftest import DATA, load, reference_stable_candidate_table
 import htsplit
 from htsplit import engine
 from htsplit.cli import main
+from htsplit.depgraph import is_approximator
 from htsplit.interpretations import FiniteInterpretation, atom_sort_key
-from htsplit.intensionality import IntensionalityStatement, Partition
+from htsplit.intensionality import IntensionalityStatement, Partition, lambda_top
 from htsplit.parser import parse_problem
 from htsplit.selftest import random_split_instance
 from htsplit.semantics import GroundProblem, check_strong_equivalence, ground_region
-from htsplit.splitting import verify_split
+from htsplit.splitting import check_one_direction, verify_split
 from htsplit.syntax import TOP, Atom, DomainName, Equality, Or, Variable
 from strategies import _D1, _D2, DOMAINS, SIG, UNIVERSE, random_sentence
 from test_properties import _member_partition
@@ -328,6 +330,134 @@ def test_scan_builds_a_block_table_only_once_the_block_before_is_consumed(monkey
     assert built == list(range(8))
 
 
+def _eager_walk(atoms, table_of, prune=()):
+    """``engine.scan_indices`` without pruning: the table of every block,
+    in ascending order, ``prune`` unread."""
+    store = engine.ScanStore(atoms)
+    for block in range(engine.scan_blocks(len(store.atoms))):
+        space = engine.TableSpace(store.atoms, block, store)
+        yield from space.indices(table_of(space))
+
+
+def _checked_walk(seen):
+    """``engine.scan_indices`` as it is, which also checks, on a store of
+    its own, that ``table_of`` gives every block the walk drops table 0,
+    and that the blocks it visits come in ascending order."""
+    walk = engine.scan_indices
+
+    def checked(atoms, table_of, prune=()):
+        visited = []
+        out = list(walk(atoms, lambda space: visited.append(space.block) or table_of(space), prune))
+        assert visited == sorted(set(visited))
+        store = engine.ScanStore(atoms)
+        for block in sorted(set(range(engine.scan_blocks(len(atoms)))) - set(visited)):
+            assert table_of(engine.TableSpace(store.atoms, block, store)) == 0, block
+            seen["dropped"] += 1
+        yield from out
+
+    return checked
+
+
+def _split_questions(parts, partition, psi, domains):
+    """Every question a split puts to ``GroundProblem.differences``: the
+    union's stable models, both scopes of the one-direction check, the
+    approximator check of ψ and split verification."""
+    theory = [s for part in parts for s in part]
+    lam = partition.target
+    structure = FiniteInterpretation.make(lam.signature, domains)
+    return [
+        lambda: GroundProblem.ground(structure, theory, lam).stable_models(),
+        lambda: check_one_direction(parts, partition, domains, scope="union"),
+        lambda: check_one_direction(parts, partition, domains, scope="parts"),
+        lambda: is_approximator(psi, theory, lam, domains),
+        lambda: verify_split(parts, partition, psi, domains),
+    ]
+
+
+def _theory_questions(problem):
+    """The stable models of the file's theory and of each of its groups,
+    and the approximator check of each context."""
+    domains, lam = problem.domains(), problem.default_lambda
+    structure = FiniteInterpretation.make(lam.signature, domains)
+    theories = [problem.theory()] + [problem.group(name) for name, _ in problem.groups]
+    contexts = [problem.context(name) for name, _ in problem.contexts]
+    return [
+        *(lambda t=t: GroundProblem.ground(structure, t, lam).stable_models() for t in theories),
+        *(lambda psi=psi: is_approximator(psi, theories[0], lam, domains) for psi in contexts),
+    ]
+
+
+def _data_questions():
+    """The questions of every ``tests/data`` file: on a file with as many
+    parts as groups, those of its split, under each context; otherwise
+    :func:`_theory_questions`.  The blocks files are cut to 0..1 (14 atoms
+    each), since at width 1 their whole horizons are 2^25 and 2^31 blocks."""
+    for path in sorted(DATA.glob("*.htsplit")):
+        text = path.read_text()
+        if path.name.startswith("blocks_"):
+            text = re.sub(r"(?m)^int range 0\.\.\d+\.$", "int range 0..1.", text)
+        problem = parse_problem(text)
+        if problem.parts and len(problem.parts) == len(problem.groups):
+            parts = [problem.group(name) for name, _ in problem.groups]
+            partition = Partition.of([problem.part(name) for name, _ in problem.parts])
+            for _name, psi in problem.contexts or [("", [])]:
+                yield path.name, _split_questions(parts, partition, list(psi), problem.domains())
+        else:
+            yield path.name, _theory_questions(problem)
+
+
+def _random_questions():
+    """The questions of random splits: strategy theories under
+    interpretation-dependent members, and ``selftest``'s program splits,
+    each under the join of its members and under a target that makes
+    every atom intensional.  Under the join, a part's singleton loop test
+    is at least as strict as the union's, so B keeps nothing where A keeps
+    nothing; under a wider target the union's test alone refutes blocks
+    where the parts keep interpretations, and B∖A is not empty."""
+    for parts, partition, _lam in _strategy_cases(30, seed=11):
+        for target in (partition.target, lambda_top(SIG)):
+            split = Partition.of(partition.members, target)
+            yield "strategy", _split_questions(parts, split, [], DOMAINS)
+    rng = random.Random(13)
+    for _ in range(40):
+        instance = random_split_instance(rng, n_parts=rng.choice((2, 3)), n_atoms=4)
+        for target in (instance.partition.target, lambda_top(instance.signature)):
+            split = Partition.of(instance.partition.members, target)
+            yield "selftest", _split_questions(instance.parts, split, [], {})
+
+
+@pytest.mark.parametrize("block_atoms", [1, 2, 3])
+def test_the_pruned_walk_lists_what_the_eager_walk_lists(monkeypatch, block_atoms):
+    # every difference scan, with and without pruning, must list the same
+    # (index, in_a) pairs and give the same answers; split verification
+    # scans even where entailment queries would prove the split
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", block_atoms)
+    monkeypatch.setattr(GroundProblem, "proves_no_difference", lambda *args: False)
+    seen = {"dropped": 0, "b-only": 0}
+    walks = {"pruned": _checked_walk(seen), "eager": _eager_walk}
+    differences = GroundProblem.differences
+
+    def logged(log):
+        def listed(problem, atoms, kept=(), symmetric=False):
+            out = list(differences(problem, atoms, kept, symmetric))
+            log.append(out)
+            return iter(out)
+
+        return listed
+
+    for name, questions in [*_data_questions(), *_random_questions()]:
+        logs = {}
+        for walk_name, walk in walks.items():
+            log = logs[walk_name] = []
+            monkeypatch.setattr(engine, "scan_indices", walk)
+            monkeypatch.setattr(GroundProblem, "differences", logged(log))
+            log.append([ask() for ask in questions])
+        assert logs["pruned"] == logs["eager"], name
+        # only a symmetric scan lists an interpretation outside A
+        seen["b-only"] += sum(not in_a for out in logs["eager"][:-1] for _k, in_a in out)
+    assert seen["dropped"] >= 100 and seen["b-only"] >= 5, seen
+
+
 def test_only_the_engine_names_blocks_or_table_spaces():
     src = pathlib.Path(htsplit.__file__).parent
     for name in ("semantics.py", "splitting.py", "cli.py"):
@@ -336,12 +466,13 @@ def test_only_the_engine_names_blocks_or_table_spaces():
 
 
 def test_no_table_is_wider_than_a_block(monkeypatch, tmp_path, capsys):
-    widths = []
+    widths, blocks = [], {}
     original = engine.TableSpace.__init__
 
     def record(space, *args, **kwargs):
         original(space, *args, **kwargs)
         widths.append(space.width)
+        blocks.setdefault(command, set()).add(space.block)
 
     monkeypatch.setattr(engine.TableSpace, "__init__", record)
     monkeypatch.setattr(engine, "BLOCK_ATOMS", 4)
@@ -350,24 +481,27 @@ def test_no_table_is_wider_than_a_block(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(GroundProblem, "proves_no_difference", lambda *args: False)
     path = tmp_path / "blocks_split_0_1.htsplit"
     path.write_text(_blocks_split_text(1))  # 14 candidate atoms
+    command = "models"
     assert main(["models", str(path)]) == 0
+    command = "split"
     split = ["split", str(path), "--parts", "lt,gt", "--partition", "beta1,beta2", "--verify"]
     assert main(split) == 0
     assert "verification: verified" in capsys.readouterr().out
-    assert len(widths) >= 2 * (1 << (14 - 4))  # both commands ran block by block
+    # both commands ran block by block
+    assert all(len(blocks.get(c, ())) > 1 for c in ("models", "split")), blocks
     assert max(widths) == 1 << 4
 
 
-def _prefilter_tables(monkeypatch) -> list:
+def _top_level_tables(monkeypatch) -> list:
     """Wrap ``engine.TableSpace.table``, which calls itself through the
-    space, and record each call made while ``engine.stable_candidate_table``
-    runs and not from inside another table call, with its space and
-    formula."""
-    calls, prefilter, depth = [], [False], [0]
-    table, candidates = engine.TableSpace.table, engine.stable_candidate_table
+    space, and record each call not made from inside another table call,
+    with its space and formula: wherever the scan builds a table, in a
+    block's ``engine.stable_candidate_table`` or on the walk above it."""
+    calls, depth = [], [0]
+    table = engine.TableSpace.table
 
     def counted(space, gf):
-        if prefilter[0] and not depth[0]:
+        if not depth[0]:
             calls.append((space, gf))
         depth[0] += 1
         try:
@@ -375,20 +509,13 @@ def _prefilter_tables(monkeypatch) -> list:
         finally:
             depth[0] -= 1
 
-    def filtered(space, gfs, droppable):
-        prefilter[0] = True
-        try:
-            return candidates(space, gfs, droppable)
-        finally:
-            prefilter[0] = False
-
     monkeypatch.setattr(engine.TableSpace, "table", counted)
-    monkeypatch.setattr(engine, "stable_candidate_table", filtered)
     return calls
 
 
 def test_models_tabulates_each_formula_once_per_value_of_its_fixed_atoms(monkeypatch, capsys):
-    calls = _prefilter_tables(monkeypatch)
+    # blocks_split is tight, so every table models builds is the prefilter's
+    calls = _top_level_tables(monkeypatch)
     assert main(["models", str(DATA / "blocks_split.htsplit"), "--format", "json"]) == 0
     capsys.readouterr()
     blocks = {space.block for space, _gf in calls}

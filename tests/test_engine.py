@@ -340,7 +340,7 @@ def test_table_indices_match_a_bit_loop():
         tables = [0, 1 << (space.width - 1), space.mask]
         tables += [rng.getrandbits(space.width) for _ in range(20)]
         for table in tables:
-            assert space.indices(table) == _naive_indices(table, space.width)
+            assert list(space.indices(table)) == _naive_indices(table, space.width)
 
 
 def test_conjuncts_flatten_top_level_conjunctions_in_order():
@@ -409,6 +409,25 @@ def test_model_order_sorts_indices_by_their_set_bit_positions():
     indices = list(range(1 << 10))
     by_positions = sorted(indices, key=lambda k: [i for i in range(10) if k >> i & 1])
     assert sorted(indices, key=model_order) == by_positions
+
+
+def test_the_walk_decodes_an_index_only_when_it_is_taken(monkeypatch):
+    # a block's indices are decoded as they are taken: the first of a full
+    # 16-atom block comes from the table's first byte alone, and none of the
+    # other 8,191 bytes, which hold the other 65,535 indices, is unpacked
+    unpacked = []
+    nonzero = engine._NONZERO_BYTE
+
+    class Counted:
+        def finditer(self, raw):
+            for m in nonzero.finditer(raw):
+                unpacked.append(m.start())
+                yield m
+
+    monkeypatch.setattr(engine, "_NONZERO_BYTE", Counted())
+    atoms = [("a", (i,)) for i in range(16)]
+    assert next(engine.scan_indices(atoms, lambda space: space.mask)) == 0
+    assert unpacked == [0]
 
 
 def test_scan_decodes_what_scan_indices_yields(monkeypatch):
