@@ -18,7 +18,7 @@ from .occurrences import (
     atom_occurrences_with_polarity,
     fresh_variables,
 )
-from .semantics import GroundProblem, model_order, scan_atoms
+from .semantics import GroundProblem, scan_atoms
 from .syntax import (
     Atom,
     Formula,
@@ -520,14 +520,13 @@ def is_approximator(
 ) -> ApproximatorResult:
     """Every stable model of the theory under the statement satisfies psi:
     :meth:`GroundProblem.differences` lists those that do not, and the
-    first in :meth:`GroundProblem.stable_models` order is the
-    counterexample.  The cap is that of ``stable_models``."""
+    first it lists, the first in :meth:`GroundProblem.stable_models`'
+    order, is the counterexample.  The cap is that of ``stable_models``."""
     structure = FiniteInterpretation.make(lam.signature, domains)
     problem = GroundProblem.ground(structure, theory, lam)
     atoms = scan_atoms(problem.atoms, atom_cap)
     context = GroundProblem(engine.ground_theory(structure, theory_sentences(psi)), frozenset())
-    failing = (k for k, _ in problem.differences(atoms, [context]))
-    first = min(failing, key=model_order, default=None)
+    first = next((k for k, _ in problem.differences(atoms, [context])), None)
     if first is None:
         return ApproximatorResult(True)
     return ApproximatorResult(False, structure.with_atoms(engine.decode(atoms, first)))

@@ -105,25 +105,6 @@ def scan_atoms(
     return sorted(atoms, key=atom_sort_key)
 
 
-# a false atom's digit, after a true one's
-_FALSE_LAST = str.maketrans("0", "2")
-
-
-def model_order(index: int) -> str:
-    """The sort key of :meth:`GroundProblem.stable_models`' order, on the
-    global index of a model over atoms as :func:`scan_atoms` lists them.
-
-    The order is that of the ascending lists of the ranks of the models'
-    true atoms (atom_sort_key is injective, so these order models as their
-    sorted keys would).  The key has a digit per atom up to the last true
-    one, ``1`` where it is true and ``2`` where it is false: where two lists
-    first differ, the one whose next rank is lower has a true atom where the
-    other has a false one, and a list that is a prefix of the other has the
-    shorter key.  A key of a few dozen characters is a smaller object than
-    a list of ranks, and is made without a Python loop."""
-    return bin(index)[:1:-1].rstrip("0").translate(_FALSE_LAST)
-
-
 @dataclass(frozen=True)
 class GroundProblem:
     """A theory under an intensionality statement, grounded once over a
@@ -281,15 +262,16 @@ class GroundProblem:
 
     def stable_models(
         self, atom_cap: int = engine.DEFAULT_ATOM_CAP
-    ) -> tuple[list[GroundAtom], list[int]]:
+    ) -> tuple[list[GroundAtom], Iterator[int]]:
         """The candidate atoms in scan order, and the global index over them
-        of every stable model, in :func:`model_order`: :meth:`differences`
-        over the candidate atoms with B :data:`NO_MODEL`'s, none.  Raises
-        :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` of them."""
+        of every stable model, ascending, as the walk finds it:
+        :meth:`differences` over the candidate atoms with B
+        :data:`NO_MODEL`'s, none.  So model X comes before model Y iff the
+        highest-ranked atom on which they differ is false in X.  Raises
+        :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` of them at
+        once, before any model is sought."""
         atoms = scan_atoms(self.atoms, atom_cap)
-        models = [k for k, _ in self.differences(atoms, [NO_MODEL])]
-        models.sort(key=model_order)
-        return atoms, models
+        return atoms, (k for k, _ in self.differences(atoms, [NO_MODEL]))
 
 
 NO_MODEL = GroundProblem([engine.FALSE_GF], frozenset())  # B where A alone is listed
@@ -302,7 +284,8 @@ def enumerate_lambda_stable_models(
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> list[FiniteInterpretation]:
     """Every interpretation over the declared domains that is a stable model
-    of the theory extended with the statement's excluded-middle sentences.
+    of the theory extended with the statement's excluded-middle sentences,
+    in :meth:`GroundProblem.stable_models`' order.
 
     The search space is restricted to atoms with a strictly positive
     occurrence in the ground theory; anything else is false in every such

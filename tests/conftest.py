@@ -301,9 +301,11 @@ def reference_check_one_direction(parts, partition, domains, atom_cap=None, scop
     return all(p.is_stable(m.true_atoms) for m in models for p in problems)
 
 
-def reference_model_order(atoms):
-    """The sort key of stable-model order from before models were kept as
-    integers, kept as a test oracle: over ``atoms`` in scan order, a model,
-    a set of true atoms, sorts by its atoms' ranks, ascending."""
+def reference_index(atoms):
+    """The sort key of stable-model order, kept as a test oracle: over
+    ``atoms`` in scan order, a model, a set of true atoms, sorts by its
+    global index, the sum of ``1 << rank`` over its true atoms' ranks, so
+    that of two models the one false on the highest-ranked atom where they
+    differ comes first."""
     rank = {a: i for i, a in enumerate(atoms)}
-    return lambda m: sorted([rank[a] for a in m])
+    return lambda m: sum(1 << rank[a] for a in m)

@@ -358,6 +358,12 @@ def _checked_walk(seen):
     return checked
 
 
+def _stable_models(structure, theory, lam):
+    """The candidate atoms and the listed stable models of the theory."""
+    atoms, models = GroundProblem.ground(structure, theory, lam).stable_models()
+    return atoms, list(models)
+
+
 def _split_questions(parts, partition, psi, domains):
     """Every question a split puts to ``GroundProblem.differences``: the
     union's stable models, both scopes of the one-direction check, the
@@ -366,7 +372,7 @@ def _split_questions(parts, partition, psi, domains):
     lam = partition.target
     structure = FiniteInterpretation.make(lam.signature, domains)
     return [
-        lambda: GroundProblem.ground(structure, theory, lam).stable_models(),
+        lambda: _stable_models(structure, theory, lam),
         lambda: check_one_direction(parts, partition, domains, scope="union"),
         lambda: check_one_direction(parts, partition, domains, scope="parts"),
         lambda: is_approximator(psi, theory, lam, domains),
@@ -382,7 +388,7 @@ def _theory_questions(problem):
     theories = [problem.theory()] + [problem.group(name) for name, _ in problem.groups]
     contexts = [problem.context(name) for name, _ in problem.contexts]
     return [
-        *(lambda t=t: GroundProblem.ground(structure, t, lam).stable_models() for t in theories),
+        *(lambda t=t: _stable_models(structure, t, lam) for t in theories),
         *(lambda psi=psi: is_approximator(psi, theories[0], lam, domains) for psi in contexts),
     ]
 

@@ -15,11 +15,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import LOOP_SOURCE, load
+from conftest import LOOP_SOURCE, load, reference_index
 from htsplit import cli, engine
 from htsplit.cli import main
 from htsplit.intensionality import IntensionalityStatement
-from htsplit.interpretations import FiniteInterpretation
+from htsplit.interpretations import (
+    FiniteInterpretation,
+    atom_sort_key,
+    atom_universe,
+    format_atom,
+    format_atom_set,
+)
 from htsplit.parser import ProblemFile, parse_problem, print_problem
 from htsplit.semantics import GroundProblem
 from htsplit.syntax import TOP, DomainName, Equality, Variable, neg
@@ -34,14 +40,32 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reference_models(problem):
+    """The definitional stable models of the file's theory under its
+    default statement, as sets of true atoms, in ascending global index
+    over the atoms in scan order."""
+    from htsplit.reference import all_interpretations, is_lambda_stable
+
+    signature, domains = problem.signature, problem.domains()
+    key = reference_index(sorted(atom_universe(signature, domains), key=atom_sort_key))
+    stable = (
+        i.true_atoms
+        for i in all_interpretations(signature, domains)
+        if is_lambda_stable(i, problem.theory(), problem.default_lambda, method="direct-full")
+    )
+    return sorted(stable, key=key)
+
+
 def test_models_lists_the_four_models(capsys):
     code, out, _ = run(capsys, "models", DATA / "four_models.htsplit")
     assert code == 0
-    assert out.splitlines() == [
-        "{}",
-        "{p(1,1), p(1,2)}",
+    expected = _reference_models(load("four_models.htsplit"))
+    assert out.splitlines() == [format_atom_set(m) for m in expected]
+    assert sorted(out.splitlines()) == [
         "{p(1,1), p(1,2), p(2,1), p(2,2)}",
+        "{p(1,1), p(1,2)}",
         "{p(2,1), p(2,2)}",
+        "{}",
     ]
 
 
@@ -51,14 +75,16 @@ def test_models_lists_atoms_by_value_in_text_and_by_name_in_json(capsys, tmp_pat
     source.write_text("int range 8..11.\npred p(int).\np(X) :- not not p(X).\n#intensional p(X) : #true.\n")
     values = [8, 9, 10, 11]
     subsets = [s for r in range(5) for s in itertools.combinations(values, r)]
-    subsets.sort(key=lambda s: [values.index(v) for v in s])
+    # in ascending global index: the sum of 1 << rank over the true atoms
+    subsets.sort(key=lambda s: sum(1 << values.index(v) for v in s))
     code, out, _ = run(capsys, "models", source)
     assert code == 0
     assert out.splitlines() == ["{" + ", ".join(f"p({v})" for v in s) + "}" for s in subsets]
+    assert out.splitlines()[7] == "{p(8), p(9), p(10)}"
     code, out, _ = run(capsys, "models", source, "--format", "json")
     assert code == 0
     assert json.loads(out) == {"models": [sorted(f"p({v})" for v in s) for s in subsets]}
-    assert json.loads(out)["models"][3] == ["p(10)", "p(8)", "p(9)"]
+    assert json.loads(out)["models"][7] == ["p(10)", "p(8)", "p(9)"]
 
 
 def test_models_empty_theory_top_statement(capsys, tmp_path):
@@ -462,7 +488,7 @@ def test_ht_models_on_a_tiny_file(capsys, tmp_path):
 
 # p(2)'s condition X+1 > 2 has an out-of-range term, so it reads false: p(2)
 # is outside the region and, under excluded middle, a free input
-RANGE_EDGE_MODELS = [
+RANGE_EDGE_MODELS = {
     "{}",
     "{p(0)}",
     "{p(0), p(1)}",
@@ -471,18 +497,18 @@ RANGE_EDGE_MODELS = [
     "{p(1)}",
     "{p(1), p(2), r}",
     "{p(2), r}",
-]
+}
 
 
 def test_models_on_the_range_edge_lists_all_eight(capsys):
+    expected = _reference_models(load("range_edge.htsplit"))
     code, out, _ = run(capsys, "models", DATA / "range_edge.htsplit")
     assert code == 0
-    assert out.splitlines() == RANGE_EDGE_MODELS
+    assert out.splitlines() == [format_atom_set(m) for m in expected]
+    assert set(out.splitlines()) == RANGE_EDGE_MODELS
     code, out, _ = run(capsys, "models", DATA / "range_edge.htsplit", "--format", "json")
     assert code == 0
-    assert json.loads(out)["models"] == [
-        line.strip("{}").split(", ") if line != "{}" else [] for line in RANGE_EDGE_MODELS
-    ]
+    assert json.loads(out)["models"] == [sorted(map(format_atom, m)) for m in expected]
 
 
 def test_ht_models_on_the_range_edge_keep_the_input_atom(capsys):

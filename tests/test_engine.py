@@ -23,6 +23,7 @@ from conftest import (
     LOOP_SOURCE,
     load,
     reference_ground_formula,
+    reference_index,
     reference_stable_candidate_table,
 )
 from htsplit import engine, reference, syntax
@@ -45,8 +46,8 @@ from htsplit.reference import (
 )
 from htsplit.semantics import (
     GroundProblem,
+    enumerate_lambda_stable_models,
     ground_region,
-    model_order,
 )
 from htsplit.syntax import (
     INT_SORT,
@@ -405,10 +406,31 @@ def test_an_index_decodes_to_the_atoms_of_its_set_bits():
         assert engine.decode(atoms, index) == frozenset(atoms[i] for i in bits)
 
 
-def test_model_order_sorts_indices_by_their_set_bit_positions():
-    indices = list(range(1 << 10))
-    by_positions = sorted(indices, key=lambda k: [i for i in range(10) if k >> i & 1])
-    assert sorted(indices, key=model_order) == by_positions
+@pytest.mark.parametrize("source, count", [
+    # every subset of the 8 atoms is stable
+    ("int range 0..7. pred p(int).\np(X) :- not not p(X).\n#intensional p(X) : #true.\n", 256),
+    # p and q, each stable only with the other, over 0..2: a non-tight
+    # problem whose 8 models need the exact check
+    ("int range 0..2. pred p(int). pred q(int).\np(X) :- q(X).\nq(X) :- p(X).\n"
+    "p(X) :- not not p(X).\n#intensional p(X) : #true.\n#intensional q(X) : #true.\n", 8),
+], ids=["choice", "loop"])
+def test_stable_models_come_in_ascending_global_index_order(monkeypatch, source, count):
+    # the walk's ascending global index over the atoms in atom_sort_key
+    # order, across blocks of 2 atoms, is the definitional stable models
+    # sorted by the sum of 1 << rank over their true atoms
+    monkeypatch.setattr(engine, "BLOCK_ATOMS", 2)
+    problem = parse_problem(source)
+    lam, domains = problem.default_lambda, problem.domains()
+    stable = [
+        i.true_atoms
+        for i in reference.all_interpretations(problem.signature, domains)
+        if is_lambda_stable(i, problem.theory(), lam, method="direct-full")
+    ]
+    key = reference_index(sorted(atom_universe(problem.signature, domains), key=atom_sort_key))
+    models = [m.true_atoms for m in enumerate_lambda_stable_models(problem.theory(), lam, domains)]
+    assert len(models) == count
+    assert models == sorted(stable, key=key)
+    assert models != sorted(models, key=lambda m: sorted(map(atom_sort_key, m)))
 
 
 def test_the_walk_decodes_an_index_only_when_it_is_taken(monkeypatch):

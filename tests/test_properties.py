@@ -974,15 +974,15 @@ def _order_statement():
 @given(st.lists(sentences(depth=2), min_size=1, max_size=3), st.lists(sentences(depth=1), max_size=2))
 @settings(max_examples=60, deadline=None)
 def test_models_and_the_approximator_keep_the_stable_model_order(theory, psi):
-    # the stable models, found by the definition, in the order the CLI used
-    # to sort frozensets into: ``models`` lists them in that order in text
-    # and in JSON, and is_approximator names the first one outside psi
+    # the stable models, found by the definition, in ascending global index
+    # over the atoms in scan order: ``models`` lists them in that order in
+    # text and in JSON, and is_approximator names the first one outside psi
     import contextlib
     import io
     import json
     import tempfile
 
-    from conftest import reference_model_order
+    from conftest import reference_index
     from htsplit import cli
     from htsplit.depgraph import is_approximator
     from htsplit.interpretations import (
@@ -994,7 +994,7 @@ def test_models_and_the_approximator_keep_the_stable_model_order(theory, psi):
     from htsplit.reference import all_interpretations, satisfies_all
 
     lam = _order_statement()
-    key = reference_model_order(sorted(UNIVERSE, key=atom_sort_key))
+    key = reference_index(sorted(UNIVERSE, key=atom_sort_key))
     stable = sorted(
         (i.true_atoms for i in all_interpretations(SIG, DOMAINS)
          if is_lambda_stable(i, theory, lam, method="direct-full")),
