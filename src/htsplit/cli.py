@@ -188,7 +188,7 @@ def cmd_models(args: argparse.Namespace) -> int:
     lam = _lambda(problem, args.lambda_name)
     structure = FiniteInterpretation.make(lam.signature, problem.domains())
     atoms, models = GroundProblem.ground(structure, problem.theory(), lam).stable_models(atom_cap)
-    # written one model at a time, each decoded from its index as it goes
+    # each model is written as the walk finds it, decoded from its index
     names = [format_atom(a) for a in atoms]
     if args.format == "json":
         _emit(args, [], {"models": _models_json(models, names)})

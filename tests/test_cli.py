@@ -96,9 +96,11 @@ def test_models_empty_theory_top_statement(capsys, tmp_path):
 
 
 def test_models_cap_exceeded_is_exit_3(capsys):
-    code, _out, err = run(capsys, "models", DATA / "blocks_split.htsplit", "--cap", "16")
+    # the cap is read before the first model is sought, so nothing is written
+    code, out, err = run(capsys, "models", DATA / "blocks_split.htsplit", "--cap", "16")
     assert code == 3
     assert "inconclusive" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("name", ["four_models.htsplit", "range_edge.htsplit", "meta.htsplit"])
@@ -595,6 +597,40 @@ def test_running_out_of_memory_is_exit_3(capsys, monkeypatch):
     _assert_one_inconclusive_line(code, err)
     assert err == "inconclusive: out of memory\n"
     assert out == ""
+
+
+def test_running_out_of_memory_while_listing_models_is_exit_3(capsys, monkeypatch):
+    # models are written as the walk finds them, so stdout keeps what was
+    # written before memory ran out: here the first model's line
+    differences = GroundProblem.differences
+
+    def exhausted(*args, **kwargs):
+        yield next(differences(*args, **kwargs))
+        raise MemoryError()
+
+    monkeypatch.setattr(GroundProblem, "differences", exhausted)
+    code, out, err = run(capsys, "models", DATA / "four_models.htsplit")
+    assert (code, err) == (3, "inconclusive: out of memory\n")
+    assert out == "{}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_stops_early_stops_the_walk(capsys, monkeypatch, fmt):
+    # a writer that takes five chunks of the 2,144 models' output: the walk
+    # yields only the models those chunks need
+    differences = GroundProblem.differences
+    yielded = []
+
+    def counted(*args, **kwargs):
+        for found in differences(*args, **kwargs):
+            yielded.append(found)
+            yield found
+
+    monkeypatch.setattr(GroundProblem, "differences", counted)
+    monkeypatch.setattr(cli, "_write", lambda chunks: list(itertools.islice(chunks, 5)))
+    code, _out, err = run(capsys, "models", DATA / "blocks_split.htsplit", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert 1 <= len(yielded) <= 5, len(yielded)
 
 
 @pytest.mark.parametrize("argv", [["ht-models"], ["strong-eq", "--left", "a", "--right", "b"]])

@@ -404,9 +404,9 @@ def test_approximator_reports_the_lowest_definitional_counterexample():
     # the verdict and counterexample against the definitional stability of
     # every interpretation: the lowest stable model in stable_models order
     # (ascending by its global index over the atoms in scan order) that
-    # fails psi.  The loop
-    # a <-> u(d2) makes the first theory non-tight, so the survivors of its
-    # singleton loop test that fail psi need the exact check
+    # fails psi.  The loop a <-> u(d2) makes the first theory non-tight, so
+    # the survivors of its singleton loop test that fail psi need the exact
+    # check
     import random
 
     from conftest import reference_index

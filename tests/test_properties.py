@@ -973,7 +973,7 @@ def _order_statement():
 
 @given(st.lists(sentences(depth=2), min_size=1, max_size=3), st.lists(sentences(depth=1), max_size=2))
 @settings(max_examples=60, deadline=None)
-def test_models_and_the_approximator_keep_the_stable_model_order(theory, psi):
+def test_models_and_the_approximator_keep_the_global_index_order(theory, psi):
     # the stable models, found by the definition, in ascending global index
     # over the atoms in scan order: ``models`` lists them in that order in
     # text and in JSON, and is_approximator names the first one outside psi
