@@ -18,7 +18,7 @@ from .occurrences import (
     atom_occurrences_with_polarity,
     fresh_variables,
 )
-from .semantics import GroundProblem, scan_atoms
+from .semantics import GroundProblem
 from .syntax import (
     Atom,
     Formula,
@@ -519,17 +519,16 @@ def is_approximator(
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> ApproximatorResult:
     """Every stable model of the theory under the statement satisfies psi:
-    :meth:`GroundProblem.differences` lists those that do not, and the
-    first it lists, the first in :meth:`GroundProblem.stable_models`'
-    order, is the counterexample.  The cap is that of ``stable_models``."""
+    the first that does not, in :meth:`GroundProblem.stable_models`' order,
+    is the counterexample (:meth:`GroundProblem.first_difference`, whose
+    queries may prove there is none past the cap of ``stable_models``)."""
     structure = FiniteInterpretation.make(lam.signature, domains)
     problem = GroundProblem.ground(structure, theory, lam)
-    atoms = scan_atoms(problem.atoms, atom_cap)
-    context = GroundProblem(engine.ground_theory(structure, theory_sentences(psi)), frozenset())
-    first = next((k for k, _ in problem.differences(atoms, [context])), None)
+    context = GroundProblem.context(structure, psi)
+    first = problem.first_difference(problem.atoms, [context], atom_cap=atom_cap)
     if first is None:
         return ApproximatorResult(True)
-    return ApproximatorResult(False, structure.with_atoms(engine.decode(atoms, first)))
+    return ApproximatorResult(False, structure.with_atoms(first[0]))
 
 
 # ---------------------------------------------------------------------------

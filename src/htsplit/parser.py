@@ -907,15 +907,15 @@ def _format_statement(s: Statement) -> str:
 def print_problem(problem: ProblemFile) -> str:
     """Deterministic canonical text; ``parse_problem`` inverts it."""
     lines: list[str] = ["% htsplit problem file"]
+    if problem.int_range is not None:
+        lo, hi = problem.int_range
+        lines.append(f"int range {lo}..{hi}.")
     supers = dict(problem.subsort_decls)
     for s in problem.sort_order:
         if s in supers:
             lines.append(f"sort {s} < {supers[s]}.")
         else:
             lines.append(f"sort {s}.")
-    if problem.int_range is not None:
-        lo, hi = problem.int_range
-        lines.append(f"int range {lo}..{hi}.")
     by_sort: dict[str, list[str]] = {}
     for name, sort in problem.constants:
         by_sort.setdefault(sort, []).append(name)

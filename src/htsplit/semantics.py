@@ -15,10 +15,10 @@ context ψ is a problem with no droppable atom, whose stable models are
 its classical models: enumeration lists A (B is :data:`NO_MODEL`), split
 verification A△B (B is ψ and the parts), the one-direction check A∖B and
 the approximator check A∖ψ.  It alone builds the block tables, takes the
-tight path or the exact check, and decides when B need not be read.  Split
-verification first asks :meth:`GroundProblem.proves_no_difference`, which,
-where every problem is tight, proves A = B by entailment queries on the
-classical theories of the two sides, with no scan.
+tight path or the exact check, and decides when B need not be read.  The
+three comparisons ask :meth:`GroundProblem.first_difference`, which past
+one block first asks :meth:`GroundProblem.proves_no_difference`: where
+every problem is tight, entailment queries may prove A and B agree.
 """
 
 from __future__ import annotations
@@ -154,6 +154,11 @@ class GroundProblem:
         droppable = frozenset(a for a, g in region_gf.items() if g != engine.FALSE_GF)
         return cls(list(theory_gfs) + em_gfs, droppable)
 
+    @classmethod
+    def context(cls, structure: FiniteInterpretation, psi: Sequence[Statement]) -> "GroundProblem":
+        """``psi`` ground over ``structure``, a problem with no droppable atom."""
+        return cls(engine.ground_theory(structure, theory_sentences(psi)), frozenset())
+
     def restrict(self, allowed: frozenset[GroundAtom]) -> "GroundProblem":
         """The same problem with every atom outside ``allowed`` folded to
         false, for interpretations whose true atoms lie inside ``allowed``."""
@@ -179,19 +184,21 @@ class GroundProblem:
         return a, kept, a.tight and all(p.tight for p in kept)
 
     def proves_no_difference(
-        self, atoms: Collection[GroundAtom], kept: Iterable["GroundProblem"] = ()
+        self,
+        atoms: Collection[GroundAtom],
+        kept: Iterable["GroundProblem"] = (),
+        symmetric: bool = False,
     ) -> bool:
-        """Whether entailment queries prove that :meth:`differences` with
-        ``symmetric`` lists nothing: that A, this problem's stable models
-        over ``atoms``, is B, the interpretations stable for every ``kept``
-        problem, restricted as :meth:`differences` restricts them.
+        """Whether entailment queries prove that :meth:`differences` lists
+        nothing: that A, this problem's stable models over ``atoms``, lies in
+        B, the interpretations stable for every ``kept`` problem, restricted
+        as :meth:`differences` restricts them, and with ``symmetric`` is B.
 
         Only where every problem is tight; then each side is a classical
         theory (:meth:`classical`, the kept problems' in their order for
-        B), and A = B iff each side entails every conjunct that only the
-        other has: A's queries come first, each an :class:`engine.Entailment`
-        query.  False as soon as one is not ``"unsat"``, which proves
-        nothing."""
+        B), and A ⊆ B iff A entails every conjunct that only B has, each an
+        :class:`engine.Entailment` query; with ``symmetric``, B's queries on
+        those only A has come next.  False as soon as one is not ``"unsat"``."""
         allowed = frozenset(atoms)
         a, kept, tight = self._restricted(allowed, kept)
         if not tight:
@@ -199,11 +206,34 @@ class GroundProblem:
         first = a.classical(allowed)
         second = engine.conjuncts([g for p in kept for g in p.classical(allowed)])
         in_first, in_second = set(first), set(second)
-        only_first = [g for g in first if g not in in_second]
+        only_first = [g for g in first if g not in in_second] if symmetric else []
         only_second = [g for g in second if g not in in_first]
         return (not only_second or engine.Entailment(first).entails_all(only_second)) and (
             not only_first or engine.Entailment(second).entails_all(only_first)
         )
+
+    def first_difference(
+        self,
+        atoms: Collection[GroundAtom],
+        kept: Iterable["GroundProblem"] = (),
+        symmetric: bool = False,
+        atom_cap: int = engine.DEFAULT_ATOM_CAP,
+        space: str = "candidate",
+    ) -> Optional[tuple[frozenset[GroundAtom], bool]]:
+        """The true atoms of the lowest interpretation :meth:`differences`
+        lists over ``atoms``, and whether it is in A; None if there is none.
+        Past one block (:func:`engine.scan_blocks`) a proof by
+        :meth:`proves_no_difference` gives None at any atom count; failing
+        one, the scan runs under ``atom_cap``, which in one block it checks
+        before it reads a lazy ``kept``."""
+        if engine.scan_blocks(len(atoms)) > 1:
+            kept = list(kept)
+            if self.proves_no_difference(atoms, kept, symmetric):
+                return None
+        atoms = scan_atoms(atoms, atom_cap, space)
+        for index, in_a in self.differences(atoms, kept, symmetric):
+            return engine.decode(atoms, index), in_a
+        return None
 
     def differences(
         self,

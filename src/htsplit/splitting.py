@@ -1,8 +1,8 @@
 """Hypothesis checks and verification for the two splitting results: one
 for disjunctive programs, one for arbitrary theories under an
-approximating context.  Verification proves a split by entailment queries
-where every side is tight, and otherwise compares the two sides by brute
-force."""
+approximating context.  Verification, the approximator and the
+one-direction check prove their comparison by entailment queries where
+every side is tight, and otherwise compare the two sides by brute force."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .depgraph import (
 from .intensionality import IntensionalityStatement, Partition, partition_problems
 from .interpretations import FiniteInterpretation, format_atom
 from .occurrences import TransformContext
-from .semantics import GroundProblem, scan_atoms
+from .semantics import GroundProblem
 from .syntax import Rule, Statement, theory_sentences
 
 
@@ -224,43 +224,6 @@ def check_split_theory(
 # verification
 
 
-def _verification_sides(
-    parts: Sequence[Sequence[Statement]],
-    partition: Partition,
-    psi: Sequence[Statement],
-    domains: Domains,
-) -> tuple[FiniteInterpretation, GroundProblem, list[GroundProblem], frozenset]:
-    """The structure, the union's problem, ψ's and then each part's under
-    its member, and the atoms that verification compares the two sides
-    over: the union's candidate atoms and those every part shares.  An
-    interpretation making an atom true that no side can support belongs to
-    neither, so the two sides trivially agree on it."""
-    union = _union(parts, partition)
-    structure = FiniteInterpretation.make(partition.target.signature, domains)
-    union_side = GroundProblem.ground(structure, union, partition.target)
-    part_sides = [
-        GroundProblem.ground(structure, list(part), member)
-        for part, member in zip(parts, partition.members)
-    ]
-    parts_atoms = frozenset.intersection(*(side.atoms for side in part_sides))
-    context = GroundProblem(engine.ground_theory(structure, theory_sentences(psi)), frozenset())
-    return structure, union_side, [context] + part_sides, union_side.atoms | parts_atoms
-
-
-def split_proved(
-    parts: Sequence[Sequence[Statement]],
-    partition: Partition,
-    psi: Sequence[Statement],
-    domains: Domains,
-) -> bool:
-    """Whether entailment queries prove that the two sides of the split
-    agree (:meth:`GroundProblem.proves_no_difference`), at any atom count:
-    the decision :func:`verify_split` takes before its scan, without the
-    one-block gate.  False proves nothing."""
-    _structure, union_side, sides, atoms = _verification_sides(parts, partition, psi, domains)
-    return union_side.proves_no_difference(atoms, sides)
-
-
 def verify_split(
     parts: Sequence[Sequence[Statement]],
     partition: Partition,
@@ -269,27 +232,29 @@ def verify_split(
     atom_cap: int = engine.DEFAULT_ATOM_CAP,
 ) -> VerificationResult:
     """Compare the stable models of the union (A) against the conjunction
-    of context membership and per-part stability (B), over the atoms of
-    :func:`_verification_sides`.
-
-    Where the scan would walk more than one block (:func:`engine.scan_blocks`)
-    and every side is tight, entailment queries come first
-    (:func:`split_proved`): if they prove A = B the split is verified at
-    any atom count, and ``atom_cap`` is not read.  Otherwise the space is
-    compared interpretation by interpretation, under ``atom_cap``: the
-    first of A△B that :meth:`GroundProblem.differences` lists is the lowest
-    mismatch.
+    of context membership and per-part stability (B), over the union's
+    candidate atoms and those every part shares: an interpretation making
+    true an atom that no side can support belongs to neither.  The lowest
+    of A△B that :meth:`GroundProblem.first_difference` finds is the
+    mismatch; its entailment queries may verify the split past ``atom_cap``.
     """
-    structure, union_side, sides, atoms = _verification_sides(parts, partition, psi, domains)
-    if engine.scan_blocks(len(atoms)) > 1 and union_side.proves_no_difference(atoms, sides):
-        return VerificationResult("verified")
-    atoms = scan_atoms(atoms, atom_cap, "verification")
-    mismatch = next(union_side.differences(atoms, sides, symmetric=True), None)
+    union = _union(parts, partition)
+    structure = FiniteInterpretation.make(partition.target.signature, domains)
+    union_side = GroundProblem.ground(structure, union, partition.target)
+    part_sides = [
+        GroundProblem.ground(structure, list(part), member)
+        for part, member in zip(parts, partition.members)
+    ]
+    atoms = union_side.atoms | frozenset.intersection(*(side.atoms for side in part_sides))
+    sides = [GroundProblem.context(structure, psi)] + part_sides
+    mismatch = union_side.first_difference(
+        atoms, sides, symmetric=True, atom_cap=atom_cap, space="verification"
+    )
     if mismatch is None:
         return VerificationResult("verified")
-    index, in_union = mismatch
+    true_atoms, in_union = mismatch
     side = "union-only" if in_union else "parts-only"
-    return VerificationResult("mismatch", structure.with_atoms(engine.decode(atoms, index)), side)
+    return VerificationResult("mismatch", structure.with_atoms(true_atoms), side)
 
 
 def check_one_direction(
@@ -311,12 +276,13 @@ def check_one_direction(
     ``{c | b :- not not b}``, whose union has the stable model {b} even
     though the first part alone cannot support b.
 
-    The direction holds iff :meth:`GroundProblem.differences` lists nothing
-    over the union's candidate atoms: no stable model of the union (A) that
-    some member's problem does not keep (B).  The union's theory is ground
-    once, and with ``scope="union"`` every member's problem reuses it.
-    Raises :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` candidate
-    atoms, before any member is ground.
+    The direction holds iff :meth:`GroundProblem.first_difference` finds
+    no stable model of the union (A) that some member's problem does not
+    keep (B).  The union's theory is ground once, and with ``scope="union"``
+    every member's problem reuses it.  Raises
+    :class:`engine.ResourceCapExceeded` beyond ``atom_cap`` candidate atoms
+    where no query proves the direction, before any member is ground where
+    none is asked (one block).
     """
     if scope not in ("union", "parts"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -324,11 +290,10 @@ def check_one_direction(
     structure = FiniteInterpretation.make(partition.target.signature, domains)
     union_gfs = engine.ground_theory(structure, theory_sentences(union))
     union_side = GroundProblem.ground(structure, union, partition.target, union_gfs)
-    atoms = scan_atoms(union_side.atoms, atom_cap)
     member_sides = (
         GroundProblem.ground(structure, union, member, union_gfs)
         if scope == "union"
         else GroundProblem.ground(structure, list(part), member)
         for part, member in zip(parts, partition.members)
     )
-    return next(union_side.differences(atoms, member_sides), None) is None
+    return union_side.first_difference(union_side.atoms, member_sides, atom_cap=atom_cap) is None

@@ -23,3 +23,11 @@ def test_a_part_of_only_false_entries_round_trips():
     again = parse_problem(printed)
     assert again.part("g").entries == ()
     assert print_problem(again) == printed
+
+
+def test_a_sort_below_the_integer_range_round_trips():
+    # the range is printed before the sorts, so the reprint declares int
+    # before the sort that names it
+    printed = reprint("int range 0..3. sort s < int. pred p(s).")
+    assert printed.index("int range 0..3.") < printed.index("sort s < int.")
+    assert reprint(printed) == printed

@@ -381,19 +381,28 @@ def test_the_blocks_split_past_the_atom_cap_is_verified_by_queries_alone(monkeyp
 
 def test_a_split_the_queries_cannot_decide_past_the_cap_is_still_capped():
     # the loop p <-> q makes the union not tight, so the 32-atom space goes
-    # to the scan, whose cap it exceeds
+    # to the scan, whose cap it exceeds: for verification, the approximator
+    # and both scopes of the one-direction check
     from htsplit import engine
+    from htsplit.depgraph import is_approximator
     from htsplit.parser import parse_problem
 
     problem = parse_problem(
         "int range 0..29.\npred p. pred q. pred x(int).\n"
         "#group g1 { p :- q. x(X) :- not not x(X). }.\n#group g2 { q :- p. }.\n"
+        "#context psi { p :- q. }.\n"
         "#part m1 { p : #true ; x(X) : #true }.\n#part m2 { q : #true }.\n"
     )
     partition = Partition.of([problem.part("m1"), problem.part("m2")])
     parts = [problem.group("g1"), problem.group("g2")]
-    with pytest.raises(engine.ResourceCapExceeded, match="32 atoms"):
-        verify_split(parts, partition, [], problem.domains())
+    domains = problem.domains()
+    with pytest.raises(engine.ResourceCapExceeded, match="verification space has 32 atoms"):
+        verify_split(parts, partition, [], domains)
+    with pytest.raises(engine.ResourceCapExceeded, match="candidate space has 32 atoms"):
+        is_approximator(problem.context("psi"), parts[0] + parts[1], partition.target, domains)
+    for scope in ("union", "parts"):
+        with pytest.raises(engine.ResourceCapExceeded, match="candidate space has 32 atoms"):
+            check_one_direction(parts, partition, domains, scope=scope)
 
 
 def test_a_context_with_a_positive_loop_still_lets_the_queries_decide(monkeypatch):
@@ -420,13 +429,20 @@ def test_a_context_with_a_positive_loop_still_lets_the_queries_decide(monkeypatc
     assert outcome.status == "verified"
 
 
-def test_the_queries_need_a_support_formula_for_an_atom_no_conjunct_mentions():
+def test_the_queries_need_a_support_formula_for_an_atom_no_conjunct_mentions(monkeypatch):
     # b is droppable under m1, and p1 never mentions it: only the support
     # formula ¬b keeps {a, b} out of p1's stable models, where the scan
     # finds the lowest mismatch.  At three atoms verify_split takes the
-    # scan, so the queries are asked directly
+    # scan, so blocks of one atom put the queries first, and a scan that
+    # raises shows that they proved nothing
+    from htsplit import engine
     from htsplit.parser import parse_problem
-    from htsplit.splitting import split_proved
+
+    class Scanned(Exception):
+        pass
+
+    def no_scan(*args):
+        raise Scanned
 
     problem = parse_problem(
         "pred a. pred b. pred c.\n"
@@ -436,7 +452,11 @@ def test_the_queries_need_a_support_formula_for_an_atom_no_conjunct_mentions():
     )
     partition = Partition.of([problem.part("m1"), problem.part("m2")])
     parts = [problem.group("p1"), problem.group("p2")]
-    assert not split_proved(parts, partition, [], problem.domains())
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "BLOCK_ATOMS", 1)
+        patched.setattr(engine, "scan_indices", no_scan)
+        with pytest.raises(Scanned):
+            verify_split(parts, partition, [], problem.domains())
     outcome = verify_split(parts, partition, [], problem.domains())
     assert (outcome.status, outcome.side) == ("mismatch", "union-only")
     assert outcome.mismatch.true_atoms == {("a", ()), ("b", ())}
