@@ -6,10 +6,15 @@ comparisons and arithmetic folded away; terms apply only the arithmetic of
 Each sentence is compiled once into closures over an environment of variable
 slots: a quantifier sets its slot to each domain element and grounds its
 body, whose terms read their values from the slots, so no instance is built
-by substitution.  An existential whose body has a conjunct ``x = t``, with t
-a literal or a variable bound outside, grounds only the instance x = t (the
-one-point rule: every other instance folds to false).  An atom outside the
-atom universe grounds to false.  On top of that this module provides:
+by substitution.  Where only the right operand of a connective is atom-free
+(comparisons and equalities, no predicate atom and no quantifier), it is
+grounded first, and the left operand only where the right one does not
+decide the fold: a condition such as ``p(T) ∧ q(T+1) ∧ T < 30`` builds no
+atom for an instance its comparison makes false.  An existential whose
+body has a conjunct ``x = t``, with t a literal or a variable bound
+outside, grounds only the instance x = t (the one-point rule: every other
+instance folds to false).  An atom outside the atom universe grounds to
+false.  On top of that this module provides:
 
 * backtracking model search (:func:`find_model`, a loop over an explicit
   stack of decisions, so its depth is not bounded by the interpreter's
@@ -238,9 +243,11 @@ class _Compiler:
     outermost enclosing quantifier when no quantifier binds it.  A failed
     check drops the instance, which is what substituting the instance and
     looking for an undefined ground term in it would decide.  Evaluating a
-    term never raises, so a term left unevaluated changes no result.  Three
+    term never raises, so a term left unevaluated changes no result.  Four
     places leave terms so: the right operand of a connective whose left
-    operand decides the fold (see :func:`_connective`); an atom the
+    operand decides the fold, and the left operand of a connective whose
+    atom-free right operand, grounded first, decides it (see
+    :func:`_connective`); an atom the
     universe makes false at compile time (an undeclared predicate, or a
     literal outside its argument's domain), whose arguments only the
     quantifiers' checks read; and a pinned existential (see
@@ -248,17 +255,19 @@ class _Compiler:
     only, since every other instance folds to false.
     """
 
-    __slots__ = ("structure", "predicates", "size", "_domain_sets")
+    __slots__ = ("structure", "predicates", "size", "_domain_sets", "_atom_free")
 
     def __init__(self, structure: FiniteInterpretation):
         self.structure = structure
         self.predicates = structure.signature.predicates
         self.size = 0
         self._domain_sets: dict[str, frozenset] = {}
+        self._atom_free: set = set()  # the atom-free closures compiled so far
 
     def ground(self, f: Formula) -> GF:
         """The ground formula of a sentence."""
-        return _reader(self.formula(f, {}, 0, None))([None] * self.size)
+        compiled = self.formula(f, {}, 0, None)
+        return compiled if type(compiled) is tuple else compiled([None] * self.size)
 
     def domain_set(self, sort: str) -> frozenset:
         out = self._domain_sets.get(sort)
@@ -316,7 +325,12 @@ class _Compiler:
             rhs = self.formula(f.rhs, scope, depth, outer)
             if type(lhs) is tuple and type(rhs) is tuple:
                 return op(lhs, rhs)
-            return _connective(op, _reader(lhs), _reader(rhs))
+            lhs_free = self.is_atom_free(lhs)
+            rhs_free = self.is_atom_free(rhs)
+            out = _connective(op, lhs, rhs, rhs_free and not lhs_free)
+            if lhs_free and rhs_free and type(out) is not tuple:
+                self._atom_free.add(out)
+            return out
         if kind is Bottom:
             return FALSE_GF
         if kind is Atom or kind is Equality:
@@ -329,13 +343,24 @@ class _Compiler:
                     self._check(t, get, scope, outer)
             getters = [get for get, _partial in compiled]
             if kind is Equality:
-                return self._equality(*getters)
-            if f.pred in COMPARISON_PREDICATES:
-                return self._comparison(_COMPARE[f.pred], *getters)
-            return self._atom(f.pred, terms, getters)
+                out = self._equality(*getters)
+            elif f.pred in COMPARISON_PREDICATES:
+                out = self._comparison(_COMPARE[f.pred], *getters)
+            else:
+                return self._atom(f.pred, terms, getters)
+            self._atom_free.add(out)
+            return out
         if kind is Forall or kind is Exists:
             return self._quantifier(f, scope, depth, outer)
         raise TypeError(f"not a formula: {f!r}")
+
+    def is_atom_free(self, c: Compiled) -> bool:
+        """Whether ``c`` grounds with no predicate atom and no quantifier:
+        ⊤ or ⊥, or a closure of comparisons, equalities and connectives.
+        The compile pass records each such closure as it makes it."""
+        if type(c) is tuple:
+            return c == TRUE_GF or c == FALSE_GF
+        return c in self._atom_free
 
     def _closed(self, f: Union[Atom, Equality], values: list) -> GF:
         """The ground formula of an atomic formula whose terms are literals."""
@@ -404,10 +429,12 @@ class _Compiler:
             return self._pinned(get, self.domain_set(f.var.sort), slot, checks, _reader(body))
         domain = self.structure.domain(f.var.sort)
         combine = gand_all if isinstance(f, Forall) else gor_all
-        if type(body) is tuple and not checks:
-            return combine([body] * len(domain))
+        # each comprehension below assigns each element to the slot in turn
+        if not checks:
+            if type(body) is tuple:
+                return combine([body] * len(domain))
+            return lambda env: combine([body(env) for env[slot] in domain])
         body = _reader(body)
-        # the comprehension assigns each element to the slot in turn
         return lambda env: combine(
             [body(env) for env[slot] in domain if all(c(env) is not None for c in checks)]
         )
@@ -430,19 +457,40 @@ class _Compiler:
 
 
 _CONNECTIVES = {And: gand, Or: gor, Implies: gimp}
-# the left operand that decides each fold by itself, and the result
-_DECIDED_BY_LHS = {gand: (FALSE_GF, FALSE_GF), gor: (TRUE_GF, TRUE_GF), gimp: (FALSE_GF, TRUE_GF)}
+# the left operand that decides each fold by itself, the right operand that
+# does, and the result
+_DECIDED = {
+    gand: (FALSE_GF, FALSE_GF, FALSE_GF),
+    gor: (TRUE_GF, TRUE_GF, TRUE_GF),
+    gimp: (FALSE_GF, TRUE_GF, TRUE_GF),
+}
 
 
-def _connective(op, lhs: Callable[[Env], GF], rhs: Callable[[Env], GF]) -> Compiled:
-    """``op`` of the operands' ground formulas.  When the left operand
-    decides the fold, the right one is not grounded: its ground formula
-    could not change the result."""
-    decisive, result = _DECIDED_BY_LHS[op]
+def _connective(op, lhs: Compiled, rhs: Compiled, right_first: bool) -> Compiled:
+    """``op`` of the operands' ground formulas, where one operand at least
+    is a closure.  An operand known at compile time that decides the fold
+    decides it at compile time.  Else the operand grounded first, the right
+    one when ``right_first`` and the left one otherwise, leaves the other
+    ungrounded where it decides the fold: the other's ground formula could
+    not change the result."""
+    by_lhs, by_rhs, result = _DECIDED[op]
+    if lhs == by_lhs or rhs == by_rhs:
+        return result
+    lhs = _reader(lhs)
+    rhs = _reader(rhs)
+    if right_first:
+
+        def right_first_connective(env):
+            right = rhs(env)
+            if right == by_rhs:
+                return result
+            return op(lhs(env), right)
+
+        return right_first_connective
 
     def connective(env):
         left = lhs(env)
-        if left == decisive:
+        if left == by_lhs:
             return result
         return op(left, rhs(env))
 

@@ -50,7 +50,9 @@ from htsplit.semantics import (
     ground_region,
 )
 from htsplit.syntax import (
+    BOT,
     INT_SORT,
+    TOP,
     And,
     Atom,
     DomainName,
@@ -65,6 +67,7 @@ from htsplit.syntax import (
     exists_over,
     free_variables,
     int_name,
+    neg,
     theory_sentences,
 )
 from strategies import DOMAINS, SIG, UNIVERSE, random_sentence, sentences
@@ -297,6 +300,92 @@ def test_a_pinned_existential_makes_no_disjunction_of_instances(monkeypatch):
     unpinned = Exists(x, Or(Atom("u", (x,)), Equality(x, DomainName("d2", "s"))))
     assert engine.ground_formula(structure, unpinned) == engine.TRUE_GF
     assert calls == [2]
+
+
+def _count_built_atoms(monkeypatch) -> list:
+    """Wrap every closure :meth:`engine._Compiler._atom` returns; the list
+    gets each ground formula such a closure builds."""
+    built = []
+    real_atom = engine._Compiler._atom
+
+    def counting_atom(self, pred, terms, getters):
+        closure = real_atom(self, pred, terms, getters)
+        if type(closure) is tuple:
+            return closure
+
+        def atom(env):
+            gf = closure(env)
+            built.append(gf)
+            return gf
+
+        return atom
+
+    monkeypatch.setattr(engine._Compiler, "_atom", counting_atom)
+    return built
+
+
+_X, _Y = Variable("X", INT_SORT), Variable("Y", INT_SORT)
+_P_AND_Q = And(Atom("p", (_X,)), Atom("q", (_Y,)))
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # p(X) ∧ q(Y) ∧ X < Y ∧ Y < X
+        (And(And(_P_AND_Q, Atom("<", (_X, _Y))), Atom("<", (_Y, _X))), engine.FALSE_GF),
+        # p(X) ∧ q(Y) ∨ X < Y ∨ Y <= X
+        (Or(_P_AND_Q, Or(Atom("<", (_X, _Y)), Atom("<=", (_Y, _X)))), engine.TRUE_GF),
+        # p(X) ∧ q(Y) → ¬(X = Y) ∨ X >= Y
+        (Implies(_P_AND_Q, Or(neg(Equality(_X, _Y)), Atom(">=", (_X, _Y)))), engine.TRUE_GF),
+    ],
+    ids=["and", "or", "implies"],
+)
+def test_an_atom_free_right_operand_that_decides_builds_no_atom(monkeypatch, body, expected):
+    # over 0..50, grounding the left operand first built 2 × 51² atoms
+    sig = Signature.make(predicates={("p", 1): (INT_SORT,), ("q", 1): (INT_SORT,)}, has_int=True)
+    structure = FiniteInterpretation.make(sig, {INT_SORT: tuple(range(51))})
+    built = _count_built_atoms(monkeypatch)
+    assert engine.ground_formula(structure, Exists(_X, Exists(_Y, body))) == expected
+    assert built == []
+    # where the comparison does not decide, the left operand is grounded
+    partial = Exists(_X, Exists(_Y, And(_P_AND_Q, Atom("<", (_X, _Y)))))
+    assert engine.ground_formula(structure, partial) != engine.FALSE_GF
+    assert len(built) == 2 * (51 * 50 // 2)
+
+
+@pytest.mark.parametrize("op", [And, Or, Implies], ids=["and", "or", "implies"])
+def test_an_atom_free_right_operand_grounds_like_the_reference(op):
+    sig = Signature.make(predicates={("q", 1): (INT_SORT,)}, has_int=True)
+    structure = FiniteInterpretation.make(sig, {INT_SORT: (0, 1, 2)})
+    z = Variable("Z", INT_SORT)
+    lefts = [
+        Atom("q", (_X,)),
+        # leaves the range at X = 2, so the quantifier binding X has a check
+        Atom("q", (Func("+", (_X, int_name(1)), INT_SORT),)),
+        And(Atom("q", (_Y,)), Atom("q", (_X,))),
+        Exists(z, And(Atom("q", (z,)), Atom("<", (z, _X)))),
+        Equality(_X, int_name(1)),  # atom-free too: the left one grounds first
+    ]
+    rights = [
+        Atom("<", (_X, int_name(0))),  # false for every X: decides ∧
+        Atom(">=", (_X, int_name(0))),  # true for every X: decides ∨ and →
+        Atom("<", (_X, _Y)),  # decides some instances only
+        neg(Equality(_X, _Y)),
+        And(Atom("<", (_Y, int_name(2))), Equality(_X, _Y)),
+        Atom("<", (Func("+", (_Y, int_name(1)), INT_SORT), _X)),
+        BOT,  # known at compile time
+        TOP,
+    ]
+    for lhs in lefts:
+        for rhs in rights:
+            body = op(lhs, rhs)
+            for sentence in (
+                Forall(_X, Exists(_Y, body)),
+                Exists(_X, Forall(_Y, body)),
+                Forall(_Y, Forall(_X, body)),
+                Exists(_Y, Exists(_X, op(body, Atom("q", (_Y,))))),
+            ):
+                _assert_grounds_like_the_reference(structure, sentence)
 
 
 def test_grounding_an_open_formula_names_the_free_variable():
